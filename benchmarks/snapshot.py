@@ -216,8 +216,8 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     rng = np.random.default_rng(20110814)  # the paper's SC 2011 vintage
     a = rng.standard_normal((m, n))
     pl = plan(m // nb, n // nb, scheme, family)
-    groups = pl.level_groups()
-    sizes = [len(g) for g in groups]
+    groups = pl.level_groups()  # the inline transport's drain order
+    sizes = [len(tids) for _, tids in groups]
     workers = os.cpu_count() or 1
 
     with ProcessPool(workers=workers) as pool:
@@ -278,7 +278,6 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     return {
         "structural": {
             "tasks": len(pl.graph.tasks),
-            "levels": groups[-1].level + 1 if groups else 0,
             "groups": len(groups),
             "max_batch": max(sizes) if sizes else 0,
             "mean_batch": round(float(np.mean(sizes)), 12) if sizes else 0.0,

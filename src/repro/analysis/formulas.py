@@ -80,6 +80,12 @@ def optimal_cp_lower_bound(q: int) -> int:
     (three non-zero sub-diagonals); see
     :func:`repro.analysis.optimality.exhaustive_optimal_cp` for the
     search itself.
+
+    Precondition: the bound is verified here only for ``p >= 2q``
+    (``p`` tile rows).  It fails on near-square grids — the paper's
+    own Table 5 has Greedy TT at ``p = 40`` reach 780 at ``q = 37``
+    (bound 784) and 826 at ``q = 40`` (bound 850) — so callers must
+    check ``p >= 2q`` before comparing a critical path against it.
     """
     if q < 2:
         raise ValueError(f"the bound is stated for q >= 2, got q={q}")

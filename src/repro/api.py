@@ -119,11 +119,12 @@ def factor(
     match the tiling of ``a``; its kernel family wins over ``family``;
     it must be a QR plan — Cholesky/LU plans simulate but do not
     execute).
-    ``mode="batched"`` runs the level-synchronous batched backend
-    (stacked 3-D kernels over a contiguous tile pool) instead of the
-    per-task executors — usually the fastest way to factor a real
-    matrix; ``numeric`` picks its factor-kernel implementation
-    (``"auto"``/``"numpy"``/``"lapack"``); ``mode="process"`` runs the
+    ``mode="batched"`` runs the inline transport (groups of ready
+    same-kernel tasks as stacked 3-D kernels over a contiguous tile
+    pool) instead of per-task kernels — usually the fastest way to
+    factor a real matrix; ``numeric`` picks its factor-kernel
+    implementation (``"auto"``/``"numpy"``/``"lapack"``);
+    ``mode="process"`` runs the
     kernels on ``workers`` worker processes over a shared-memory tile
     pool (``start_method`` picks fork/spawn, ``pool`` reuses a
     persistent :class:`repro.runtime.ProcessPool`, ``batch`` controls

@@ -221,8 +221,8 @@ def _progress_setup(pl, nb: int, workers, mode: str, label: str,
     Returns ``(bus, state, renderer, replay)``; an existing
     ``bus``/``state`` pair is reused when given.  The ETA replays
     against the plan's memoized simulated schedule: bounded on
-    ``workers`` lanes for the threaded executor, unbounded (ASAP) for
-    the level-parallel batched backend, one lane otherwise.
+    ``workers`` lanes for the thread transport, unbounded (ASAP) for
+    the inline (batched) transport, one lane otherwise.
     """
     from .obs import EventBus, LiveState, ProgressRenderer, kernel_totals
 
@@ -584,7 +584,7 @@ def _cmd_profile(args) -> int:
 
     sim = None
     if args.mode == "batched":
-        # one span per (level, kernel) group; per-task weights would be
+        # one span per stacked group; per-task weights would be
         # meaningless, so skip the simulated overlay
         sim = None
     elif not args.no_sim:
@@ -805,10 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--mode", default="task",
                    choices=["task", "batched", "process"],
-                   help="batched = level-synchronous stacked kernels "
-                        "(ignores --backend/--workers); process = "
-                        "worker processes over shared-memory tiles "
-                        "with a rolling ready-frontier")
+                   help="batched = stacked kernel groups in the "
+                        "calling thread (ignores --backend/--workers); "
+                        "process = worker processes over shared-memory "
+                        "tiles")
     p.add_argument("--numeric", default="auto",
                    choices=["auto", "numpy", "lapack"],
                    help="factor-kernel implementation for --mode "
@@ -903,8 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--mode", default="task",
                    choices=["task", "batched", "process"],
-                   help="batched = level-synchronous stacked kernels "
-                        "(spans cover (level, kernel) groups and the "
+                   help="batched = stacked kernel groups in the "
+                        "calling thread (spans cover groups and the "
                         "simulated overlay is skipped); process = "
                         "worker processes over shared-memory tiles")
     p.add_argument("--numeric", default="auto",

@@ -194,18 +194,19 @@ def tiled_qr(
     backend : {"reference", "lapack"}
         Numeric kernel implementation.
     workers : int or None
-        ``None``/1 = sequential; ``>= 2`` = threaded dataflow runtime
+        ``None``/1 = sequential; ``>= 2`` = thread transport
         (``mode="task"``) or the worker-process count
         (``mode="process"``, default ``os.cpu_count()``).  Ignored
         when ``mode="batched"``.
     mode : {"task", "batched", "process"}
-        ``"task"`` retires one tile task at a time; ``"batched"``
-        executes each (DAG level, kernel) group of independent tasks
-        as stacked 3-D NumPy operations — typically much faster (see
-        docs/performance.md); ``"process"`` runs the kernels on worker
-        processes over a shared-memory tile pool with a rolling
-        ready-frontier (no level barrier).  ``backend`` is ignored in
-        batched and process modes.
+        ``"task"`` retires one tile task at a time (or, with
+        ``workers >= 2``, groups of ready tasks on worker threads);
+        ``"batched"`` executes each group of ready same-kernel tasks
+        as stacked 3-D NumPy operations in the calling thread —
+        typically much faster (see docs/performance.md);
+        ``"process"`` runs the groups on worker processes over a
+        shared-memory tile pool.  ``backend`` is ignored in batched
+        and process modes.
     numeric : {"auto", "numpy", "lapack"}
         Factor-kernel implementation for ``mode="batched"`` and
         ``mode="process"`` (ignored otherwise): ``"lapack"`` runs the
@@ -220,7 +221,7 @@ def tiled_qr(
         ``mode="process"`` only: run on a persistent worker pool
         instead of an ephemeral one.
     batch : int or str
-        Micro-batch dispatch for the process and threaded runtimes:
+        Group size of the process and thread transports:
         ``"auto"`` (default) targets ~1ms of work per group, an int
         ``>= 2`` fixes the group size, ``"off"`` dispatches single
         tasks.  Bit-exact with single-task dispatch on the numpy path
@@ -271,8 +272,8 @@ def tiled_qr(
             "scheme must be a scheme name/spec string, an EliminationList, "
             f"or a Plan, got {type(scheme).__name__}")
     pl = build_plan(tiled.p, tiled.q, scheme, family, **scheme_params)
-    # pass the Plan itself: batched mode reuses its cached level groups
-    # and the threaded scheduler its memoized bottom-levels
+    # pass the Plan itself: the frontier core reuses its memoized
+    # bottom levels and dispatch arrays, batched mode its drain order
     ctx = execute_graph(pl, tiled, backend=backend, ib=min(ib, nb),
                         workers=workers, mode=mode, numeric=numeric,
                         start_method=start_method, pool=pool, batch=batch,

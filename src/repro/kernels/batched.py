@@ -1,10 +1,10 @@
 """Batched (stacked 3-D) variants of the six tile kernels (S20).
 
-At any Kahn level of the factorization DAG many tasks of the *same*
+At any moment of a factorization many ready tasks of the *same*
 kernel type are independent (the paper's whole point — Section 2.2's
 weighted critical paths count exactly this parallelism).  PLASMA
 exploits it with tuned kernels on many cores; the NumPy equivalent is
-to stack the operand tiles of one ``(level, kernel)`` group into a
+to stack the operand tiles of one group of such tasks into a
 ``(batch, nb, nb)`` array and execute the group as *one* sequence of
 3-D operations:
 

@@ -15,7 +15,7 @@ and the benchmark harness:
   (:meth:`MetricsRegistry.merge`);
 * :mod:`repro.obs.stream` — a bounded, multiprocessing-bridgeable
   :class:`EventBus` both executors publish typed :class:`Event`
-  records into *while the run progresses* (task/group/level/frontier
+  records into *while the run progresses* (task/group/frontier
   events), with :class:`LiveState` as the standard reduction;
 * :mod:`repro.obs.sampler` — a background :class:`Sampler` thread
   recording time-series gauges (queue depth, busy workers, cumulative

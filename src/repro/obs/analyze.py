@@ -459,8 +459,10 @@ def analyze_sim(result: SimResult, label: str = "",
     the DAG critical path, the work bound ``total_weight / P``, the
     ALAP area bound (:func:`alap_lower_bound` — bounded schedules
     only, and never looser than ``work / P``), and — for QR DAGs with
-    ``q >= 2`` — the paper's Theorem 1(3) bound ``22q - 30``
-    (meaningful for Table-1 weights).  Works for any problem family;
+    ``q >= 2`` and ``p >= 2q``, where the repo verifies it — the
+    paper's Theorem 1(3) bound ``22q - 30`` (meaningful for Table-1
+    weights; near-square grids break it, e.g. Greedy TT at 40 x 40 has
+    critical path 826 < 850).  Works for any problem family;
     the graph's ``problem`` attribute labels the report.
     """
     g = result.graph
@@ -509,7 +511,7 @@ def analyze_sim(result: SimResult, label: str = "",
         else:
             bounds_dict["efficiency"] = (cp_bound / makespan
                                          if makespan else 1.0)
-        if problem == "qr" and g.q >= 2:
+        if problem == "qr" and g.q >= 2 and g.p >= 2 * g.q:
             from ..analysis.formulas import optimal_cp_lower_bound
 
             bounds_dict["paper_cp_lower_bound"] = float(

@@ -143,8 +143,6 @@ class ProgressRenderer:
         busy = v["busy_workers"]
         status = (f"workers {render_bar(busy / nw, self.bar_width)} "
                   f"{busy}/{nw} busy | frontier {v['frontier']}")
-        if v["level"] >= 0:
-            status += f" | level {v['level']}"
         out.append(status)
         if self.show_workers and v["worker_kernel"]:
             cells = [f"w{w}:{k or 'idle'}"

@@ -23,8 +23,8 @@ Design points:
   not even a timestamp read (measured: see docs/performance.md,
   "telemetry overhead").
 * **Typed events.**  One small :class:`Event` record per occurrence:
-  task start/done, level barrier, batch-group dispatch, ready-frontier
-  size, run start/done.  Events serialize to compact dicts (defaults
+  task start/done, group dispatch, ready-frontier size, run
+  start/done.  Events serialize to compact dicts (defaults
   elided) for the JSONL sink in :mod:`repro.obs.export`.
 * **Cross-process bridge.**  :class:`BusRelay` hands out picklable
   :class:`RemotePublisher` handles backed by a bounded
@@ -67,9 +67,8 @@ EVENT_KINDS = (
     "run_done",     #: value= wall seconds
     "task_start",   #: tid, kernel, worker
     "task_done",    #: tid, kernel, worker, value= kernel seconds
-    "level_start",  #: level barrier crossed (batched backend)
-    "group_start",  #: kernel, level, count= batch size (batched backend)
-    "group_done",   #: kernel, level, count, value= group seconds
+    "group_start",  #: kernel, count= group size (inline transport)
+    "group_done",   #: kernel, count, value= group seconds
     "frontier",     #: value= ready-queue depth after a retirement
 )
 
@@ -115,7 +114,6 @@ class Event:
     tid: int = -1
     kernel: str = ""
     worker: int = -1
-    level: int = -1
     count: int = 1
     total: int = 0
     value: float = 0.0
@@ -187,7 +185,7 @@ class EventBus:
             return idx
 
     def publish(self, kind: str, *, t: float | None = None, tid: int = -1,
-                kernel: str = "", worker: int = -1, level: int = -1,
+                kernel: str = "", worker: int = -1,
                 count: int = 1, total: int = 0, value: float = 0.0,
                 problem: str = "") -> int:
         """Append one event; never blocks, never raises for full buffers.
@@ -207,13 +205,13 @@ class EventBus:
         with self._lock:
             seq = self._seq
             self._buf[seq % self.capacity] = (
-                kind, t, seq, tid, kernel, worker, level, count, total,
-                value, problem)
+                kind, t, seq, tid, kernel, worker, count, total, value,
+                problem)
             self._seq = seq + 1
             subs = self._subs
         if subs:
-            ev = Event(kind, t, seq, tid, kernel, worker, level, count,
-                       total, value, problem)
+            ev = Event(kind, t, seq, tid, kernel, worker, count, total,
+                       value, problem)
             for fn in subs:
                 try:
                     fn(ev)
@@ -320,7 +318,6 @@ class LiveState:
         self.done = 0
         self.flops = 0.0
         self.frontier = 0
-        self.level = -1
         self.workers = 0
         self.kernel_done: dict[str, int] = {}
         self.worker_kernel: dict[int, str] = {}
@@ -391,8 +388,6 @@ class LiveState:
                     self.worker_kernel[ev.worker] = ev.kernel
             elif kind == "frontier":
                 self.frontier = int(ev.value)
-            elif kind == "level_start":
-                self.level = ev.level
             elif kind == "run_start":
                 self.run_started = True
                 if ev.total:
@@ -421,7 +416,6 @@ class LiveState:
                 "done": self.done,
                 "flops": self.flops,
                 "frontier": self.frontier,
-                "level": self.level,
                 "workers": self.workers,
                 "busy_workers": sum(
                     1 for k in self.worker_kernel.values() if k),

@@ -72,8 +72,8 @@ class Span:
     submit, start, finish : float
         Seconds since the tracer's epoch.
     count : int
-        Tasks the span covers (1 except for batched (level, kernel)
-        group spans, where it is the batch size — per-task means
+        Tasks the span covers (1 except for the inline transport's
+        group spans, where it is the group size — per-task means
         normalize by it).
     aborted : bool
         The task was in flight when its run aborted (worker death or a

@@ -183,8 +183,8 @@ class Plan:
     def bottom_levels(self) -> np.ndarray:
         """Memoized per-task bottom levels (critical-path priority).
 
-        Used by the threaded executor's priority ready-queue and the
-        bounded simulator; see :func:`repro.sim.simulate.bottom_levels`.
+        The frontier core's priority keys and the bounded simulator's;
+        see :func:`repro.sim.simulate.bottom_levels`.
         """
         if self._bottom_levels is None:
             from ..sim.simulate import bottom_levels
@@ -192,22 +192,24 @@ class Plan:
         return self._bottom_levels
 
     def level_groups(self) -> list:
-        """Memoized (Kahn level, kernel) task groups of the DAG.
+        """Memoized drain order of the frontier core: the groups the
+        inline transport (``mode="batched"``) runs, in order.
 
-        The unit of work of the batched backend; see
-        :func:`repro.runtime.batched.level_kernel_groups`.
+        Built once per plan (it needs the bottom levels and dispatch
+        arrays too), never on the per-factor path; see
+        :func:`repro.runtime.groups.drain_groups`.
         """
         if self._level_groups is None:
-            from ..runtime.batched import level_kernel_groups
-            self._level_groups = level_kernel_groups(self.graph)
+            from ..runtime.groups import drain_groups
+            self._level_groups = drain_groups(self)
         return self._level_groups
 
     def dispatch_arrays(self):
         """Memoized flat per-task dispatch/groupability arrays.
 
         Kernel codes, tile coordinates and T-store slot assignments,
-        aligned by tid — what the process backend's group-aware
-        frontier indexes; see
+        aligned by tid — what the frontier core and the group executor
+        index; see
         :func:`repro.runtime.groups.dispatch_arrays`.  Cached here so
         a persistent pool skips the O(tasks) flattening on every run
         and micro-batch formation stays O(frontier).

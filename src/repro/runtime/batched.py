@@ -1,24 +1,22 @@
-"""Batched level-synchronous execution backend (S20).
+"""The inline transport: stacked groups in the calling thread (S20).
 
 The task executors in :mod:`repro.runtime.executor` retire one tile
 task at a time through Python, which caps real factorization speed far
 below the hardware (Python overhead per small-tile kernel dominates).
-This backend exploits the same structural fact the paper builds on: at
-any Kahn level of the DAG, all tasks of one kernel type are mutually
-independent.  It therefore
+This transport exploits the structural fact the paper builds on: the
+ready tasks of one kernel type are mutually independent, so they can
+run as *one* stacked kernel.  It
 
-1. groups the DAG's tasks into ``(level, kernel)`` batches (cached on
-   the :class:`~repro.planner.Plan` via ``Plan.level_groups()``),
-2. gathers the operand tiles of each group from a contiguous
-   :class:`~repro.tiles.pool.TilePool` into ``(batch, nb, nb)`` stacks
-   (ragged border tiles zero-padded — exact, see the pool docs), and
-3. executes each group as one sequence of stacked 3-D operations using
-   the kernels in :mod:`repro.kernels.batched`.
-
-Within a level, groups run in kernel-enum order; any order is correct
-because same-level tasks never write the same tile region (write-write
-or read-write pairs on a tile are always DAG-ordered; the V=NODEP
-triangle sharing of the TT kernels touches disjoint triangles).
+1. takes the frontier core's drain order (:func:`repro.runtime.groups.
+   drain_groups`, memoized on the :class:`~repro.planner.Plan` as
+   ``Plan.level_groups()``) — groups of same-kernel ready tasks, each
+   group retired before the next is popped, so no level barrier;
+2. gathers the tiles into a contiguous :class:`~repro.tiles.pool.
+   TilePool` (ragged border tiles zero-padded — exact, see the pool
+   docs), and
+3. runs each group through the
+   :class:`~repro.runtime.group_executor.GroupExecutor` as one
+   sequence of stacked 3-D operations (:mod:`repro.kernels.batched`).
 
 Numerical contract: each task's result agrees with the reference
 backend to rounding (``~1e-12 * ||A||`` for the reconstructed
@@ -26,215 +24,25 @@ backend to rounding (``~1e-12 * ||A||`` for the reconstructed
 reductions may associate differently.
 
 The returned :class:`~repro.runtime.executor.ExecutionContext` carries
-per-task ``T`` factors (views into the batch stacks, sliced to each
-tile's valid shape), so ``apply_q`` / ``apply_q_right`` replay ``Q``
-exactly as for the task executors.
+per-task ``T`` factors sliced to each tile's valid shape, so
+``apply_q`` / ``apply_q_right`` replay ``Q`` exactly as for the task
+executors.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-import numpy as np
-
-from ..dag.tasks import KERNEL_CODES, TaskGraph
-from ..kernels.backend import get_backend
-from ..kernels.batched import (
-    BatchedTFactor,
-    factor_stacked_batched,
-    factor_stacked_lapack_pool,
-    geqrt_batched,
-    geqrt_lapack_pool,
-    lapack_batched_supported,
-)
-from ..kernels.costs import Kernel
-from ..kernels.stacked import ts_support, tt_support
+from ..dag.tasks import KERNEL_CODES
 from ..obs.metrics import MetricsRegistry
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
-from .executor import ExecutionContext, _clamp_ib
-from .groups import apply_group_pool, broadcast_tfactor, v_runs
+from .executor import ExecutionContext, _prepare
+from .group_executor import (GroupExecutor, record_tfactors,
+                             use_lapack_factors)
+from .groups import SIZE_BUCKETS, dispatch_arrays, drain_groups
 
-__all__ = ["KernelGroup", "level_kernel_groups", "execute_batched"]
-
-_KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
-
-#: group-size histogram buckets (powers of two)
-_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-
-
-@dataclass(frozen=True)
-class KernelGroup:
-    """All tasks of one kernel type at one Kahn level of the DAG.
-
-    The coordinate arrays are aligned with :attr:`tids` (``pivs`` /
-    ``js`` use ``-1`` where the kernel has no such coordinate), so the
-    executor never touches the Python :class:`~repro.dag.tasks.Task`
-    objects on its hot path.
-    """
-
-    level: int
-    kernel: Kernel
-    tids: np.ndarray
-    rows: np.ndarray
-    pivs: np.ndarray
-    cols: np.ndarray
-    js: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.tids.size)
-
-
-def level_kernel_groups(graph) -> list[KernelGroup]:
-    """Group a graph's tasks by (Kahn level, kernel type).
-
-    Levels come from the :class:`~repro.dag.index.GraphIndex` (built
-    once per graph and shared with the simulators); all tasks of one
-    group are mutually independent by construction.  Prefer the
-    memoized ``Plan.level_groups()`` when a plan is available.
-    """
-    if isinstance(graph, TaskGraph):
-        g = graph
-    else:
-        g = getattr(graph, "graph", None)
-        if not isinstance(g, TaskGraph):
-            raise TypeError(
-                f"expected a TaskGraph or a Plan, got {type(graph).__name__}")
-    idx = g.index()
-    tasks = g.tasks
-    n = len(tasks)
-    codes = np.fromiter((_KERNEL_TO_CODE[t.kernel] for t in tasks),
-                        dtype=np.int8, count=n)
-    rows = np.fromiter((t.row for t in tasks), dtype=np.int64, count=n)
-    pivs = np.fromiter((-1 if t.piv is None else t.piv for t in tasks),
-                       dtype=np.int64, count=n)
-    cols = np.fromiter((t.col for t in tasks), dtype=np.int64, count=n)
-    js = np.fromiter((-1 if t.j is None else t.j for t in tasks),
-                     dtype=np.int64, count=n)
-    groups: list[KernelGroup] = []
-    order, lp = idx.order, idx.level_ptr
-    for lvl in range(len(lp) - 1):
-        seg = order[lp[lvl]:lp[lvl + 1]]
-        seg_codes = codes[seg]
-        for code, kern in enumerate(KERNEL_CODES):
-            tids = seg[seg_codes == code]
-            if tids.size:
-                groups.append(KernelGroup(
-                    level=lvl, kernel=kern, tids=tids, rows=rows[tids],
-                    pivs=pivs[tids], cols=cols[tids], js=js[tids]))
-    return groups
-
-
-class _GroupTask:
-    """Duck-typed :class:`~repro.dag.tasks.Task` stand-in so the tracer
-    records one span per executed (level, kernel) group."""
-
-    __slots__ = ("tid", "kernel", "row", "piv", "col", "j", "_label")
-
-    def __init__(self, grp: KernelGroup):
-        self.tid = int(grp.tids[0])
-        self.kernel = grp.kernel
-        self.row = int(grp.rows[0])
-        self.piv = int(grp.pivs[0]) if grp.pivs[0] >= 0 else None
-        self.col = int(grp.cols[0])
-        self.j = int(grp.js[0]) if grp.js[0] >= 0 else None
-        self._label = f"{grp.kernel.value}[x{len(grp)}]@L{grp.level}"
-
-    def __str__(self) -> str:
-        return self._label
-
-
-def _record_tfactors(bt: BatchedTFactor, grp: KernelGroup,
-                     tiled: TiledMatrix, tf: dict, pad_t: dict,
-                     kind: str) -> None:
-    """File a factor group's T blocks under both views.
-
-    ``pad_t`` keeps the full padded per-panel blocks (uniform shapes —
-    what later batched applies stack); ``tf`` gets the per-task
-    :class:`~repro.kernels.geqrt.TFactor` sliced to the tile's valid
-    reflector count, for ``apply_q`` replay through the per-tile
-    kernels.
-    """
-    npanels = len(bt.blocks)
-    for b, tid in enumerate(grp.tids.tolist()):
-        row, col = int(grp.rows[b]), int(grp.cols[b])
-        key = (row, col, kind)
-        pad_t[key] = [bt.blocks[pi][b] for pi in range(npanels)]
-        if kind == "ge":
-            k = min(tiled.row_height(row), tiled.col_width(col))
-        else:  # stacked kernels: one reflector per (valid) column
-            k = tiled.col_width(col)
-        tf[key] = bt.task_tfactor(b, k)
-
-
-def _tile_tfactor(pad_t: dict, key: tuple, ib: int) -> BatchedTFactor:
-    """Broadcastable (batch-of-one) T factor of a single factored tile.
-
-    The apply kernels broadcast it across however many C tiles the
-    source tile updates, so no per-task T stacking is needed.
-    """
-    return broadcast_tfactor(pad_t[key], ib)
-
-
-#: re-export: the run decomposition moved to :mod:`repro.runtime.groups`
-#: so the process backend's micro-batches reuse it (S24)
-_v_runs = v_runs
-
-
-def _run_group(grp: KernelGroup, pool: TilePool, tiled: TiledMatrix,
-               tf: dict, pad_t: dict, ib: int,
-               use_lapack: bool = False) -> None:
-    """Execute one (level, kernel) group against the pool.
-
-    With ``use_lapack`` the three factor kernels run as per-slice
-    LAPACK calls (same results to rounding — see
-    :mod:`repro.kernels.batched`); the update kernels always use the
-    stacked NumPy path, which is already BLAS-bound.
-    """
-    kern = grp.kernel
-    if kern is Kernel.GEQRT:
-        slots = pool.slot(grp.rows, grp.cols)
-        if use_lapack:  # per-slice loop: factor in place, skip take/put
-            bt = geqrt_lapack_pool(pool.stack, slots, ib)
-        else:
-            a = pool.take(slots)
-            bt = geqrt_batched(a, ib)
-            pool.put(slots, a)
-        _record_tfactors(bt, grp, tiled, tf, pad_t, "ge")
-    elif kern is Kernel.UNMQR:
-        vslots = pool.slot(grp.rows, grp.cols)
-        apply_group_pool(
-            pool.stack, KERNEL_CODES.index(kern), vslots, None,
-            pool.slot(grp.rows, grp.js),
-            lambda b: _tile_tfactor(
-                pad_t, (int(grp.rows[b]), int(grp.cols[b]), "ge"), ib))
-    elif kern in (Kernel.TSQRT, Kernel.TTQRT):
-        kind = "ts" if kern is Kernel.TSQRT else "tt"
-        support = ts_support if kern is Kernel.TSQRT else tt_support
-        rslots = pool.slot(grp.pivs, grp.cols)
-        bslots = pool.slot(grp.rows, grp.cols)
-        if use_lapack:  # per-slice loop: factor in place, skip take/put
-            bt = factor_stacked_lapack_pool(
-                pool.stack, rslots, bslots, ib,
-                triangular=kern is Kernel.TTQRT)
-        else:
-            r = pool.take(rslots)
-            b = pool.take(bslots)
-            bt = factor_stacked_batched(r, b, ib, support)
-            pool.put(rslots, r)
-            pool.put(bslots, b)
-        _record_tfactors(bt, grp, tiled, tf, pad_t, kind)
-    elif kern in (Kernel.TSMQR, Kernel.TTMQR):
-        kind = "ts" if kern is Kernel.TSMQR else "tt"
-        vslots = pool.slot(grp.rows, grp.cols)
-        apply_group_pool(
-            pool.stack, KERNEL_CODES.index(kern), vslots,
-            pool.slot(grp.pivs, grp.js), pool.slot(grp.rows, grp.js),
-            lambda b: _tile_tfactor(
-                pad_t, (int(grp.rows[b]), int(grp.cols[b]), kind), ib))
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown kernel {kern}")
+__all__ = ["execute_batched"]
 
 
 def execute_batched(
@@ -248,13 +56,13 @@ def execute_batched(
     collect_metrics: bool = False,
     bus=None,
 ) -> ExecutionContext:
-    """Run a factorization DAG with the batched backend.
+    """Run a factorization DAG with the inline transport.
 
     Usually reached via ``execute_graph(..., mode="batched")`` or
     ``repro.api.factor(..., mode="batched")``; see the module docstring
     for semantics.  ``graph`` may be a
     :class:`~repro.dag.tasks.TaskGraph` or a
-    :class:`~repro.planner.Plan` (whose cached level groups are
+    :class:`~repro.planner.Plan` (whose memoized drain order is
     reused).  The ``backend`` selection of the task executors does not
     apply here; instead ``numeric`` picks the factor-kernel
     implementation:
@@ -267,100 +75,66 @@ def execute_batched(
       matrix dtype, else ``"numpy"``.
 
     ``bus`` (an :class:`~repro.obs.stream.EventBus` or ``None``)
-    receives streaming telemetry: ``run_start``/``run_done``,
-    ``level_start`` at each Kahn-level barrier, and
-    ``group_start``/``group_done`` per dispatched (level, kernel)
-    batch — ``count`` is the batch size, ``value`` the group seconds.
+    receives streaming telemetry: ``run_start``/``run_done`` and
+    ``group_start``/``group_done`` per group — ``count`` is the group
+    size, ``value`` the group seconds.
     """
-    plan_obj = None
-    if isinstance(graph, TaskGraph):
-        g = graph
-    else:
-        g = getattr(graph, "graph", None)
-        if not isinstance(g, TaskGraph):
-            raise TypeError(
-                f"expected a TaskGraph or a Plan, got {type(graph).__name__}")
-        plan_obj = graph
-    if numeric not in ("auto", "numpy", "lapack"):
-        raise ValueError(
-            f"numeric must be 'auto', 'numpy' or 'lapack', got {numeric!r}")
-    if numeric == "lapack" and not lapack_batched_supported(tiled.array.dtype):
-        raise ValueError(
-            f"numeric='lapack' does not support dtype {tiled.array.dtype}")
-    use_lapack = (numeric == "lapack"
-                  or (numeric == "auto"
-                      and lapack_batched_supported(tiled.array.dtype)))
-    if tracer is not None and not tracer.enabled:
-        tracer = None
-    if bus is not None and not getattr(bus, "enabled", True):
-        bus = None
-    if metrics is None and collect_metrics:
-        metrics = MetricsRegistry()
-    ib = _clamp_ib(ib, tiled.nb, metrics)
-    ctx = ExecutionContext(tiled=tiled, graph=g,
-                           backend=get_backend("reference"), ib=ib,
-                           tracer=tracer, metrics=metrics)
+    use_lapack = use_lapack_factors(numeric, tiled.array.dtype)
+    plan, ctx, bus = _prepare(graph, tiled, "reference", ib, tracer,
+                              metrics, collect_metrics, bus, 1)
+    g, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
     ntasks = len(g.tasks)
     if metrics is not None:
-        metrics.counter("scheduler.tasks_total").inc(ntasks)
-        metrics.gauge("scheduler.workers", keep_samples=False).set(1)
         metrics.counter(
             "batched.numeric." + ("lapack" if use_lapack else "numpy")).inc()
     if ntasks == 0:
         return ctx
-
-    if plan_obj is not None and hasattr(plan_obj, "level_groups"):
-        groups = plan_obj.level_groups()
+    if plan is not None and hasattr(plan, "level_groups"):
+        groups, da = plan.level_groups(), plan.dispatch_arrays()
     else:
-        groups = level_kernel_groups(g)
+        groups, da = drain_groups(g), dispatch_arrays(g)
 
     pool = TilePool(tiled)
-    tf = ctx.tfactors
-    pad_t: dict[tuple[int, int, str], list[np.ndarray]] = {}
+    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib,
+                               stacked="lapack" if use_lapack else "numpy")
     done_count = 0
     if bus is not None:
         bus.publish("run_start", total=ntasks, count=1,
                     problem=getattr(g, "problem", "") or "")
-    cur_level = -1
-    for grp in groups:
+    for code, tids in groups:
+        name, k = KERNEL_CODES[code].value, len(tids)
         if bus is not None:
-            if grp.level != cur_level:
-                cur_level = grp.level
-                bus.publish("level_start", level=cur_level)
-            bus.publish("group_start", kernel=grp.kernel.value,
-                        level=grp.level, count=len(grp), worker=0)
+            bus.publish("group_start", kernel=name, count=k, worker=0)
         if timed:
             t0 = time.perf_counter()
-        _run_group(grp, pool, tiled, tf, pad_t, ib, use_lapack)
+        ex.run(code, *da.take(tids))
         if timed:
             t1 = time.perf_counter()
         if bus is not None:
-            bus.publish("group_done", kernel=grp.kernel.value,
-                        level=grp.level, count=len(grp), worker=0,
+            bus.publish("group_done", kernel=name, count=k, worker=0,
                         value=t1 - t0)
-        if observed:
-            if tracer is not None:
-                rel = t0 - tracer.epoch
-                tracer.record(_GroupTask(grp), rel, rel,
-                              t1 - tracer.epoch, count=len(grp))
-            if metrics is not None:
-                name = grp.kernel.value
-                metrics.counter(f"tasks.retired.{name}").inc(len(grp))
-                metrics.histogram(f"kernel.seconds.{name}").observe(t1 - t0)
-                metrics.counter("batched.groups").inc()
-                metrics.histogram("batched.group_size",
-                                  buckets=_SIZE_BUCKETS).observe(len(grp))
+        if tracer is not None:
+            # one span per group, placed at its first member
+            rel = t0 - tracer.epoch
+            span = tracer.record(g.tasks[int(tids[0])], rel, rel,
+                                 t1 - tracer.epoch, count=k)
+            span.name = f"{name}[x{k}]"
+        if metrics is not None:
+            metrics.counter(f"tasks.retired.{name}").inc(k)
+            metrics.histogram(f"kernel.seconds.{name}").observe(t1 - t0)
+            metrics.counter("batched.groups").inc()
+            metrics.histogram("batched.group_size",
+                              buckets=SIZE_BUCKETS).observe(k)
         if on_task_done is not None:
-            for tid in grp.tids.tolist():
+            for tid in tids.tolist():
                 done_count += 1
                 on_task_done(g.tasks[tid], done_count, ntasks)
         else:
-            done_count += len(grp)
-    if metrics is not None and groups:
-        metrics.counter("batched.levels").inc(groups[-1].level + 1)
+            done_count += k
     pool.scatter()
+    record_tfactors(ctx, da, ex.tstore, ex.compact)
     if bus is not None:
         bus.publish("run_done", count=done_count, value=bus.now())
     return ctx

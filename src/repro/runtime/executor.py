@@ -1,42 +1,44 @@
-"""Task-graph executors: sequential and threaded dataflow (S12).
+"""Task-graph execution: the entry point and the task-mode executors (S12).
 
-Given a :class:`~repro.dag.tasks.TaskGraph` and a
-:class:`~repro.tiles.layout.TiledMatrix`, the executors run the actual
-numeric kernels.  Two modes:
+Given a :class:`~repro.dag.tasks.TaskGraph` (or the
+:class:`~repro.planner.Plan` wrapping one) and a
+:class:`~repro.tiles.layout.TiledMatrix`, :func:`execute_graph` runs
+the numeric kernels.  The runtime is one scheduler core with three
+transports:
 
-* **sequential** — tasks in emission (topological) order; the baseline
-  and reference for correctness.
-* **threaded** — a dynamic dataflow scheduler on a thread pool: a task
-  becomes ready the moment its last dependency retires, mirroring
-  PLASMA's runtime.  Ready tasks are popped from a heap ordered by
-  *descending bottom-level* (critical-path priority, from the Plan's
-  memoized ``bottom_levels``; FIFO when no Plan is supplied), so
-  critical-path work is never starved by ready filler tasks.
-  NumPy/LAPACK kernels release the GIL inside BLAS, so genuine
-  parallelism is possible, though Python-level scheduling overhead
-  limits scaling for small tiles (this is the documented substitution
-  for the paper's 48-core C runtime; see DESIGN.md §2).
+* the **frontier core** (:mod:`repro.runtime.groups`) — the Plan's CSR
+  in-degrees, bottom-level priority keys (critical path first; FIFO
+  when no Plan is supplied) and a ready frontier that pops groups of
+  compatible ready tasks;
+* the **group executor** (:mod:`repro.runtime.group_executor`) — runs
+  one group against a slot-addressed tile stack and a T store;
+* the **transports** that move groups between the two: *inline*
+  (``mode="batched"``, :mod:`repro.runtime.batched`: groups run in the
+  calling thread in the core's memoized drain order), *thread*
+  (``mode="task"``, ``workers >= 2``, here: worker threads pull groups
+  from the core under one lock) and *process* (``mode="process"``,
+  :mod:`repro.runtime.procpool`: groups ship to worker processes over
+  a shared-memory tile pool).
 
-A third mode lives in :mod:`repro.runtime.batched` and is reached via
-``execute_graph(..., mode="batched")``: level-synchronous batched
-execution of stacked tile groups (the fast path for real
-factorizations; see that module and docs/performance.md).
+Sequential task mode (``workers`` ``None`` or 1) stays outside the
+core: tasks run in emission (topological) order as per-tile kernels
+on the tile views — the numerical reference every transport is tested
+against.  NumPy/LAPACK kernels release the GIL inside BLAS, so the
+thread transport runs genuinely in parallel, though Python-level
+overhead limits scaling for small tiles (the documented substitution
+for the paper's 48-core C runtime; see DESIGN.md §2).
 
-The executor owns the side table of ``T`` factors produced by the
-factor kernels and consumed by the update kernels; it is returned as an
-:class:`ExecutionContext` so the Q factor can later be applied to
-arbitrary right-hand sides by replaying the panel tasks
+Every run returns an :class:`ExecutionContext` holding the ``T``
+factors the factor kernels produced, so the Q factor can later be
+applied to arbitrary right-hand sides by replaying the panel tasks
 (:meth:`ExecutionContext.apply_q`).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -48,6 +50,9 @@ from ..kernels.costs import Kernel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..tiles.layout import TiledMatrix
+from ..tiles.pool import TilePool
+from .group_executor import GroupExecutor, record_tfactors
+from .groups import FrontierCore, resolve_batch, unwrap_graph
 from .options import ExecOptions
 
 __all__ = ["ExecutionContext", "ExecOptions", "execute_graph"]
@@ -70,78 +75,6 @@ def _clamp_ib(ib: int, nb: int, metrics: MetricsRegistry | None) -> int:
             metrics.counter("executor.ib_clamped").inc()
         return nb
     return ib
-
-#: which T-factor slot each kernel reads/writes
-_KIND = {
-    Kernel.GEQRT: "ge", Kernel.UNMQR: "ge",
-    Kernel.TSQRT: "ts", Kernel.TSMQR: "ts",
-    Kernel.TTQRT: "tt", Kernel.TTMQR: "tt",
-}
-
-#: update kernels eligible for *stacked* execution when the threaded
-#: scheduler claims a micro-batch (factor kernels batch too, but run
-#: per-task inside the claim — stacked factor reductions associate
-#: differently and would break numpy-path bit-exactness)
-_APPLY_KERNELS = (Kernel.UNMQR, Kernel.TSMQR, Kernel.TTMQR)
-
-
-def _run_apply_group(ctx: "ExecutionContext", tasks_: list[Task]) -> bool:
-    """Execute a same-kernel apply micro-batch as stacked operations.
-
-    Returns ``False`` (caller loops ``run_task``) unless every tile
-    involved is a full ``nb x nb`` view — ragged edge tiles cannot
-    stack — and the context runs the reference backend (whose
-    per-tile applies the stacked kernels reproduce bitwise; the
-    LAPACK backend's applies are different routines, so grouping them
-    stacked would silently change which numerics ran).  Same V-run
-    decomposition as the batched/process backends
-    (:func:`repro.runtime.groups.v_runs`): tiles sharing one source
-    V/T are one broadcast batched apply.
-    """
-    from ..kernels.batched import apply_stacked_batched, unmqr_batched
-    from ..kernels.stacked import ts_support, tt_support
-    from .groups import broadcast_tfactor, v_runs
-
-    tiled = ctx.tiled
-    nb = tiled.nb
-    kern = tasks_[0].kernel
-    for t in tasks_:
-        if (tiled.row_height(t.row) != nb or tiled.col_width(t.col) != nb
-                or tiled.col_width(t.j) != nb):
-            return False
-        if t.piv is not None and tiled.row_height(t.piv) != nb:
-            return False
-    kind = _KIND[kern]
-    ib = ctx.ib
-    tf = ctx.tfactors
-    vkeys = np.fromiter((t.row * tiled.q + t.col for t in tasks_),
-                        dtype=np.int64, count=len(tasks_))
-    order, bounds = v_runs(vkeys)
-    ordered = [tasks_[int(i)] for i in order]
-    if kern is Kernel.UNMQR:
-        c = np.stack([tiled.tile(t.row, t.j) for t in ordered])
-        for u0, u1 in zip(bounds[:-1], bounds[1:]):
-            lead = ordered[u0]
-            bt = broadcast_tfactor(
-                tf[(lead.row, lead.col, "ge")].blocks, ib)
-            unmqr_batched(tiled.tile(lead.row, lead.col)[None], bt,
-                          c[u0:u1])
-        for i, t in enumerate(ordered):
-            tiled.tile(t.row, t.j)[:] = c[i]
-        return True
-    support = tt_support if kern is Kernel.TTMQR else ts_support
-    c_top = np.stack([tiled.tile(t.piv, t.j) for t in ordered])
-    c_bot = np.stack([tiled.tile(t.row, t.j) for t in ordered])
-    for u0, u1 in zip(bounds[:-1], bounds[1:]):
-        lead = ordered[u0]
-        bt = broadcast_tfactor(tf[(lead.row, lead.col, kind)].blocks, ib)
-        apply_stacked_batched(tiled.tile(lead.row, lead.col)[None], bt,
-                              c_top[u0:u1], c_bot[u0:u1], support,
-                              mask=kern is Kernel.TTMQR)
-    for i, t in enumerate(ordered):
-        tiled.tile(t.piv, t.j)[:] = c_top[i]
-        tiled.tile(t.row, t.j)[:] = c_bot[i]
-    return True
 
 
 @dataclass
@@ -197,26 +130,7 @@ class ExecutionContext:
         if c.shape[1] != self.tiled.m:
             raise ValueError(
                 f"c has {c.shape[1]} columns, factorization has {self.tiled.m}")
-        nb = self.tiled.nb
-        bk, tiles, tf = self.backend, self.tiled, self.tfactors
-
-        def block(i: int) -> np.ndarray:
-            return c[:, i * nb : min((i + 1) * nb, self.tiled.m)]
-
-        panel_tasks = [t for t in self.graph.tasks
-                       if t.kernel in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
-        order = reversed(panel_tasks) if adjoint else panel_tasks
-        for t in order:
-            if t.kernel is Kernel.GEQRT:
-                bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                         block(t.row), adjoint=adjoint, side="R")
-            elif t.kernel is Kernel.TSQRT:
-                bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                         block(t.piv), block(t.row), adjoint=adjoint, side="R")
-            else:
-                bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                         block(t.piv), block(t.row), adjoint=adjoint, side="R")
-        return c
+        return self._replay(c, adjoint, "R")
 
     def apply_q(self, c: np.ndarray, adjoint: bool = True) -> np.ndarray:
         """Apply ``Q`` or ``Q^H`` of the factorization to ``c`` in place.
@@ -231,26 +145,59 @@ class ExecutionContext:
         if c.shape[0] != self.tiled.m:
             raise ValueError(
                 f"c has {c.shape[0]} rows, factorization has {self.tiled.m}")
-        nb = self.tiled.nb
+        return self._replay(c, adjoint, "L")
+
+    def _replay(self, c: np.ndarray, adjoint: bool, side: str) -> np.ndarray:
+        """Replay the panel tasks' transformations on ``c`` (row blocks
+        of ``c`` for ``side="L"``, column blocks for ``"R"``)."""
+        nb, m = self.tiled.nb, self.tiled.m
         bk, tiles, tf = self.backend, self.tiled, self.tfactors
 
         def block(i: int) -> np.ndarray:
-            return c[i * nb : min((i + 1) * nb, self.tiled.m), :]
+            rows = slice(i * nb, min((i + 1) * nb, m))
+            return c[rows, :] if side == "L" else c[:, rows]
 
         panel_tasks = [t for t in self.graph.tasks
                        if t.kernel in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
-        order = panel_tasks if adjoint else reversed(panel_tasks)
-        for t in order:
+        # Q^H from the left and Q from the right run in emission order
+        forward = adjoint == (side == "L")
+        for t in (panel_tasks if forward else reversed(panel_tasks)):
             if t.kernel is Kernel.GEQRT:
                 bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                         block(t.row), adjoint=adjoint)
+                         block(t.row), adjoint=adjoint, side=side)
             elif t.kernel is Kernel.TSQRT:
                 bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                         block(t.piv), block(t.row), adjoint=adjoint)
+                         block(t.piv), block(t.row), adjoint=adjoint,
+                         side=side)
             else:
                 bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                         block(t.piv), block(t.row), adjoint=adjoint)
+                         block(t.piv), block(t.row), adjoint=adjoint,
+                         side=side)
         return c
+
+
+def _prepare(graph, tiled: TiledMatrix, backend, ib: int, tracer,
+             metrics, collect_metrics: bool, bus, workers: int):
+    """The entry every executor shares: ``(plan or None, context, bus)``.
+
+    Unwraps a Plan, drops disabled observers (so ``ctx.tracer`` /
+    ``ctx.metrics`` and the returned bus are ``None`` unless they
+    record), clamps ``ib`` and counts the run into ``metrics``.
+    """
+    g, plan = unwrap_graph(graph)
+    if tracer is not None and not tracer.enabled:
+        tracer = None
+    if bus is not None and not getattr(bus, "enabled", True):
+        bus = None
+    if metrics is None and collect_metrics:
+        metrics = MetricsRegistry()
+    ctx = ExecutionContext(tiled=tiled, graph=g, backend=get_backend(backend),
+                           ib=_clamp_ib(ib, tiled.nb, metrics),
+                           tracer=tracer, metrics=metrics)
+    if metrics is not None:
+        metrics.counter("scheduler.tasks_total").inc(len(g.tasks))
+        metrics.gauge("scheduler.workers", keep_samples=False).set(workers)
+    return plan, ctx, bus
 
 
 def execute_graph(
@@ -279,34 +226,34 @@ def execute_graph(
         The factorization DAG (from :func:`repro.dag.build_dag`), or a
         :class:`~repro.planner.Plan` wrapping one (from
         :func:`repro.api.plan`).  Passing the Plan is preferred: the
-        batched mode reuses its cached level groups and the threaded
-        scheduler its memoized bottom-levels.
+        core then uses its memoized dispatch arrays and bottom-level
+        priorities, and the inline transport its memoized drain order.
     tiled : TiledMatrix
         Tile views over the working array (mutated in place).
     backend : str or KernelBackend
-        ``"reference"`` or ``"lapack"``.  Ignored by
-        ``mode="batched"``, which always runs its own stacked NumPy
-        kernels.
+        Per-tile kernels of task mode, ``"reference"`` or
+        ``"lapack"``.  Ignored by ``mode="batched"`` (stacked NumPy
+        kernels) and ``mode="process"`` (``numeric`` picks instead).
     ib : int
         Inner blocking size for the kernels.  Clamped to ``tiled.nb``
         at entry (with a log warning and an ``executor.ib_clamped``
         metrics counter) — ``ib > nb`` is meaningless and used to be
         silently absorbed by each kernel.
     workers : int or None
-        ``None`` or ``1`` runs sequentially; otherwise a threaded
-        dataflow scheduler with that many workers.  Ignored by
-        ``mode="batched"`` (level-synchronous, single-threaded
-        orchestration over multi-threaded BLAS).
+        ``None`` or ``1`` runs sequentially; otherwise the thread
+        transport with that many worker threads (``mode="task"``) or
+        the worker-process count (``mode="process"``).  Ignored by
+        ``mode="batched"`` (single-threaded orchestration over
+        multi-threaded BLAS).
     mode : str
-        ``"task"`` (default) retires one task at a time (sequential or
-        threaded per ``workers``); ``"batched"`` delegates to
-        :func:`repro.runtime.batched.execute_batched`, which executes
-        each (level, kernel) group of independent tasks as stacked 3-D
-        operations — typically much faster for real factorizations;
-        ``"process"`` delegates to
-        :func:`repro.runtime.procpool.execute_process`, which runs the
-        kernels on ``workers`` worker *processes* over a shared-memory
-        tile pool with a rolling ready-frontier (no level barrier).
+        ``"task"`` (default): sequential per-tile kernels, or the
+        thread transport per ``workers``; ``"batched"``: the inline
+        transport (:func:`repro.runtime.batched.execute_batched`),
+        which runs each group as stacked 3-D operations in the core's
+        drain order — typically much faster for real factorizations;
+        ``"process"``: the process transport
+        (:func:`repro.runtime.procpool.execute_process`), kernels on
+        ``workers`` worker *processes* over a shared-memory tile pool.
     numeric : str
         Factor-kernel implementation for ``mode="batched"`` and
         ``mode="process"`` (ignored otherwise): ``"numpy"``,
@@ -321,26 +268,26 @@ def execute_graph(
         instead of starting (and stopping) an ephemeral one — this is
         how repeated factorizations amortize worker start-up.
     batch : int or str
-        Micro-batch dispatch (``mode="process"`` and the threaded
-        ``mode="task"`` scheduler): ``"auto"`` (default) targets ~1ms
-        of estimated work per group, an int >= 2 fixes the group size,
-        ``"off"`` (or ``1``) dispatches single tasks.  Compatible
-        (same-kernel) ready tasks execute as one stacked group —
-        bit-exact with single-task dispatch on the numpy path.  See
-        :func:`repro.runtime.groups.resolve_batch`.
+        Group size of the thread and process transports: ``"auto"``
+        (default) targets ~1ms of estimated work per group, an int
+        >= 2 fixes the group size, ``"off"`` (or ``1``) dispatches
+        single tasks.  Compatible (same-kernel) ready tasks execute as
+        one stacked group — bit-exact with single-task dispatch on the
+        numpy path.  See :func:`repro.runtime.groups.resolve_batch`.
     on_task_done : callable or None
         Optional observer ``(task, done_count, total) -> None`` invoked
-        after each kernel retires (progress bars, logging).  In
-        threaded mode it is called from worker threads, serialized
-        under the scheduler lock; keep it fast.  An exception raised by
-        the observer aborts the run and re-raises in the caller — it
+        after each kernel retires (progress bars, logging).  The thread
+        transport calls it from worker threads, serialized under the
+        scheduler lock; keep it fast.  An exception raised by the
+        observer aborts the run and re-raises in the caller — it
         cannot deadlock the scheduler.  For tracing prefer ``tracer=``,
         which also records timestamps and placement.
     tracer : Tracer or None
         Span tracer recording one :class:`~repro.obs.tracer.Span` per
-        task (submit/start/finish wall-times, worker thread).  ``None``
-        or a disabled tracer (:data:`~repro.obs.tracer.NULL_TRACER`)
-        keeps the hot path free of any per-task tracing work.
+        task (submit/start/finish wall-times, worker) — per group in
+        the inline transport.  ``None`` or a disabled tracer
+        (:data:`~repro.obs.tracer.NULL_TRACER`) keeps the hot path
+        free of any per-task tracing work.
     metrics : MetricsRegistry or None
         Registry receiving per-kernel retirement counters and
         wall-time histograms plus scheduler-health series (in-flight
@@ -354,8 +301,9 @@ def execute_graph(
         Live event bus (:class:`repro.obs.stream.EventBus`) receiving
         streaming telemetry while the run progresses: ``run_start`` /
         ``run_done``, per-task ``task_start`` / ``task_done`` (with
-        worker index and kernel seconds), and ``frontier`` depth after
-        each retirement.  ``None`` or a disabled bus
+        worker index and kernel seconds) or per-group ``group_start``
+        / ``group_done`` (inline), and ``frontier`` depth after each
+        retirement.  ``None`` or a disabled bus
         (:data:`~repro.obs.stream.NULL_BUS`) skips all publishing on
         the hot path.
     options : ExecOptions or None
@@ -373,267 +321,208 @@ def execute_graph(
     opts = ExecOptions.resolve(options, mode=mode, workers=workers,
                                numeric=numeric, start_method=start_method,
                                pool=pool, batch=batch)
-    mode, workers, numeric = opts.mode, opts.workers, opts.numeric
-    start_method, pool, batch = opts.start_method, opts.pool, opts.batch
+    mode, workers = opts.mode, opts.workers
     if mode == "process":
         from .procpool import execute_process
-        return execute_process(graph, tiled, ib=ib, numeric=numeric,
-                               workers=workers, start_method=start_method,
-                               pool=pool, batch=batch,
+        return execute_process(graph, tiled, ib=ib, numeric=opts.numeric,
+                               workers=workers,
+                               start_method=opts.start_method,
+                               pool=opts.pool, batch=opts.batch,
                                on_task_done=on_task_done,
                                tracer=tracer, metrics=metrics,
                                collect_metrics=collect_metrics, bus=bus)
     if mode == "batched":
         from .batched import execute_batched
-        return execute_batched(graph, tiled, ib=ib, numeric=numeric,
+        return execute_batched(graph, tiled, ib=ib, numeric=opts.numeric,
                                on_task_done=on_task_done, tracer=tracer,
                                metrics=metrics,
                                collect_metrics=collect_metrics, bus=bus)
-    plan_obj = None
-    if not isinstance(graph, TaskGraph):
-        wrapped = getattr(graph, "graph", None)  # Plan-shaped object
-        if not isinstance(wrapped, TaskGraph):
-            raise TypeError(
-                f"expected a TaskGraph or a Plan, got {type(graph).__name__}")
-        plan_obj = graph
-        graph = wrapped
-    if tracer is not None and not tracer.enabled:
-        tracer = None
-    if bus is not None and not getattr(bus, "enabled", True):
-        bus = None
-    if metrics is None and collect_metrics:
-        metrics = MetricsRegistry()
-    ib = _clamp_ib(ib, tiled.nb, metrics)
-    ctx = ExecutionContext(tiled=tiled, graph=graph,
-                           backend=get_backend(backend), ib=ib,
-                           tracer=tracer, metrics=metrics)
+    workers = 1 if workers is None else max(1, workers)
+    plan, ctx, bus = _prepare(graph, tiled, backend, ib, tracer, metrics,
+                              collect_metrics, bus, workers)
+    if workers == 1:
+        _run_sequential(ctx, on_task_done, bus)
+    elif ctx.graph.tasks:
+        _run_threads(plan, ctx, workers, opts.batch, on_task_done, bus)
+    return ctx
+
+
+def _run_sequential(ctx: ExecutionContext, on_task_done, bus) -> None:
+    """Every task in emission order, per-tile kernels on tile views."""
+    graph, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
-    if metrics is not None:
-        metrics.counter("scheduler.tasks_total").inc(len(graph.tasks))
-        metrics.gauge("scheduler.workers", keep_samples=False).set(
-            1 if workers is None else max(1, workers))
-
-    problem = getattr(graph, "problem", "") or ""
-
-    if workers is None or workers <= 1:
-        total = len(graph.tasks)
+    total = len(graph.tasks)
+    if bus is not None:
+        bus.publish("run_start", total=total, count=1,
+                    problem=getattr(graph, "problem", "") or "")
+    for i, t in enumerate(graph.tasks, start=1):
         if bus is not None:
-            bus.publish("run_start", total=total, count=1, problem=problem)
-        for i, t in enumerate(graph.tasks, start=1):
-            if bus is not None:
-                bus.publish("task_start", tid=t.tid,
-                            kernel=t.kernel.value, worker=0)
-            if timed:
-                t0 = time.perf_counter()
-            ctx.run_task(t)
-            if timed:
-                t1 = time.perf_counter()
-                if observed:
-                    _observe_task(t, t0, t1, tracer, metrics,
-                                  submit=t0, worker=0)
-            if bus is not None:
-                bus.publish("task_done", tid=t.tid, kernel=t.kernel.value,
-                            worker=0, value=t1 - t0)
-            if on_task_done is not None:
-                on_task_done(t, i, total)
+            bus.publish("task_start", tid=t.tid, kernel=t.kernel.value,
+                        worker=0)
+        if timed:
+            t0 = time.perf_counter()
+        ctx.run_task(t)
+        if timed:
+            t1 = time.perf_counter()
+            if observed:
+                _observe_task(t, t0, t1, tracer, metrics, submit=t0,
+                              worker=0)
         if bus is not None:
-            bus.publish("run_done", count=total, value=bus.now())
-        return ctx
+            bus.publish("task_done", tid=t.tid, kernel=t.kernel.value,
+                        worker=0, value=t1 - t0)
+        if on_task_done is not None:
+            on_task_done(t, i, total)
+    if bus is not None:
+        bus.publish("run_done", count=total, value=bus.now())
 
-    # Threaded dataflow scheduler with a priority ready-queue.  Ready
-    # tasks sit in a heap keyed by descending bottom-level (when a Plan
-    # supplied one) so the deepest remaining critical path is always
-    # served first; the monotone push sequence breaks ties, which also
-    # makes the no-priority case plain FIFO.
-    n = len(graph.tasks)
-    if n == 0:
-        return ctx
-    succ = graph.successors()
-    indeg = [len(t.deps) for t in graph.tasks]
-    prio = None
-    if plan_obj is not None and hasattr(plan_obj, "bottom_levels"):
-        prio = np.asarray(plan_obj.bottom_levels(), dtype=np.float64)
-    # Micro-batching (same --batch option as the process backend): a
-    # worker claims up to batch_size same-kernel ready tasks in one
-    # lock acquisition and executes apply kernels stacked.
-    if batch == "off":
-        batch_size = 1
-    else:
-        from .groups import resolve_batch
-        idx_w = graph.index().weights
-        batch_size = resolve_batch(
-            batch, tiled.nb,
-            float(idx_w.mean()) if idx_w.size else 1.0,
-            workers=max(1, workers))
-    stack_ok = ctx.backend.name == "reference"
+
+def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
+                 on_task_done, bus) -> None:
+    """The thread transport: ``workers`` threads share one core.
+
+    Each worker, under the one scheduler lock, retires the group it
+    just ran (releasing successors in the core, calling
+    ``on_task_done``) and pops its next group, or waits on the lock's
+    condition while the frontier is empty.  A pop leaves at least one
+    ready task per other worker, so one group cannot drain the
+    frontier the rest of the pool would run.  Groups execute outside
+    the lock on a :class:`~repro.tiles.pool.TilePool` through the
+    :class:`~repro.runtime.group_executor.GroupExecutor`, with the
+    context's per-tile backend for factor kernels and for groups of
+    one.  The calling thread serves as worker 0.
+    """
+    graph, tiled, tracer, metrics = ctx.graph, ctx.tiled, ctx.tracer, \
+        ctx.metrics
+    tasks = graph.tasks
+    n, W = len(tasks), workers
+    weights = graph.index().weights
+    batch_size = resolve_batch(batch, tiled.nb, float(weights.mean()),
+                               workers=W)
     if metrics is not None:
         metrics.gauge("scheduler.batch.size", keep_samples=False).set(
             batch_size)
-    lock = threading.Lock()
-    done = threading.Event()
-    remaining = [n]
-    active = [0]  # worker loops currently alive
-    seq = itertools.count()
-    ready: list[tuple[float, int, int]] = []  # (-bottom_level, seq, tid)
-    errors: list[BaseException] = []
-    # Submit stamps are epoch-relative; the queue wait (start - submit)
-    # is epoch-invariant, so a metrics-only run uses a local epoch while
-    # a traced run shares the tracer's (keeping span submit times
-    # consistent with spans recorded elsewhere).
-    submit_ts = [0.0] * n if observed else None
+    core = FrontierCore(plan if plan is not None else graph, batch_size,
+                        metrics)
+    da = core.da
+    pool = TilePool(tiled)
+    # validates ib before any thread starts
+    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, ctx.backend)
+    observed = tracer is not None or metrics is not None
+    timed = observed or bus is not None
+    # ready stamps are epoch-relative; the queue wait (start - ready)
+    # is epoch-invariant, so a metrics-only run uses a local epoch
+    # while a traced run shares the tracer's
     epoch = tracer.epoch if tracer is not None else time.perf_counter()
-    W = max(1, workers)
+    ready_at = np.zeros(n) if observed else None
+    if observed:
+        ready_at[core.sources] = time.perf_counter() - epoch
+    wake = threading.Condition(threading.Lock())
+    state = {"done": 0, "inflight": 0}
+    errors: list[BaseException] = []
 
-    def push(tid: int) -> None:  # lock held
-        if submit_ts is not None:
-            submit_ts[tid] = time.perf_counter() - epoch
-        key = -prio[tid] if prio is not None else 0.0
-        heapq.heappush(ready, (key, next(seq), tid))
-
-    def pop() -> int:  # lock held
-        _, s, tid = heapq.heappop(ready)
-        # A popped task younger than some queued task means FIFO would
-        # have run the wrong (shallower) task first.  O(queue) scan,
-        # paid only on observed runs.
-        if metrics is not None and ready and min(
-                e[1] for e in ready) < s:
-            metrics.counter("scheduler.priority_inversions_avoided").inc()
-        return tid
-
-    with ThreadPoolExecutor(max_workers=W) as pool:
-
-        def abort(exc: BaseException) -> None:
-            with lock:
-                errors.append(exc)
-                active[0] -= 1
-            done.set()
-
-        def worker_loop() -> None:
-            while True:
-                with lock:
-                    if errors or not ready:
-                        active[0] -= 1
-                        return
-                    tid = pop()
-                    claimed = [tid]
-                    if batch_size > 1:
-                        k0 = graph.tasks[tid].kernel
-                        # leave at least one ready task per other
-                        # worker — one claim must not drain the
-                        # frontier the rest of the pool would run
-                        limit = min(batch_size,
-                                    1 + max(0, len(ready) - (W - 1)))
-                        while (len(claimed) < limit and ready
-                               and graph.tasks[ready[0][2]].kernel
-                               is k0):
-                            claimed.append(pop())
-                tasks_ = [graph.tasks[t_] for t_ in claimed]
-                k = len(tasks_)
-                if bus is not None:
-                    widx = bus.worker_index()
-                    for task in tasks_:
-                        bus.publish("task_start", tid=task.tid,
-                                    kernel=task.kernel.value, worker=widx)
-                if timed:
-                    t0 = time.perf_counter()
-                try:
-                    if not (k > 1 and stack_ok
-                            and tasks_[0].kernel in _APPLY_KERNELS
-                            and _run_apply_group(ctx, tasks_)):
-                        for task in tasks_:
-                            ctx.run_task(task)
-                except BaseException as exc:  # propagate to the caller
-                    abort(exc)
-                    return
-                if timed:
-                    t1 = time.perf_counter()
-                    share = (t1 - t0) / k
-                    if observed:
-                        # stacked kernels leave no per-task boundaries:
-                        # split the claim's window evenly, as the
-                        # process backend does for its groups
-                        for i, task in enumerate(tasks_):
-                            _observe_task(task, t0 + i * share,
-                                          t0 + (i + 1) * share, tracer,
-                                          metrics, submit_ts=submit_ts,
-                                          epoch=epoch)
-                # retire: release successors, top the worker pool back up
-                newly_ready = []
+    def worker(widx: int) -> None:
+        grp = None  # (tids, tasks) of the group this worker just ran
+        while True:
+            if metrics is not None:
+                t_req = time.perf_counter()
+            with wake:
                 if metrics is not None:
-                    t_req = time.perf_counter()
-                with lock:
-                    if metrics is not None:
-                        t_in = time.perf_counter()
-                    done_base = n - remaining[0]
-                    remaining[0] -= k
-                    if on_task_done is not None:
+                    t_in = time.perf_counter()
+                if grp is not None:
+                    state["inflight"] -= len(grp[0])
+                    base = state["done"]
+                    state["done"] += len(grp[0])
+                    newly = core.retire(grp[0])
+                    if observed and newly.size:
+                        ready_at[newly] = time.perf_counter() - epoch
+                    if on_task_done is not None and not errors:
                         try:
-                            for i, task in enumerate(tasks_):
-                                on_task_done(task, done_base + i + 1, n)
+                            for i, task in enumerate(grp[1]):
+                                on_task_done(task, base + i + 1, n)
                         except BaseException as exc:
-                            # An observer failure must not leave done
-                            # unset (deadlock); abort like a kernel
-                            # failure.
                             errors.append(exc)
-                            active[0] -= 1
-                            done.set()
-                            return
-                    if remaining[0] == 0:
-                        done.set()
-                    for task in tasks_:
-                        for s_ in succ[task.tid]:
-                            indeg[s_] -= 1
-                            if indeg[s_] == 0:
-                                newly_ready.append(s_)
-                    for s_ in newly_ready:
-                        push(s_)
-                    spawn = min(W - active[0], len(ready))
-                    active[0] += spawn
-                    depth = active[0] + len(ready)
-                    frontier = len(ready)
-                if bus is not None:
-                    for task in tasks_:
-                        bus.publish("task_done", tid=task.tid,
-                                    kernel=task.kernel.value,
-                                    worker=widx, value=share)
-                        bus.publish("frontier", value=float(frontier),
-                                    count=depth)
-                if metrics is not None:
-                    t_out = time.perf_counter()
-                    metrics.counter("scheduler.lock_wait_seconds").inc(
-                        t_in - t_req)
-                    metrics.counter("scheduler.lock_hold_seconds").inc(
-                        t_out - t_in)
-                    metrics.gauge("scheduler.inflight_tasks").set(
-                        depth, t=t_out)
+                while not errors and state["done"] < n and not len(core):
+                    wake.wait()
+                stop = bool(errors) or state["done"] == n
+                if not stop:
+                    code, tids = core.pop(
+                        limit=1 + max(0, len(core) - (W - 1)))
+                    state["inflight"] += len(tids)
+                frontier = len(core)
+                depth = state["inflight"] + frontier
+                if stop or frontier:
+                    wake.notify_all()
+            if metrics is not None:
+                t_out = time.perf_counter()
+                metrics.counter("scheduler.lock_wait_seconds").inc(
+                    t_in - t_req)
+                metrics.counter("scheduler.lock_hold_seconds").inc(
+                    t_out - t_in)
+                metrics.gauge("scheduler.inflight_tasks").set(depth, t=t_out)
+                if grp is not None:
                     metrics.histogram(
                         "scheduler.newly_ready",
                         buckets=(0, 1, 2, 4, 8, 16, 32),
-                    ).observe(len(newly_ready))
-                for _ in range(spawn):
-                    pool.submit(worker_loop)
-                # loop back for the next ready claim
+                    ).observe(len(newly))
+            if bus is not None and grp is not None:
+                for task in grp[1]:
+                    bus.publish("task_done", tid=task.tid,
+                                kernel=task.kernel.value, worker=widx,
+                                value=share)
+                    bus.publish("frontier", value=float(frontier),
+                                count=depth)
+            if stop:
+                return
+            grp = (np.asarray(tids, dtype=np.int64), [tasks[t] for t in tids])
+            if bus is not None:
+                for task in grp[1]:
+                    bus.publish("task_start", tid=task.tid,
+                                kernel=task.kernel.value, worker=widx)
+            if timed:
+                t0 = time.perf_counter()
+            try:
+                ex.run(code, *da.take(grp[0]))
+            except BaseException as exc:  # propagate to the caller
+                with wake:
+                    errors.append(exc)
+                    wake.notify_all()
+                return
+            if timed:
+                t1 = time.perf_counter()
+                share = (t1 - t0) / len(tids)
+                if observed:
+                    # stacked kernels leave no per-task boundaries:
+                    # split the group's window evenly
+                    for i, task in enumerate(grp[1]):
+                        _observe_task(task, t0 + i * share,
+                                      t0 + (i + 1) * share, tracer,
+                                      metrics, worker=widx,
+                                      submit_ts=ready_at, epoch=epoch)
 
-        if bus is not None:
-            bus.publish("run_start", total=n, count=W, problem=problem)
-        with lock:
-            for t in graph.tasks:
-                if indeg[t.tid] == 0:
-                    push(t.tid)
-            spawn = min(W, len(ready))
-            active[0] = spawn
-            frontier0 = len(ready)
-        if bus is not None:
-            bus.publish("frontier", value=float(frontier0), count=spawn)
-        for _ in range(spawn):
-            pool.submit(worker_loop)
-        done.wait()
     if bus is not None:
-        bus.publish("run_done", count=n - remaining[0], value=bus.now())
+        bus.publish("run_start", total=n, count=W,
+                    problem=getattr(graph, "problem", "") or "")
+        bus.publish("frontier", value=float(len(core)), count=len(core))
+    threads = [threading.Thread(target=worker, args=(w,), daemon=True,
+                                name=f"repro-exec-{w}")
+               for w in range(1, W)]
+    for th in threads:
+        th.start()
+    try:
+        worker(0)
+    except BaseException as exc:  # e.g. an interrupt: stop the others
+        with wake:
+            errors.append(exc)
+            wake.notify_all()
+    for th in threads:
+        th.join()
+    if bus is not None:
+        bus.publish("run_done", count=state["done"], value=bus.now())
     if errors:
         raise errors[0]
-    return ctx
+    pool.scatter()
+    record_tfactors(ctx, da, ex.tstore, ex.compact)
 
 
 #: queue-wait histogram bucket edges (seconds) — ready-to-start delays
@@ -650,18 +539,19 @@ def _observe_task(
     metrics: MetricsRegistry | None,
     submit: float | None = None,
     worker: int | None = None,
-    submit_ts: list[float] | None = None,
+    submit_ts=None,
     epoch: float | None = None,
 ) -> None:
     """Record one finished task into the tracer and/or registry.
 
     ``t0``/``t1`` are raw :func:`time.perf_counter` readings; the
     tracer re-bases them onto its epoch.  When ``submit_ts``/``epoch``
-    are given (threaded scheduler) the ready-to-start queue wait is
-    also observed into ``scheduler.queue_wait_seconds``.
+    are given (thread transport: per-task ready stamps) the
+    ready-to-start queue wait is also observed into
+    ``scheduler.queue_wait_seconds``.
 
     Lifecycle comparability: the span's ``submit`` is the *ready*
-    stamp (the moment the task entered the ready queue), so in the
+    stamp (the moment the task entered the ready frontier), so in the
     degenerate lifecycle view (:func:`repro.obs.analyze.overhead_report`
     on a plain capture) thread-mode queue wait lands in the ``queued``
     phase and the kernel in ``computing`` — directly comparable with
@@ -669,7 +559,7 @@ def _observe_task(
     phases are identically zero here (no process boundary to cross).
     """
     if tracer is not None:
-        sub = (submit_ts[task.tid] if submit_ts is not None
+        sub = (float(submit_ts[task.tid]) if submit_ts is not None
                else (submit or t0) - tracer.epoch)
         tracer.record(task, sub, t0 - tracer.epoch, t1 - tracer.epoch,
                       worker=worker)
@@ -678,6 +568,6 @@ def _observe_task(
         metrics.counter(f"tasks.retired.{name}").inc()
         metrics.histogram(f"kernel.seconds.{name}").observe(t1 - t0)
         if submit_ts is not None and epoch is not None:
-            wait = max(0.0, (t0 - epoch) - submit_ts[task.tid])
+            wait = max(0.0, (t0 - epoch) - float(submit_ts[task.tid]))
             metrics.histogram("scheduler.queue_wait_seconds",
                               buckets=_WAIT_BUCKETS).observe(wait)

@@ -1,14 +1,13 @@
-"""Micro-batch group formation and stacked group execution (S24).
+"""The frontier core: ready-group formation shared by every transport (S24).
 
-PR 9's distributed tracer put a number on the process backend's
-dispatch tax: ~150µs of queue/deserialize/publish overhead *per task*,
-the same order as an nb=64 kernel itself.  The batched backend already
-amortizes Python overhead by executing whole ``(level, kernel)`` groups
-as stacked 3-D operations, but pays a level barrier for it.  This
-module merges the two mechanisms: the rolling ready-frontier keeps its
-no-barrier dataflow order, but dispatches *micro-batches* — small
-groups of compatible ready tasks — so one queue round-trip, one
-deserialization and one stacked ``np.matmul`` sequence cover K tasks.
+The three parallel transports — inline (``mode="batched"``), thread
+(``mode="task"``, ``workers >= 2``) and process (``mode="process"``)
+— schedule a factorization DAG the same way.  :class:`FrontierCore`
+holds the Plan's CSR in-degrees and the bottom-level priority keys
+and releases successors with one vectorized :meth:`~FrontierCore.retire`;
+:class:`GroupFrontier` is its ready set, popping *groups* of
+compatible ready tasks so that one stacked kernel sequence (and, in
+process mode, one queue round-trip) covers many tasks.
 
 Compatibility is cheap to decide.  Two tasks can share a group iff
 they run the same kernel; everything else is implied by readiness:
@@ -22,25 +21,15 @@ they run the same kernel; everything else is implied by readiness:
 
 So group formation needs no pairwise tile checks at all — it is a pop
 of up to ``batch`` tasks from one per-kernel ready heap, O(frontier)
-total, not O(frontier²).  :class:`GroupFrontier` implements exactly
-that; :func:`dispatch_arrays` flattens a graph once into the aligned
-coordinate arrays the frontier and the workers index (memoized on the
-:class:`~repro.planner.Plan` as ``Plan.dispatch_arrays()``).
+total, not O(frontier²).  :func:`dispatch_arrays` flattens a graph
+once into the aligned coordinate arrays the core and the group
+executor (:mod:`repro.runtime.group_executor`) index, memoized on the
+:class:`~repro.planner.Plan` as ``Plan.dispatch_arrays()``.
 
-Execution splits by kernel class, mirroring
-:mod:`repro.runtime.batched`:
-
-* **factor kernels** (GEQRT/TSQRT/TTQRT) run per-slice inside the
-  group — LAPACK tile kernels are per-slice anyway, and the per-slice
-  reference kernels keep the numpy path *bitwise* identical to
-  unbatched execution (stacked factor reductions associate
-  differently; stacked applies do not — see below);
-* **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
-  (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
-  stacked apply (:func:`apply_group_pool`): the V tile and its ``T``
-  blocks are processed once per run instead of once per task.  The
-  stacked apply performs the same matmul chain per batch slice as the
-  per-tile kernel, so the numpy path stays bit-exact under grouping.
+The inline transport runs groups one at a time in the calling thread,
+so its order does not depend on timing: :func:`drain_groups` drains
+the core once with unbounded groups, retiring each group as it pops,
+and the Plan memoizes the result as ``Plan.level_groups()``.
 """
 
 from __future__ import annotations
@@ -51,14 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, TaskGraph
-from ..kernels.batched import BatchedTFactor, apply_stacked_batched, \
-    unmqr_batched
 from ..kernels.costs import Kernel
-from ..kernels.stacked import ts_support, tt_support
 
 __all__ = [
-    "APPLY_CODES", "FACTOR_CODES", "DispatchArrays", "GroupFrontier",
-    "apply_group_pool", "dispatch_arrays", "resolve_batch", "v_runs",
+    "APPLY_CODES", "FACTOR_CODES", "DispatchArrays", "FrontierCore",
+    "GroupFrontier", "dedup_hits", "dispatch_arrays", "drain_groups",
+    "resolve_batch", "unwrap_graph",
 ]
 
 _KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
@@ -71,8 +58,14 @@ FACTOR_CODES = frozenset(
 APPLY_CODES = frozenset(
     _KERNEL_TO_CODE[k] for k in (Kernel.UNMQR, Kernel.TSMQR, Kernel.TTMQR))
 
-_UNMQR = _KERNEL_TO_CODE[Kernel.UNMQR]
-_TTMQR = _KERNEL_TO_CODE[Kernel.TTMQR]
+#: T-factor kind of each QR kernel code — the ``(row, col, kind)`` key
+#: convention of ``ExecutionContext.tfactors``
+KIND = {_KERNEL_TO_CODE[k]: kind for k, kind in (
+    (Kernel.GEQRT, "ge"), (Kernel.UNMQR, "ge"), (Kernel.TSQRT, "ts"),
+    (Kernel.TSMQR, "ts"), (Kernel.TTQRT, "tt"), (Kernel.TTMQR, "tt"))}
+
+#: group-size histogram buckets (powers of two) of every transport
+SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: ``--batch auto`` targets at least this much estimated work per
 #: descriptor, so queue latency and deserialization amortize into the
@@ -120,6 +113,17 @@ def resolve_batch(batch, nb: int, mean_weight: float = 5.0,
     return size
 
 
+def unwrap_graph(graph) -> tuple[TaskGraph, object]:
+    """``(task graph, plan or None)`` of a TaskGraph or a Plan."""
+    if isinstance(graph, TaskGraph):
+        return graph, None
+    g = getattr(graph, "graph", None)  # Plan-shaped object
+    if not isinstance(g, TaskGraph):
+        raise TypeError(
+            f"expected a TaskGraph or a Plan, got {type(graph).__name__}")
+    return g, graph
+
+
 # ----------------------------------------------------------------------
 # graph flattening (cached per Plan)
 # ----------------------------------------------------------------------
@@ -133,8 +137,7 @@ class DispatchArrays:
     ``fslot`` numbers the factor tasks' T-store slots densely in tid
     order; ``src`` points each apply task at its producer's slot
     (QR kernels only — ``-1`` elsewhere).  Immutable and plan-cachable:
-    building these is O(tasks) and was previously repeated on every
-    ``ProcessPool.run``.
+    building these is O(tasks).
     """
 
     codes: np.ndarray
@@ -148,6 +151,15 @@ class DispatchArrays:
 
     def __len__(self) -> int:
         return int(self.codes.size)
+
+    def take(self, tids) -> tuple:
+        """The coordinate columns of ``tids`` — rows, pivots, columns,
+        ``j``, T slots, source slots — in the argument order of
+        :meth:`GroupExecutor.run
+        <repro.runtime.group_executor.GroupExecutor.run>`."""
+        ix = np.asarray(tids, dtype=np.intp)
+        return (self.rows[ix], self.pivs[ix], self.cols[ix], self.js[ix],
+                self.fslot[ix], self.src[ix])
 
 
 def dispatch_arrays(graph: TaskGraph) -> DispatchArrays:
@@ -166,25 +178,27 @@ def dispatch_arrays(graph: TaskGraph) -> DispatchArrays:
     cols = np.fromiter((t.col for t in tasks), dtype=np.int64, count=n)
     js = np.fromiter((-1 if t.j is None else t.j for t in tasks),
                      dtype=np.int64, count=n)
-    # factor tasks get a slot in the shared T store; apply tasks
-    # reference their source factor's slot (same (row, col, kind) key
-    # convention as ExecutionContext.tfactors)
-    from .executor import _KIND
+    # factor tasks get a slot in the T store; apply tasks reference
+    # their source factor's slot by its (row, col, kind) key
     fmap: dict[tuple[int, int, str], int] = {}
     fslot = np.full(n, -1, dtype=np.int64)
     src = np.full(n, -1, dtype=np.int64)
     for t in tasks:
         code = _KERNEL_TO_CODE[t.kernel]
         if code in FACTOR_CODES:
-            s = len(fmap)
-            fmap[(t.row, t.col, _KIND[t.kernel])] = s
-            fslot[t.tid] = s
+            fslot[t.tid] = fmap[(t.row, t.col, KIND[code])] = len(fmap)
     for t in tasks:
         code = _KERNEL_TO_CODE[t.kernel]
         if code in APPLY_CODES:
-            src[t.tid] = fmap[(t.row, t.col, _KIND[t.kernel])]
+            src[t.tid] = fmap[(t.row, t.col, KIND[code])]
     return DispatchArrays(codes=codes, rows=rows, pivs=pivs, cols=cols,
                           js=js, fslot=fslot, src=src, nfactor=len(fmap))
+
+
+def dedup_hits(srcs) -> int:
+    """Source-tile loads an apply group saves by sharing V/T runs."""
+    a = np.asarray(srcs)
+    return int(a.size - np.unique(a).size)
 
 
 # ----------------------------------------------------------------------
@@ -206,10 +220,9 @@ class GroupFrontier:
     before any other source is touched.  That source affinity is what
     makes the stacked apply amortize — every bucket drained whole is
     one ``v_runs`` run, one broadcast T fetch, one stacked matmul
-    chain (the batched backend gets the same effect from its level
-    grouping).  Every popped group is valid by the readiness argument
-    in the module docstring: same kernel, mutually independent,
-    disjoint outputs — no pairwise checks needed.
+    chain.  Every popped group is valid by the readiness argument in
+    the module docstring: same kernel, mutually independent, disjoint
+    outputs — no pairwise checks needed.
 
     With ``batch == 1`` (or ``src=None``, the degenerate single
     bucket per code) this reduces exactly to one priority heap per
@@ -222,8 +235,10 @@ class GroupFrontier:
     def __init__(self, codes: np.ndarray, batch: int = 1, src=None):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        self._codes = codes
-        self._src = src
+        # Python lists: push reads one element per task, and indexing
+        # a list is several times cheaper than indexing an ndarray
+        self._codes = np.asarray(codes).tolist()
+        self._src = None if src is None else np.asarray(src).tolist()
         self.batch = batch
         #: code -> {src slot -> heap of (key, seq, tid)}
         self._buckets: dict[int, dict[int, list]] = {}
@@ -238,8 +253,8 @@ class GroupFrontier:
     def push(self, tid: int, key: float = 0.0) -> None:
         """Add a ready task (``key`` sorts ascending — negate
         bottom-levels for critical-path-first order)."""
-        code = int(self._codes[tid])
-        s = int(self._src[tid]) if self._src is not None else -1
+        code = self._codes[tid]
+        s = self._src[tid] if self._src is not None else -1
         buckets = self._buckets.get(code)
         if buckets is None:
             buckets = self._buckets[code] = {}
@@ -271,24 +286,34 @@ class GroupFrontier:
             heapq.heappop(border)
         return None
 
+    def _best(self):
+        """``(code, head)`` of the globally best ready task."""
+        best_code, best_head = -1, None
+        for code in self._border:
+            head = self._head(code)
+            if head is not None and (best_head is None or head < best_head):
+                best_code, best_head = code, head
+        return best_code, best_head
+
+    def inverted(self) -> bool:
+        """Whether the next pop skips an older ready task — i.e. FIFO
+        order would have run a different task first.  O(frontier)."""
+        _, head = self._best()
+        oldest = min(e[1] for buckets in self._buckets.values()
+                     for heap in buckets.values() for e in heap)
+        return oldest < head[1]
+
     def pop_group(self, limit: int | None = None) -> tuple[int, list[int]]:
         """Pop the best compatible group: ``(code, tids)``.
 
-        ``limit`` additionally caps the group size (the dispatcher
-        passes the target worker's remaining in-flight *task*
-        capacity, so one giant group cannot blow past the cap that
-        exists to keep priority meaningful).
+        ``limit`` additionally caps the group size (the process
+        transport passes the target worker's remaining in-flight
+        *task* capacity, so one giant group cannot blow past the cap
+        that exists to keep priority meaningful).
         """
         if not self._n:
             raise IndexError("pop from an empty frontier")
-        best_code = -1
-        best_head = None
-        for code in self._border:
-            head = self._head(code)
-            if head is not None and (best_head is None
-                                     or head < best_head):
-                best_head = head
-                best_code = code
+        best_code, _ = self._best()
         buckets = self._buckets[best_code]
         size = self.batch
         if limit is not None:
@@ -306,75 +331,95 @@ class GroupFrontier:
 
 
 # ----------------------------------------------------------------------
-# stacked group execution over pool slots
+# the scheduler core
 # ----------------------------------------------------------------------
 
-def v_runs(vslots: np.ndarray):
-    """Sort an apply group by source-tile slot and yield the runs.
+class FrontierCore:
+    """Ready frontier plus CSR in-degrees: the one scheduler core.
 
-    Returns ``(order, bounds)``: ``order`` permutes the group's tasks
-    so that tasks sharing one V tile are contiguous, and
-    ``bounds[i]:bounds[i+1]`` delimits run ``i``.  Each run's applies
-    then execute as one broadcast batched operation — the V tile and
-    its T blocks are processed once instead of once per task.
+    Built from a :class:`~repro.planner.Plan` (memoized dispatch
+    arrays, bottom-level keys: critical path first) or a bare
+    :class:`~repro.dag.tasks.TaskGraph` (FIFO keys).  The sources are
+    ready at construction; :meth:`pop` hands out groups and
+    :meth:`retire` releases their successors.  Transports serialize
+    calls (the thread transport under its lock); the core itself does
+    no locking.  With ``metrics``, every pop that bypasses an older
+    ready task counts into ``scheduler.priority_inversions_avoided``.
     """
-    order = np.argsort(vslots, kind="stable")
-    sv = vslots[order]
-    bounds = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
-    return order, bounds
+
+    __slots__ = ("da", "weights", "frontier", "sources", "_indeg",
+                 "_keys", "_succ_ptr", "_succ_adj", "_inversions")
+
+    def __init__(self, graph, batch: int = 1, metrics=None):
+        g, plan = unwrap_graph(graph)
+        idx = g.index()
+        self.da = (plan.dispatch_arrays() if plan is not None
+                   and hasattr(plan, "dispatch_arrays")
+                   else dispatch_arrays(g))
+        self.weights = idx.weights
+        self._keys = (None if plan is None or not hasattr(plan, "bottom_levels")
+                      else (-np.asarray(plan.bottom_levels(),
+                                        dtype=np.float64)).tolist())
+        self._indeg = idx.indegree
+        self._succ_ptr, self._succ_adj = idx.succ_ptr, idx.succ_adj
+        self._inversions = (None if metrics is None else
+                            metrics.counter(
+                                "scheduler.priority_inversions_avoided"))
+        self.frontier = GroupFrontier(self.da.codes, batch, src=self.da.src)
+        self.sources = np.flatnonzero(self._indeg == 0)
+        self._push(self.sources)
+
+    def __len__(self) -> int:
+        return len(self.frontier)
+
+    def _push(self, tids: np.ndarray) -> None:
+        push, keys = self.frontier.push, self._keys
+        for tid in tids.tolist():
+            push(tid, 0.0 if keys is None else keys[tid])
+
+    def pop(self, limit: int | None = None) -> tuple[int, list[int]]:
+        """The best ready group ``(code, tids)``; see
+        :meth:`GroupFrontier.pop_group`."""
+        if self._inversions is not None and self.frontier.inverted():
+            self._inversions.inc()
+        return self.frontier.pop_group(limit)
+
+    def retire(self, tids) -> np.ndarray:
+        """Release the successors of retired ``tids``; returns the
+        newly ready tasks (ascending), already pushed.
+
+        One ``np.subtract.at`` over the concatenated successor slices:
+        a successor fed by several retired tasks is decremented once
+        per edge.
+        """
+        ptr, adj = self._succ_ptr, self._succ_adj
+        alls = (adj[ptr[tids[0]]:ptr[tids[0] + 1]] if len(tids) == 1
+                else np.concatenate([adj[ptr[t]:ptr[t + 1]] for t in tids]))
+        if not alls.size:
+            return alls
+        np.subtract.at(self._indeg, alls, 1)
+        newly = np.unique(alls[self._indeg[alls] == 0])
+        self._push(newly)
+        return newly
 
 
-def dedup_hits(srcs) -> int:
-    """Source-tile loads an apply group saves by sharing V/T runs."""
-    a = np.asarray(srcs)
-    return int(a.size - np.unique(a).size)
+def drain_groups(graph) -> list[tuple[int, np.ndarray]]:
+    """The core's group order with one executor and unbounded groups.
 
-
-def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
-                     top_slots: np.ndarray | None, bot_slots: np.ndarray,
-                     tfactor_of) -> None:
-    """Execute one apply group in place against a ``(S, nb, nb)`` pool.
-
-    ``stack`` is any slot-addressed tile pool backing array (a
-    :class:`~repro.tiles.pool.TilePool`'s or a
-    :class:`~repro.tiles.shared_pool.SharedTilePool`'s); ``vslots``
-    names each task's V tile, ``bot_slots`` its updated tile
-    (``c_bot``), ``top_slots`` the pivot-row tile for the TS/TT
-    kernels (``None`` for UNMQR).  ``tfactor_of(i)`` returns the
-    broadcastable batch-of-one :class:`BatchedTFactor` of task ``i``
-    (pre-sort index).  Gather and scatter are single fancy-indexing
-    copies; every run is one broadcast stacked apply.
+    Pops the best ready group, retires it at once, repeats — exactly
+    what the inline transport does at run time, so the order is
+    deterministic and computed once per plan (``Plan.level_groups()``).
+    Returns ``(kernel code, tids)`` pairs: every task appears in
+    exactly one group; each group holds one kernel, its members are
+    mutually independent, and every predecessor of a member sits in an
+    earlier group.
     """
-    order, bounds = v_runs(vslots)
-    if code == _UNMQR:
-        cslots = bot_slots[order]
-        c = stack[cslots]
-        for u0, u1 in zip(bounds[:-1], bounds[1:]):
-            b = int(order[u0])
-            unmqr_batched(stack[vslots[b]][None], tfactor_of(b), c[u0:u1])
-        stack[cslots] = c
-        return
-    support = tt_support if code == _TTMQR else ts_support
-    ct = top_slots[order]
-    cb = bot_slots[order]
-    c_top = stack[ct]
-    c_bot = stack[cb]
-    for u0, u1 in zip(bounds[:-1], bounds[1:]):
-        b = int(order[u0])
-        apply_stacked_batched(stack[vslots[b]][None], tfactor_of(b),
-                              c_top[u0:u1], c_bot[u0:u1], support,
-                              mask=code == _TTMQR)
-    stack[ct] = c_top
-    stack[cb] = c_bot
-
-
-def broadcast_tfactor(blocks, ib: int) -> BatchedTFactor:
-    """A batch-of-one :class:`BatchedTFactor` from per-panel blocks.
-
-    The apply kernels broadcast it across however many C tiles the
-    source tile updates (run length), so no per-task T stacking is
-    needed.
-    """
-    bt = BatchedTFactor(ib=ib)
-    bt.blocks = [blk[None] for blk in blocks]
-    return bt
+    g, _ = unwrap_graph(graph)
+    core = FrontierCore(graph, batch=max(1, len(g.tasks)))
+    groups = []
+    while len(core):
+        code, tids = core.pop()
+        tids = np.asarray(tids, dtype=np.int64)
+        groups.append((code, tids))
+        core.retire(tids)
+    return groups

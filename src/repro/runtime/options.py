@@ -63,9 +63,9 @@ class ExecOptions:
     semantics):
 
     mode : str
-        ``"task"`` (sequential/threaded), ``"batched"``
-        (level-synchronous stacked kernels) or ``"process"``
-        (shared-memory worker processes).
+        ``"task"`` (sequential, or the thread transport), ``"batched"``
+        (the inline transport: stacked kernel groups) or
+        ``"process"`` (shared-memory worker processes).
     workers : int or None
         Worker count for task/process modes; ``None`` means
         sequential (task mode) or one-per-core (process mode).
@@ -77,11 +77,11 @@ class ExecOptions:
     pool : ProcessPool or None
         Persistent worker pool to reuse in process mode.
     batch : int or str
-        Micro-batch dispatch for process and threaded task modes:
+        Group size of the process and thread transports:
         ``"auto"`` (default) sizes groups to ~1ms of estimated work
         per descriptor, an int >= 2 fixes the group size, ``"off"``
         (or ``1``) dispatches single tasks.  Ignored by the batched
-        mode (inherently grouped) and the sequential executor.  See
+        mode (unbounded groups) and the sequential executor.  See
         :func:`repro.runtime.groups.resolve_batch`.
     """
 

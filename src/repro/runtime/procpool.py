@@ -1,27 +1,27 @@
-"""Process-parallel execution over a shared-memory tile pool (S22).
+"""The process transport: groups on worker processes (S22).
 
-The batched backend (:mod:`repro.runtime.batched`) drives every
-stacked kernel from one GIL-bound Python thread and synchronizes at
-every Kahn level of the DAG.  This backend removes both limits:
+The inline transport (:mod:`repro.runtime.batched`) drives every
+stacked kernel from one GIL-bound Python thread.  This transport runs
+the same groups on worker processes:
 
 * **Worker processes, zero-copy tiles.**  A persistent
   :class:`ProcessPool` of worker processes operates *in place* on a
   :class:`~repro.tiles.shared_pool.SharedTilePool` — the same
-  ``(p * q, nb, nb)`` slot-addressed stack as the batched backend, in
-  :mod:`multiprocessing.shared_memory`.  Only ``(tid, kernel,
-  slot-coords)`` descriptors cross the queues; tile data never does.
-  The compact-WY ``T`` blocks flow through a second shared segment
-  (uniform ``(factor_tasks, npanels, ib, ib)`` because padded slots
-  factor with a full panel count), so apply kernels read their source
-  ``T`` without pickling either.
-* **Rolling ready-frontier.**  The parent runs a Kahn scheduler over
-  the Plan's CSR :class:`~repro.dag.index.GraphIndex`: a task is
-  dispatched the moment its last predecessor retires, ordered by
-  descending bottom-level (critical path first) — factor kernels of
-  level ``L + 1`` overlap update tasks of level ``L`` instead of
-  waiting at a level barrier.  Each worker holds at most a small
-  number of in-flight tasks so priority stays meaningful while queue
-  latency hides behind execution.
+  ``(p * q, nb, nb)`` slot-addressed stack the other transports use,
+  in :mod:`multiprocessing.shared_memory` — through the
+  :class:`~repro.runtime.group_executor.GroupExecutor`.  Only group
+  descriptors (tids, kernel, tile coordinates, T slots) cross the
+  queues; tile data never does.  The T store is a second shared
+  segment, so apply kernels read their source ``T`` without pickling
+  either.
+* **One work message, one completion.**  The parent pops groups from
+  the :class:`~repro.runtime.groups.FrontierCore` the moment their
+  last predecessor retires, critical path first, and places them on
+  the least-loaded worker; all groups bound for one worker in a
+  dispatch wave travel as one ``("groups", ...)`` message and come
+  back as one ``("retired", ...)`` completion.  Each worker holds at
+  most a small number of in-flight tasks so priority stays meaningful
+  while queue latency hides behind execution.
 * **Telemetry across the process boundary.**  Workers publish
   ``task_start`` / ``task_done`` through the pool's
   :class:`~repro.obs.stream.BusRelay`; the parent adds ``run_start`` /
@@ -29,11 +29,11 @@ every Kahn level of the DAG.  This backend removes both limits:
   work unchanged.
 
 Correctness rests on two established facts: every pair of conflicting
-tile accesses is DAG-ordered (the guarantee the threaded executor
-already relies on — the completion round-trip through the parent gives
-cross-process happens-before), and zero-padded slots are exact for
-every kernel (see :mod:`repro.tiles.pool`).  Results match the
-reference backend to rounding, like the batched backend.
+tile accesses is DAG-ordered (the completion round-trip through the
+parent gives cross-process happens-before), and zero-padded slots are
+exact for every kernel (see :mod:`repro.tiles.pool`).  Results match
+the per-tile kernels of the same backend to rounding, bitwise on the
+numpy path with exactly tiled shapes.
 
 Reached via ``execute_graph(mode="process", workers=N)`` /
 ``repro.api.factor(..., mode="process")`` / ``repro factor --mode
@@ -43,7 +43,6 @@ worker start-up (significant under the ``spawn`` start method).
 
 from __future__ import annotations
 
-import heapq
 import os
 import queue as queue_mod
 import time
@@ -52,49 +51,29 @@ from typing import Optional
 
 import numpy as np
 
-from ..dag.tasks import KERNEL_CODES, TaskGraph
-from ..kernels.backend import get_backend
-from ..kernels.batched import lapack_batched_supported
-from ..kernels.costs import Kernel
-from ..kernels.geqrt import TFactor, panel_starts
-from ..kernels.lapack import LapackT
+from ..dag.tasks import KERNEL_CODES
+from ..kernels.geqrt import panel_starts
 from ..obs.metrics import MetricsRegistry
 from ..obs.stream import NULL_BUS, BusRelay
 from ..obs.tracer import DistributedTracer, estimate_clock_sync
 from ..tiles.layout import TiledMatrix
 from ..tiles.shared_pool import SharedArray, SharedTilePool
-from .executor import ExecutionContext, _KIND, _clamp_ib
-from .groups import (
-    FACTOR_CODES,
-    GroupFrontier,
-    apply_group_pool,
-    broadcast_tfactor,
-    dedup_hits,
-    dispatch_arrays,
-    resolve_batch,
-)
+from .executor import ExecutionContext, _prepare
+from .group_executor import (GroupExecutor, record_tfactors,
+                             use_lapack_factors)
+from .groups import SIZE_BUCKETS, FrontierCore, dedup_hits, resolve_batch
 
 __all__ = ["ProcessPool", "execute_process"]
 
-_KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
 _CODE_TO_NAME = tuple(k.value for k in KERNEL_CODES)
-_GEQRT, _UNMQR, _TSQRT, _TSMQR, _TTQRT, _TTMQR = (
-    _KERNEL_TO_CODE[k] for k in (
-        Kernel.GEQRT, Kernel.UNMQR, Kernel.TSQRT, Kernel.TSMQR,
-        Kernel.TTQRT, Kernel.TTMQR))
-_FACTOR_KERNELS = (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)
 
 #: tasks a worker may hold queued beyond the one it is executing —
 #: enough to hide queue latency, small enough that the parent's
 #: priority order is what actually runs.  The cap counts *tasks*, not
-#: descriptors: with micro-batching one descriptor may carry a whole
-#: group, and a descriptor-counted cap would let one worker hoard
-#: ``(1 + _PREFETCH) * batch`` tasks while its siblings idle.
+#: groups: a group may carry many tasks, and a group-counted cap
+#: would let one worker hoard ``(1 + _PREFETCH) * batch`` tasks while
+#: its siblings idle.
 _PREFETCH = 2
-
-#: group-size histogram buckets (powers of two), shared with the
-#: batched backend's ``batched.group_size``
-_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: seconds between liveness checks while waiting for completions
 _POLL_S = 1.0
@@ -119,140 +98,30 @@ _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # worker side
 # ----------------------------------------------------------------------
 
-class _RunState:
-    """Per-run worker state: mapped segments + resolved kernels."""
+class _WorkerRun:
+    """One run's worker state: the mapped segments and their executor."""
 
-    __slots__ = ("stack_sa", "tstore_sa", "stack", "tstore", "bk", "ib",
-                 "nb", "q", "panels", "publish", "trace", "lapack",
-                 "span_buf", "_tf_cache")
+    __slots__ = ("stack_sa", "tstore_sa", "ex", "publish", "trace",
+                 "span_buf")
 
     def __init__(self, stack_handle, tstore_handle, cfg: dict):
         self.stack_sa = SharedArray.attach(stack_handle)
         self.tstore_sa = SharedArray.attach(tstore_handle)
-        self.stack = self.stack_sa.array
-        self.tstore = self.tstore_sa.array
-        self.bk = get_backend(cfg["backend"])
-        self.ib = cfg["ib"]
-        self.nb = cfg["nb"]
-        self.q = cfg["q"]
+        self.ex = GroupExecutor(self.stack_sa.array, self.tstore_sa.array,
+                                cfg["q"], cfg["ib"], cfg["backend"])
         self.publish = cfg["publish"]
         self.trace = cfg.get("trace", False)
-        self.lapack = cfg["lapack"]
-        #: buffered (tid, recv, start, finish, publish) span stamps
+        #: buffered (tid, recv, start, finish, publish, group recv,
+        #: group publish, group size, idle) span stamps
         self.span_buf: list = []
-        # padded slots always factor a full nb-column panel sequence
-        self.panels = panel_starts(self.nb, self.ib)
-        #: fslot -> BatchedTFactor of *views* into the T store.  A T
-        #: slot is written exactly once (by its factor task, which the
-        #: DAG orders before every apply that reads it), so the cached
-        #: views stay valid for the rest of the run.
-        self._tf_cache: dict = {}
-
-    def tfactor(self, fslot: int, l: int = 0):
-        """The padded T factor of factor-task slot ``fslot`` (views).
-
-        LAPACK representation: the slot *is* the ``(ib, nb)`` compact-WY
-        ``T`` (``l`` is the TT trapezoid height, ``nb`` on padded
-        slots).  Reference representation: panel blocks, ``l`` unused.
-        """
-        if self.lapack:
-            return LapackT(self.tstore[fslot], self.ib, l)
-        t = TFactor(ib=self.ib)
-        for pi, (_, jb) in enumerate(self.panels):
-            t.blocks.append(self.tstore[fslot, pi, :jb, :jb])
-        return t
-
-    def tfactor_batched(self, fslot: int):
-        """Broadcastable batch-of-one T factor of slot ``fslot``.
-
-        Views into the shared T store, sliced exactly as the pool
-        LAPACK helpers and the reference panel blocks lay them out, so
-        stacked applies read the same values the per-tile kernels
-        would.  Memoized per slot (write-once, views stay valid).
-        """
-        tf = self._tf_cache.get(fslot)
-        if tf is not None:
-            return tf
-        if self.lapack:
-            t = self.tstore[fslot]
-            blocks = [t[:jb, j0:j0 + jb] for j0, jb in self.panels]
-        else:
-            blocks = [self.tstore[fslot, pi, :jb, :jb]
-                      for pi, (_, jb) in enumerate(self.panels)]
-        tf = broadcast_tfactor(blocks, self.ib)
-        self._tf_cache[fslot] = tf
-        return tf
-
-    def store_t(self, fslot: int, t) -> None:
-        if self.lapack:
-            tt = t.t  # (ib, nb) on padded slots
-            self.tstore[fslot, : tt.shape[0], : tt.shape[1]] = tt
-            return
-        for pi, blk in enumerate(t.blocks):
-            jb = blk.shape[0]
-            self.tstore[fslot, pi, :jb, :jb] = blk
 
     def close(self) -> None:
-        self.stack = self.tstore = None
+        self.ex = None  # drop every view before unmapping
         self.stack_sa.close()
         self.tstore_sa.close()
 
 
-def _exec_task(st: _RunState, code: int, row: int, piv: int, col: int,
-               j: int, fslot: int, src: int) -> None:
-    """Run one kernel against the shared slots, padded ``nb x nb``."""
-    stack, q, ib = st.stack, st.q, st.ib
-    bk = st.bk
-    if code == _GEQRT:
-        st.store_t(fslot, bk.geqrt(stack[row * q + col], ib))
-    elif code == _UNMQR:
-        bk.unmqr(stack[row * q + col], st.tfactor(src),
-                 stack[row * q + j])
-    elif code == _TSQRT:
-        st.store_t(fslot, bk.tsqrt(stack[piv * q + col],
-                                   stack[row * q + col], ib))
-    elif code == _TSMQR:
-        bk.tsmqr(stack[row * q + col], st.tfactor(src),
-                 stack[piv * q + j], stack[row * q + j])
-    elif code == _TTQRT:
-        st.store_t(fslot, bk.ttqrt(stack[piv * q + col],
-                                   stack[row * q + col], ib))
-    else:
-        bk.ttmqr(stack[row * q + col], st.tfactor(src, l=st.nb),
-                 stack[piv * q + j], stack[row * q + j])
-
-
-def _exec_group(st: _RunState, code: int, rows, pivs, cols, js,
-                fslots, srcs) -> None:
-    """Run one same-kernel micro-batch against the shared slots.
-
-    Factor kernels loop per slice — exactly the calls single-task
-    dispatch makes, so grouping never changes their results bitwise.
-    Apply kernels gather their C tiles into a contiguous stack, run
-    one broadcast stacked apply per shared-V run, and scatter back;
-    the stacked applies perform the per-tile matmul chain slice by
-    slice, so the numpy path stays bit-exact under grouping (the
-    LAPACK path matches to rounding, as everywhere else).
-    """
-    if code in FACTOR_CODES:
-        for i in range(len(rows)):
-            _exec_task(st, code, rows[i], pivs[i], cols[i], js[i],
-                       fslots[i], srcs[i])
-        return
-    q = st.q
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    js_a = np.asarray(js, dtype=np.int64)
-    vslots = rows_a * q + cols_a
-    bot = rows_a * q + js_a
-    top = (None if code == _UNMQR
-           else np.asarray(pivs, dtype=np.int64) * q + js_a)
-    srcs_a = np.asarray(srcs, dtype=np.int64)
-    apply_group_pool(st.stack, code, vslots, top, bot,
-                     lambda b: st.tfactor_batched(int(srcs_a[b])))
-
-
-def _flush_spans(state: "_RunState", widx: int, publisher) -> None:
+def _flush_spans(state: _WorkerRun, widx: int, publisher) -> None:
     """Ship the buffered span stamps as one batched relay record.
 
     Beyond the four per-task boundaries, each entry carries its
@@ -278,173 +147,103 @@ def _flush_spans(state: "_RunState", widx: int, publisher) -> None:
                       gfree=[b[8] for b in buf])
 
 
+def _run_groups(state: _WorkerRun, widx: int, groups, free_t: float,
+                done_q, publisher) -> None:
+    """Execute one work message: groups in dispatch order.
+
+    The groups share one queue round-trip and one ``"retired"``
+    completion.  A failure mid-message reports the failed group and
+    everything after it as one ``"error"`` (the parent books them out
+    of flight together) while the completed prefix still retires.
+    """
+    recv_t = time.perf_counter()
+    results: list = []   # (tids, dt, t0, t1) per group
+    for gi, grp in enumerate(groups):
+        tids, code = grp[0], grp[1]
+        kname = _CODE_TO_NAME[code]
+        if state.publish:
+            for tid in tids:
+                publisher.publish("task_start", tid=tid, kernel=kname,
+                                  worker=widx)
+        t0 = time.perf_counter()
+        try:
+            state.ex.run(code, *grp[2:])
+        except BaseException:
+            rem = tuple(t for g in groups[gi:] for t in g[0])
+            done_q.put(("error", widx, rem, traceback.format_exc()))
+            break
+        t1 = time.perf_counter()
+        results.append((tids, t1 - t0, t0, t1))
+        if state.publish:
+            share = (t1 - t0) / len(tids)
+            for tid in tids:
+                publisher.publish("task_done", tid=tid, kernel=kname,
+                                  worker=widx, value=share)
+    if not results:
+        return
+    done_q.put(("retired", widx, tuple((r[0], r[1]) for r in results)))
+    if state.trace:
+        # the stacked kernels leave no per-task boundaries, so each
+        # group's kernel window is split evenly; the deserialize and
+        # publish windows are paid once per message and amortized as a
+        # 1/K slice around each member's compute slice.  The message
+        # stamps (recv_t, pub_t) and its task count ride along so the
+        # tracer's merge can amortize the parent-side transit and
+        # retire costs the same way — per-phase sums equal the true
+        # message costs and the telescoping identity still holds.
+        pub_t = time.perf_counter()
+        n_ok = sum(len(r[0]) for r in results)
+        d_deser = (results[0][2] - recv_t) / n_ok
+        d_pub = (pub_t - results[-1][3]) / n_ok
+        for tids, dt, t0, _ in results:
+            share = dt / len(tids)
+            for i, tid in enumerate(tids):
+                s_i = t0 + i * share
+                f_i = s_i + share
+                state.span_buf.append(
+                    (tid, s_i - d_deser, s_i, f_i, f_i + d_pub,
+                     recv_t, pub_t, n_ok, free_t))
+        if len(state.span_buf) >= _SPAN_FLUSH:
+            _flush_spans(state, widx, publisher)
+
+
 def _worker_main(widx: int, inq, done_q, publisher) -> None:
-    """Worker process loop: attach per run, execute tasks, report.
+    """Worker process loop: attach per run, execute groups, report.
 
     Must stay importable at module level for the ``spawn`` start
     method.  Every exception is shipped to the parent as a formatted
     traceback — a worker never dies on a task failure.
 
-    When the run is traced (``cfg["trace"]``) the worker stamps four
-    ``perf_counter`` boundaries per task — message receipt, kernel
-    entry/return, completion published — and buffers them; every
-    :data:`_SPAN_FLUSH` tasks (and at endrun, before the ``closed``
-    ack) the buffer ships through the relay as one batched
-    ``"task_spans"`` record, so tracing costs one queue put per batch
-    instead of per task and every record still precedes the parent's
-    endrun barrier.  A ``("sync", token)`` message answers with the
-    worker's own clock reading (``("sync_ack", widx, token, t)``): the
-    parent's NTP-style handshake that aligns those stamps onto its
-    timeline.
+    Work arrives as ``("groups", groups)`` messages (see
+    :func:`_run_groups`).  When the run is traced (``cfg["trace"]``)
+    the worker stamps four ``perf_counter`` boundaries per task —
+    message receipt, kernel entry/return, completion published — and
+    buffers them; every :data:`_SPAN_FLUSH` tasks (and at endrun,
+    before the ``closed`` ack) the buffer ships through the relay as
+    one batched ``"task_spans"`` record, so tracing costs one queue
+    put per batch instead of per task and every record still precedes
+    the parent's endrun barrier.  A ``("sync", token)`` message
+    answers with the worker's own clock reading (``("sync_ack", widx,
+    token, t)``): the parent's NTP-style handshake that aligns those
+    stamps onto its timeline.
     """
-    state: _RunState | None = None
-    free_t = 0.0
+    state: _WorkerRun | None = None
     while True:
-        # free_t marks the moment this worker went idle: any descriptor
+        # free_t marks the moment this worker went idle: any message
         # already sitting in the inbox was overlapped with useful work,
         # so the tracer charges ``dispatched`` only from max(dispatch,
         # free) — deliberate prefetch overlap is queueing, not IPC
         free_t = time.perf_counter()
         msg = inq.get()
         kind = msg[0]
-        if kind == "task":
-            recv_t = time.perf_counter()
-            _, tid, code, row, piv, col, j, fslot, src = msg
-            if state.publish:
-                publisher.publish("task_start", tid=tid,
-                                  kernel=_CODE_TO_NAME[code], worker=widx)
-            t0 = time.perf_counter()
-            try:
-                _exec_task(state, code, row, piv, col, j, fslot, src)
-            except BaseException:
-                done_q.put(("error", widx, tid, traceback.format_exc()))
-                continue
-            dt = time.perf_counter() - t0
-            t1 = t0 + dt
-            if state.publish:
-                publisher.publish("task_done", tid=tid,
-                                  kernel=_CODE_TO_NAME[code], worker=widx,
-                                  value=dt)
-            done_q.put(("done", widx, tid, dt))
-            if state.trace:
-                pub_t = time.perf_counter()
-                state.span_buf.append((tid, recv_t, t0, t1, pub_t,
-                                       recv_t, pub_t, 1, free_t))
-                if len(state.span_buf) >= _SPAN_FLUSH:
-                    _flush_spans(state, widx, publisher)
-        elif kind == "grp":
-            recv_t = time.perf_counter()
-            _, tids, code, rows, pivs, cols, js, fslots, srcs = msg
-            kname = _CODE_TO_NAME[code]
-            if state.publish:
-                for tid in tids:
-                    publisher.publish("task_start", tid=tid, kernel=kname,
-                                      worker=widx)
-            t0 = time.perf_counter()
-            try:
-                _exec_group(state, code, rows, pivs, cols, js, fslots,
-                            srcs)
-            except BaseException:
-                done_q.put(("error", widx, tids, traceback.format_exc()))
-                continue
-            t1 = time.perf_counter()
-            dt = t1 - t0
-            share = dt / len(tids)
-            if state.publish:
-                for tid in tids:
-                    publisher.publish("task_done", tid=tid, kernel=kname,
-                                      worker=widx, value=share)
-            done_q.put(("done", widx, tids, dt))
-            if state.trace:
-                # the stacked kernels leave no per-task boundaries, so
-                # the group's kernel window is split evenly; the
-                # deserialize/publish windows are paid once per group
-                # and amortized as a 1/K slice around each member's
-                # compute slice.  The group stamps (recv_t, pub_t) and
-                # the group size ride along so the tracer's merge can
-                # amortize the parent-side transit and retire costs the
-                # same way — per-phase sums equal the true group costs
-                # and the telescoping identity still holds exactly.
-                pub_t = time.perf_counter()
-                k = len(tids)
-                d_deser = (t0 - recv_t) / k
-                d_pub = (pub_t - t1) / k
-                for i, tid in enumerate(tids):
-                    s_i = t0 + i * share
-                    f_i = s_i + share
-                    state.span_buf.append(
-                        (tid, s_i - d_deser, s_i, f_i, f_i + d_pub,
-                         recv_t, pub_t, k, free_t))
-                if len(state.span_buf) >= _SPAN_FLUSH:
-                    _flush_spans(state, widx, publisher)
-        elif kind == "mgrp":
-            # multi-group descriptor: several kernel groups that share
-            # one queue round-trip and one completion message.  Groups
-            # execute in dispatch order; a failure mid-descriptor
-            # reports the failed group and everything after it as one
-            # error (the parent books them out of flight together)
-            # while the completed prefix still retires normally.
-            recv_t = time.perf_counter()
-            groups = msg[1]
-            results: list = []   # (tids, dt, t0, t1) per group
-            failed_tb = None
-            t1 = recv_t
-            for gi, grp in enumerate(groups):
-                tids, code = grp[0], grp[1]
-                kname = _CODE_TO_NAME[code]
-                if state.publish:
-                    for tid in tids:
-                        publisher.publish("task_start", tid=tid,
-                                          kernel=kname, worker=widx)
-                t0 = time.perf_counter()
-                try:
-                    if len(tids) == 1:
-                        _exec_task(state, code, grp[2][0], grp[3][0],
-                                   grp[4][0], grp[5][0], grp[6][0],
-                                   grp[7][0])
-                    else:
-                        _exec_group(state, code, grp[2], grp[3],
-                                    grp[4], grp[5], grp[6], grp[7])
-                except BaseException:
-                    failed_tb = traceback.format_exc()
-                    rem = tuple(t for g in groups[gi:] for t in g[0])
-                    done_q.put(("error", widx, rem, failed_tb))
-                    break
-                t1 = time.perf_counter()
-                results.append((tids, t1 - t0, t0, t1))
-                if state.publish:
-                    share = (t1 - t0) / len(tids)
-                    for tid in tids:
-                        publisher.publish("task_done", tid=tid,
-                                          kernel=kname, worker=widx,
-                                          value=share)
-            if results:
-                done_q.put(("mdone", widx,
-                            tuple((r[0], r[1]) for r in results)))
-            if state.trace and results:
-                # same amortized per-member stamps as "grp", except
-                # the shared deserialize / publish / transit / retire
-                # windows split across every member of the descriptor
-                pub_t = time.perf_counter()
-                n_ok = sum(len(r[0]) for r in results)
-                d_deser = (results[0][2] - recv_t) / n_ok
-                d_pub = (pub_t - results[-1][3]) / n_ok
-                for tids, dt, t0, _ in results:
-                    share = dt / len(tids)
-                    for i, tid in enumerate(tids):
-                        s_i = t0 + i * share
-                        f_i = s_i + share
-                        state.span_buf.append(
-                            (tid, s_i - d_deser, s_i, f_i, f_i + d_pub,
-                             recv_t, pub_t, n_ok, free_t))
-                if len(state.span_buf) >= _SPAN_FLUSH:
-                    _flush_spans(state, widx, publisher)
+        if kind == "groups":
+            _run_groups(state, widx, msg[1], free_t, done_q, publisher)
         elif kind == "sync":
             done_q.put(("sync_ack", widx, msg[1], time.perf_counter()))
         elif kind == "run":
             _, stack_handle, tstore_handle, cfg = msg
             try:
-                state = _RunState(stack_handle, tstore_handle, cfg)
+                state = _WorkerRun(stack_handle, tstore_handle, cfg)
             except BaseException:
                 done_q.put(("error", widx, -1, traceback.format_exc()))
                 continue
@@ -597,14 +396,32 @@ class ProcessPool:
         self.close()
 
     # ------------------------------------------------------------------
+    def _fail(self, message: str) -> None:
+        """Mark the pool broken, close it and raise ``message``."""
+        self._broken = True
+        self.close(timeout=0.1)
+        raise RuntimeError(message)
+
     def _check_alive(self) -> None:
         dead = [(p.name, p.exitcode) for p in self._procs
                 if not p.is_alive()]
         if dead:
-            self._broken = True
-            self.close(timeout=0.1)
-            raise RuntimeError(
-                f"worker process(es) died: {dead}; the pool is closed")
+            self._fail(f"worker process(es) died: {dead}; the pool is closed")
+
+    def _recv(self, deadline: float, what: str) -> tuple:
+        """The next control message; a dead worker, an ``"error"``
+        reply or the ``deadline`` (``time.monotonic``) breaks the pool."""
+        while True:
+            try:
+                msg = self._done_q.get(timeout=_POLL_S)
+            except queue_mod.Empty:
+                self._check_alive()
+                if time.monotonic() > deadline:
+                    self._fail(f"timed out waiting for {what}")
+                continue
+            if msg[0] == "error":
+                self._fail(f"worker failed during {what}:\n{msg[3]}")
+            return msg
 
     def _sync_clocks(self, dtracer: DistributedTracer,
                      metrics: MetricsRegistry | None,
@@ -628,28 +445,11 @@ class ProcessPool:
                 t_send = time.perf_counter()
                 inq.put(("sync", tok))
                 deadline = time.monotonic() + 30.0
-                while True:
-                    try:
-                        msg = self._done_q.get(timeout=_POLL_S)
-                    except queue_mod.Empty:
-                        self._check_alive()
-                        if time.monotonic() > deadline:
-                            self._broken = True
-                            self.close(timeout=0.1)
-                            raise RuntimeError(
-                                f"timed out syncing clock of worker {w}")
-                        continue
-                    if msg[0] == "sync_ack" and msg[1] == w \
-                            and msg[2] == tok:
-                        samples.append((t_send, msg[3],
-                                        time.perf_counter()))
+                while True:  # skip stale messages of an aborted run
+                    msg = self._recv(deadline, f"clock sync of worker {w}")
+                    if msg[:3] == ("sync_ack", w, tok):
                         break
-                    if msg[0] == "error":
-                        self._broken = True
-                        self.close(timeout=0.1)
-                        raise RuntimeError(
-                            f"worker failed during clock sync:\n{msg[3]}")
-                    # stale completions / acks from an aborted run
+                samples.append((t_send, msg[3], time.perf_counter()))
             sync = estimate_clock_sync(w, samples,
                                        prev=self._clock_prev.get(w))
             self._clock_prev[w] = sync
@@ -690,44 +490,15 @@ class ProcessPool:
         whose T factors were copied out of shared memory, so
         ``apply_q`` replay works exactly as for the other backends.
         """
-        plan_obj = None
-        if isinstance(graph, TaskGraph):
-            g = graph
-        else:
-            g = getattr(graph, "graph", None)
-            if not isinstance(g, TaskGraph):
-                raise TypeError(
-                    f"expected a TaskGraph or a Plan, got "
-                    f"{type(graph).__name__}")
-            plan_obj = graph
-        if numeric not in ("auto", "numpy", "lapack"):
-            raise ValueError(
-                f"numeric must be 'auto', 'numpy' or 'lapack', "
-                f"got {numeric!r}")
-        dtype = tiled.array.dtype
-        if numeric == "lapack" and not lapack_batched_supported(dtype):
-            raise ValueError(
-                f"numeric='lapack' does not support dtype {dtype}")
-        use_lapack = (numeric == "lapack"
-                      or (numeric == "auto"
-                          and lapack_batched_supported(dtype)))
+        use_lapack = use_lapack_factors(numeric, tiled.array.dtype)
         backend_name = "lapack" if use_lapack else "reference"
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        if bus is not None and not getattr(bus, "enabled", True):
-            bus = None
-        if metrics is None and collect_metrics:
-            metrics = MetricsRegistry()
-        ib = _clamp_ib(ib, tiled.nb, metrics)
+        plan, ctx, bus = _prepare(graph, tiled, backend_name, ib, tracer,
+                                  metrics, collect_metrics, bus,
+                                  self.workers)
+        g, tracer, metrics, ib = ctx.graph, ctx.tracer, ctx.metrics, ctx.ib
         panel_starts(tiled.nb, ib)  # validate ib >= 1 before dispatch
-        ctx = ExecutionContext(tiled=tiled, graph=g,
-                               backend=get_backend(backend_name), ib=ib,
-                               tracer=tracer, metrics=metrics)
         n = len(g.tasks)
         if metrics is not None:
-            metrics.counter("scheduler.tasks_total").inc(n)
-            metrics.gauge("scheduler.workers", keep_samples=False).set(
-                self.workers)
             metrics.counter(f"procpool.start_method.{self.start_method}"
                             ).inc()
             metrics.counter("procpool.numeric." + (
@@ -736,35 +507,19 @@ class ProcessPool:
             return ctx
         self._ensure_started()
 
-        # ---- flattened dispatch arrays (plan-cached when possible) ----
-        tasks = g.tasks
-        if plan_obj is not None and hasattr(plan_obj, "dispatch_arrays"):
-            da = plan_obj.dispatch_arrays()
-        else:
-            da = dispatch_arrays(g)
-        fmap: dict[tuple[int, int, str], int] = {
-            (t.row, t.col, _KIND[t.kernel]): int(da.fslot[t.tid])
-            for t in tasks if t.kernel in _FACTOR_KERNELS}
-
-        npanels = len(panel_starts(tiled.nb, ib))
-        idx = plan_obj.index if plan_obj is not None else g.index()
-        prio = (np.asarray(plan_obj.bottom_levels(), dtype=np.float64)
-                if plan_obj is not None
-                and hasattr(plan_obj, "bottom_levels") else None)
-        mean_w = float(idx.weights.mean()) if idx.weights.size else 1.0
-        batch_size = resolve_batch(batch, tiled.nb, mean_w,
+        weights = g.index().weights
+        batch_size = resolve_batch(batch, tiled.nb, float(weights.mean()),
                                    workers=self.workers)
         if metrics is not None:
             metrics.gauge("procpool.batch.size", keep_samples=False).set(
                 batch_size)
+        core = FrontierCore(plan if plan is not None else g, batch_size,
+                            metrics)
+        da = core.da
 
         pool = SharedTilePool(tiled)
-        # LAPACK kernels emit one (ib, nb) compact-WY T per padded
-        # factor task; the reference kernels a (npanels, ib, ib) panel
-        # stack.  Size the shared T store for whichever runs.
-        tshape = ((max(1, da.nfactor), ib, tiled.nb) if use_lapack
-                  else (max(1, da.nfactor), npanels, ib, ib))
-        tstore = SharedArray(tshape, dtype)
+        tstore = SharedArray(GroupExecutor.tstore_shape(
+            da.nfactor, tiled.nb, ib, compact=use_lapack), tiled.array.dtype)
         try:
             # The relay keeps pointing at this bus after the run
             # returns: mp.Queue feeder threads give no cross-queue
@@ -781,9 +536,8 @@ class ProcessPool:
             base_done = self._relay.pumped("task_done")
             base_spans = self._relay.pumped("task_spans")
             base_dropped = self._relay.dropped
-            cfg = {"nb": tiled.nb, "ib": ib, "q": tiled.q,
-                   "backend": backend_name, "publish": bus is not None,
-                   "trace": dtracer is not None, "lapack": use_lapack}
+            cfg = {"ib": ib, "q": tiled.q, "backend": backend_name,
+                   "publish": bus is not None, "trace": dtracer is not None}
             for inq in self._inqs:
                 inq.put(("run", pool.handle(), tstore.handle(), cfg))
             self._await("ready", self.workers)
@@ -797,8 +551,8 @@ class ProcessPool:
             self._sched_ok = 0
             err: BaseException | None = None
             try:
-                self._schedule(g, idx, prio, da, batch_size,
-                               on_task_done, tracer, metrics, bus)
+                self._schedule(g, core, batch_size, on_task_done, tracer,
+                               metrics, bus)
             except BaseException as exc:
                 err = exc
             # detach the workers even after a failed run, so the pool
@@ -853,31 +607,9 @@ class ProcessPool:
                 raise err
             if bus is not None:
                 bus.publish("run_done", count=n, value=bus.now())
-            # copy T factors out of shared memory before the unlink,
-            # sliced to each tile's valid reflector count (the same
-            # convention as the batched backend's task_tfactor), so
-            # apply_q replays against the ragged tile views
-            tf = ctx.tfactors
-            ts = tstore.array
-            for (row, col, kind), fs in fmap.items():
-                if kind == "ge":
-                    k = min(tiled.row_height(row), tiled.col_width(col))
-                else:  # stacked kernels: one reflector per valid column
-                    k = tiled.col_width(col)
-                if use_lapack:
-                    # reflectors past k have tau = 0, so their T rows
-                    # and columns are zero — the [:min(ib,k), :k]
-                    # corner is the T of the valid reflectors
-                    ibk = max(1, min(ib, k))
-                    l = (min(tiled.row_height(row), tiled.col_width(col))
-                         if kind == "tt" else 0)
-                    tf[(row, col, kind)] = LapackT(
-                        np.array(ts[fs, :ibk, :k]), ibk, l)
-                    continue
-                t = TFactor(ib=ib)
-                for pi, (_, jb) in enumerate(panel_starts(k, ib)):
-                    t.blocks.append(np.array(ts[fs, pi, :jb, :jb]))
-                tf[(row, col, kind)] = t
+            # one copy of the T store out of shared memory before the
+            # unlink; the context's T factors are views into it
+            record_tfactors(ctx, da, np.array(tstore.array), use_lapack)
             pool.scatter()
         finally:
             pool.close()
@@ -893,49 +625,30 @@ class ProcessPool:
         deadline = time.monotonic() + deadline_s
         got = 0
         while got < count:
-            try:
-                msg = self._done_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                self._check_alive()
-                if time.monotonic() > deadline:
-                    self._broken = True
-                    self.close(timeout=0.1)
-                    raise RuntimeError(
-                        f"timed out waiting for worker {expect!r} acks")
-                continue
-            if msg[0] == expect:
-                got += 1
-            elif msg[0] == "error":
-                self._broken = True
-                self.close(timeout=0.1)
-                raise RuntimeError(
-                    f"worker failed during {expect!r}:\n{msg[3]}")
             # anything else is a stale completion from an aborted run
+            got += self._recv(deadline, f"worker {expect!r} acks")[0] == expect
 
-    def _schedule(self, g, idx, prio, da, batch_size, on_task_done,
-                  tracer, metrics, bus) -> None:
-        """Rolling ready-frontier over the CSR index, in micro-batches.
+    def _schedule(self, g, core, batch_size, on_task_done, tracer,
+                  metrics, bus) -> None:
+        """Rolling ready-frontier over the core, in micro-batches.
 
         Tasks are dispatched the moment their last predecessor
         retires, highest bottom-level first, grouped with up to
         ``batch_size - 1`` compatible (same-kernel) ready peers per
-        descriptor, to the worker with the least outstanding *weight*
+        group, to the worker with the least outstanding *weight*
         (Table-1 units).  The in-flight cap counts constituent
-        *tasks*, not descriptors, so one giant group can never hoard
-        a multiple of the intended prefetch depth while other workers
+        *tasks*, not groups, so one giant group can never hoard a
+        multiple of the intended prefetch depth while other workers
         starve: ``1 + _PREFETCH`` tasks for unbatched dispatch, two
-        descriptors' worth (``2 * batch_size``) when batching — with
-        a refill hysteresis that tops a worker up only once it is
-        down to its final descriptor, letting ready successors pool
-        into full groups between refills.
+        groups' worth (``2 * batch_size``) when batching — with a
+        refill hysteresis that tops a worker up only once it is down
+        to its final group, letting ready successors pool into full
+        groups between refills.
         """
-        codes, weights = da.codes, idx.weights
-        rows, pivs, cols = da.rows, da.pivs, da.cols
-        js, fslot, src = da.js, da.fslot, da.src
+        da, weights = core.da, core.weights
+        codes, src = da.codes, da.src
         n = len(codes)
         W = self.workers
-        indeg = idx.indegree
-        succ_ptr, succ_adj = idx.succ_ptr, idx.succ_adj
         dtracer = (tracer if isinstance(tracer, DistributedTracer)
                    else None)
         epoch = tracer.epoch if tracer is not None else time.perf_counter()
@@ -944,13 +657,9 @@ class ProcessPool:
         # persistent pool carries nothing across runs
         pending = self._pending
         pending.clear()
-
-        frontier = GroupFrontier(codes, batch_size, src=src)
-        t_ready = (time.perf_counter() - epoch
-                   if tracer is not None else 0.0)
-        for tid in np.flatnonzero(indeg == 0).tolist():
-            frontier.push(tid, -prio[tid] if prio is not None else 0.0)
-            if tracer is not None:
+        if tracer is not None:
+            t_ready = time.perf_counter() - epoch
+            for tid in core.sources.tolist():
                 pending[tid] = [t_ready, -1.0, -1]
         load = [0] * W          # in-flight tasks (the capacity unit)
         wload = [0.0] * W       # in-flight weight (the placement key)
@@ -959,47 +668,34 @@ class ProcessPool:
         abort_exc: BaseException | None = None
         # batch == 1: the classic rolling frontier — dispatch the
         # moment a worker has room, _PREFETCH tasks deep.  batch > 1:
-        # keep the pipeline two descriptors deep with a refill
-        # *hysteresis* — top a worker up only once it is down to its
-        # last descriptor's worth of tasks, so ready successors pool
-        # in the frontier between refills and form full groups
-        # instead of draining one by one as singletons (transit stays
-        # hidden behind the in-flight descriptor).
-        if batch_size == 1:
-            cap = 1 + _PREFETCH
-        else:
-            cap = 2 * batch_size
+        # keep the pipeline two groups deep with a refill *hysteresis*
+        # — top a worker up only once it is down to its last group's
+        # worth of tasks, so ready successors pool in the frontier
+        # between refills and form full groups instead of draining one
+        # by one as singletons (transit stays hidden behind the
+        # in-flight group).
+        cap = 1 + _PREFETCH if batch_size == 1 else 2 * batch_size
         refill_at = cap - batch_size
         track_batch = metrics is not None and batch_size > 1
 
         def _encode(code, tids) -> tuple:
-            ix = np.asarray(tids, dtype=np.intp)
-            return (tuple(tids), int(code),
-                    tuple(rows[ix].tolist()),
-                    tuple(pivs[ix].tolist()),
-                    tuple(cols[ix].tolist()),
-                    tuple(js[ix].tolist()),
-                    tuple(fslot[ix].tolist()),
-                    tuple(src[ix].tolist()))
+            return (tuple(tids), int(code)) + tuple(
+                tuple(col.tolist()) for col in da.take(tids))
 
         def dispatch() -> None:
             nonlocal outstanding
             t_disp = -1.0
             # groups bound for the same worker in this dispatch wave
-            # coalesce into ONE multi-group descriptor: the heavy
-            # apply group and the lone factor task popped next to it
-            # share a single queue round-trip and a single completion
-            # message instead of paying the per-message cost twice.
-            # Placement and execution order are exactly what per-group
-            # messages would produce — only the framing changes.
+            # share ONE work message: the heavy apply group and the
+            # lone factor task popped next to it share a single queue
+            # round-trip and a single completion.
             out: dict[int, list] = {}
-            while len(frontier) and abort_exc is None:
+            while len(core) and abort_exc is None:
                 cands = [i for i in range(W) if load[i] <= refill_at]
                 if not cands:
                     break
                 w = min(cands, key=lambda i: (wload[i], load[i]))
-                room = cap - load[w]
-                code, tids = frontier.pop_group(limit=room)
+                code, tids = core.pop(limit=cap - load[w])
                 if tracer is not None:
                     if t_disp < 0.0:
                         # one stamp per dispatch wave — tasks pushed in
@@ -1009,11 +705,10 @@ class ProcessPool:
                         ent = pending[tid]
                         ent[1] = t_disp
                         ent[2] = w
-                out.setdefault(w, []).append((code, tids))
+                out.setdefault(w, []).append(_encode(code, tids))
                 k = len(tids)
                 load[w] += k
-                wload[w] += float(weights[tids].sum()) if k > 1 \
-                    else float(weights[tids[0]])
+                wload[w] += float(weights[tids].sum())
                 outstanding += k
                 if metrics is not None:
                     metrics.counter("procpool.dispatched").inc(k)
@@ -1021,90 +716,27 @@ class ProcessPool:
                         metrics.counter("procpool.batch.groups").inc()
                         metrics.histogram(
                             "procpool.batch.group_size",
-                            buckets=_SIZE_BUCKETS).observe(k)
+                            buckets=SIZE_BUCKETS).observe(k)
                         if k > 1 and int(src[tids[0]]) >= 0:
                             hits = dedup_hits(src[tids])
                             if hits:
                                 metrics.counter(
                                     "procpool.batch.dedup_hits").inc(hits)
             for w, groups in out.items():
-                if len(groups) == 1 and len(groups[0][1]) == 1:
-                    code, tids = groups[0]
-                    tid = tids[0]
-                    self._inqs[w].put((
-                        "task", tid, int(code), int(rows[tid]),
-                        int(pivs[tid]), int(cols[tid]), int(js[tid]),
-                        int(fslot[tid]), int(src[tid])))
-                elif len(groups) == 1:
-                    code, tids = groups[0]
-                    self._inqs[w].put(("grp",) + _encode(code, tids))
-                else:
-                    self._inqs[w].put((
-                        "mgrp", tuple(_encode(c, t) for c, t in groups)))
+                self._inqs[w].put(("groups", tuple(groups)))
                 if track_batch:
                     metrics.counter("procpool.batch.descriptors").inc()
 
-        def release_group(tids, now: float) -> None:
-            """Vectorized successor release for a retired descriptor.
-
-            One ``np.subtract.at`` over the concatenated successor
-            slices replaces K Python decrement loops; a successor fed
-            by several group members is decremented once per edge, and
-            the newly-ready set is pushed in ascending-tid order (the
-            heap key decides execution order, so push order only
-            breaks priority ties).
-            """
-            slices = [succ_adj[succ_ptr[t]:succ_ptr[t + 1]]
-                      for t in tids]
-            alls = np.concatenate(slices)
-            if not alls.size:
-                return
-            np.subtract.at(indeg, alls, 1)
-            newly = alls[indeg[alls] == 0]
-            if not newly.size:
-                return
-            for s in np.unique(newly).tolist():
-                frontier.push(s, -prio[s] if prio is not None else 0.0)
-                if tracer is not None:
-                    pending[s] = [now, -1.0, -1]
-
-        def retire(tid: int, w: int, share: float, now: float,
-                   release: bool = True) -> None:
-            nonlocal abort_exc
-            if release and abort_exc is None:
-                for s in succ_adj[succ_ptr[tid]:
-                                  succ_ptr[tid + 1]].tolist():
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        frontier.push(
-                            s, -prio[s] if prio is not None else 0.0)
-                        if tracer is not None:
-                            # ready the instant this retirement lands —
-                            # reuse its stamp
-                            pending[s] = [now, -1.0, -1]
-            task = g.tasks[tid]
-            if dtracer is not None:
-                ent = pending.pop(tid)
-                dtracer.record_parent(task, ent[0], ent[1], now, w,
-                                      dt=share)
-            elif tracer is not None:
-                ent = pending.pop(tid)
-                tracer.record(task, ent[1], max(ent[1], now - share),
-                              now, worker=w)
-            if metrics is not None:
-                name = task.kernel.value
-                metrics.counter(f"tasks.retired.{name}").inc()
-                metrics.histogram(f"kernel.seconds.{name}").observe(share)
-            if on_task_done is not None and abort_exc is None:
-                try:
-                    on_task_done(task, completed, n)
-                except BaseException as exc:
-                    abort_exc = exc
+        def book_out(w: int, tids) -> None:
+            nonlocal outstanding
+            load[w] -= len(tids)
+            wload[w] -= float(weights[list(tids)].sum())
+            outstanding -= len(tids)
 
         dispatch()
         if bus is not None:
-            bus.publish("frontier", value=float(len(frontier)),
-                        count=outstanding + len(frontier))
+            bus.publish("frontier", value=float(len(core)),
+                        count=outstanding + len(core))
         while completed < n:
             if abort_exc is not None and outstanding == 0:
                 break
@@ -1114,67 +746,57 @@ class ProcessPool:
                 self._check_alive()
                 continue
             kind = msg[0]
-            if kind == "done":
-                _, w, tids, dt = msg
-                tids = (tids,) if isinstance(tids, int) else tids
-                k = len(tids)
-                load[w] -= k
-                wload[w] -= (float(weights[list(tids)].sum()) if k > 1
-                             else float(weights[tids[0]]))
-                outstanding -= k
-                completed += k
-                self._sched_ok += k
-                share = dt / k
-                now = (time.perf_counter() - epoch
-                       if tracer is not None else 0.0)
-                if k > 1:
-                    if abort_exc is None:
-                        release_group(tids, now)
-                    for tid in tids:
-                        retire(tid, w, share, now, release=False)
-                else:
-                    retire(tids[0], w, share, now)
-                if abort_exc is None:
-                    dispatch()
-                if bus is not None:
-                    bus.publish("frontier", value=float(len(frontier)),
-                                count=outstanding + len(frontier))
-            elif kind == "mdone":
-                # one completion for a whole multi-group descriptor
+            if kind == "retired":
+                # one completion for a whole work message
                 _, w, parts = msg
                 all_tids = [t for tids, _ in parts for t in tids]
-                k = len(all_tids)
-                load[w] -= k
-                wload[w] -= float(weights[all_tids].sum())
-                outstanding -= k
-                completed += k
-                self._sched_ok += k
+                book_out(w, all_tids)
+                self._sched_ok += len(all_tids)
                 now = (time.perf_counter() - epoch
                        if tracer is not None else 0.0)
                 if abort_exc is None:
-                    release_group(all_tids, now)
+                    newly = core.retire(all_tids)
+                    if tracer is not None:
+                        # ready the instant this retirement lands
+                        for s in newly.tolist():
+                            pending[s] = [now, -1.0, -1]
                 for tids, dt in parts:
                     share = dt / len(tids)
                     for tid in tids:
-                        retire(tid, w, share, now, release=False)
+                        completed += 1
+                        task = g.tasks[tid]
+                        if dtracer is not None:
+                            ent = pending.pop(tid)
+                            dtracer.record_parent(task, ent[0], ent[1],
+                                                  now, w, dt=share)
+                        elif tracer is not None:
+                            ent = pending.pop(tid)
+                            tracer.record(task, ent[1],
+                                          max(ent[1], now - share), now,
+                                          worker=w)
+                        if metrics is not None:
+                            name = task.kernel.value
+                            metrics.counter(f"tasks.retired.{name}").inc()
+                            metrics.histogram(
+                                f"kernel.seconds.{name}").observe(share)
+                        if on_task_done is not None and abort_exc is None:
+                            try:
+                                on_task_done(task, completed, n)
+                            except BaseException as exc:
+                                abort_exc = exc
                 if abort_exc is None:
                     dispatch()
                 if bus is not None:
-                    bus.publish("frontier", value=float(len(frontier)),
-                                count=outstanding + len(frontier))
+                    bus.publish("frontier", value=float(len(core)),
+                                count=outstanding + len(core))
             elif kind == "error":
                 _, w, tids, tb = msg
-                tids = (tids,) if isinstance(tids, int) else tids
-                k = len(tids)
-                load[w] -= k
-                wload[w] -= (float(weights[list(tids)].sum()) if k > 1
-                             else float(weights[tids[0]]))
-                outstanding -= k
-                completed += k
+                book_out(w, tids)
+                completed += len(tids)
                 if abort_exc is None:
-                    tid = tids[0]
                     abort_exc = RuntimeError(
-                        f"task {tid} ({_CODE_TO_NAME[int(codes[tid])]}) "
+                        f"task {tids[0]} "
+                        f"({_CODE_TO_NAME[int(codes[tids[0]])]}) "
                         f"failed in worker {w}:\n{tb}")
             # "ready"/"closed" acks never interleave with completions
         if abort_exc is not None:
@@ -1205,13 +827,10 @@ def execute_process(
     ``batch`` controls micro-batched dispatch (``"auto"``/``"off"``/N;
     see :func:`repro.runtime.groups.resolve_batch`).
     """
+    kw = dict(ib=ib, numeric=numeric, batch=batch, on_task_done=on_task_done,
+              tracer=tracer, metrics=metrics,
+              collect_metrics=collect_metrics, bus=bus)
     if pool is not None:
-        return pool.run(graph, tiled, ib=ib, numeric=numeric, batch=batch,
-                        on_task_done=on_task_done, tracer=tracer,
-                        metrics=metrics, collect_metrics=collect_metrics,
-                        bus=bus)
+        return pool.run(graph, tiled, **kw)
     with ProcessPool(workers=workers, start_method=start_method) as p:
-        return p.run(graph, tiled, ib=ib, numeric=numeric, batch=batch,
-                     on_task_done=on_task_done, tracer=tracer,
-                     metrics=metrics, collect_metrics=collect_metrics,
-                     bus=bus)
+        return p.run(graph, tiled, **kw)

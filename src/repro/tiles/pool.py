@@ -99,9 +99,9 @@ class TilePool:
         """Store a batch back into the pool slots (inverse of :meth:`take`).
 
         ``slots`` must be duplicate-free — duplicated slots would make
-        the write order-dependent.  The batched executor guarantees
-        this: two tasks of one independent (level, kernel) group never
-        write the same tile.
+        the write order-dependent.  The runtime's groups guarantee
+        this: two mutually independent tasks never write the same
+        tile.
         """
         self.stack[np.asarray(slots, dtype=np.intp)] = batch
 

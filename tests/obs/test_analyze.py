@@ -141,6 +141,27 @@ class TestAcceptanceGrid:
         assert s["utilization"] == report.utilization
 
 
+class TestPaperLowerBound:
+    """Theorem 1(3)'s ``22q - 30`` is attached only where it is
+    verified (``p >= 2q``): the paper's own Table 5 breaks it on
+    near-square grids, and a printed "lower bound" above an achieved
+    critical path is wrong."""
+
+    @pytest.mark.parametrize("q,cp", [(37, 780), (38, 796), (39, 812),
+                                      (40, 826)])
+    def test_table5_near_square_rows_get_no_bound(self, q, cp):
+        report = analyze_sim(simulate("greedy", 40, q))
+        assert report.critical_path.length == cp
+        assert cp < 22 * q - 30  # the bound would be violated
+        assert "paper_cp_lower_bound" not in report.bounds
+
+    def test_attached_from_p_equal_2q(self):
+        report = analyze_sim(simulate("greedy", 40, 20))
+        bound = report.bounds["paper_cp_lower_bound"]
+        assert bound == 22 * 20 - 30
+        assert report.critical_path.length >= bound
+
+
 class TestDispatch:
     def test_sim_result(self):
         res = simulate("greedy", 8, 4, processors=4)

@@ -26,8 +26,8 @@ class TestEvent:
                      "kernel": "geqrt", "value": 0.25}
 
     def test_round_trip(self):
-        ev = Event("group_done", t=2.0, seq=9, kernel="tsmqr", level=4,
-                   count=12, worker=0, value=0.125)
+        ev = Event("group_done", t=2.0, seq=9, kernel="tsmqr", count=12,
+                   worker=0, value=0.125)
         assert Event.from_dict(ev.to_dict()) == ev
 
     def test_from_dict_ignores_unknown_keys(self):
@@ -36,7 +36,6 @@ class TestEvent:
 
     def test_vocabulary_is_fixed(self):
         assert "task_start" in EVENT_KINDS
-        assert "level_start" in EVENT_KINDS
         assert "group_start" in EVENT_KINDS
         assert "frontier" in EVENT_KINDS
 
@@ -200,7 +199,6 @@ class TestLiveState:
         bus.publish("task_done", tid=0, kernel="geqrt", worker=0,
                     value=0.01)
         bus.publish("frontier", value=3.0)
-        bus.publish("level_start", level=2)
 
     def test_push_mode(self):
         bus = EventBus()
@@ -208,7 +206,7 @@ class TestLiveState:
         self._feed(state, bus)
         v = state.view()
         assert v["total"] == 4 and v["done"] == 1 and v["workers"] == 2
-        assert v["frontier"] == 3 and v["level"] == 2
+        assert v["frontier"] == 3
         assert v["kernel_done"] == {"geqrt": 1}
 
     def test_pull_mode_drains_on_view(self):
@@ -297,7 +295,6 @@ class TestExecutorPublishing:
         groups = pl.level_groups()
         assert kinds.count("group_start") == len(groups)
         assert kinds.count("group_done") == len(groups)
-        assert kinds.count("level_start") == groups[-1].level + 1
         done = sum(e.count for e in events if e.kind == "group_done")
         assert done == n
         assert events[-1].kind == "run_done" and events[-1].count == n

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import factor, plan
 from repro.dag.tasks import Kernel
-from repro.runtime import execute_graph, level_kernel_groups
+from repro.runtime import execute_graph
 from repro.runtime.executor import _clamp_ib
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
@@ -70,31 +70,6 @@ class TestBatchedFactorization:
             factor(a, nb=NB, mode="warp")
 
 
-class TestLevelGroups:
-    def test_partition_and_independence(self):
-        pl = plan(6, 4, "greedy")
-        groups = pl.level_groups()
-        assert pl.level_groups() is groups  # memoized
-        seen = np.concatenate([g.tids for g in groups])
-        assert sorted(seen.tolist()) == list(range(len(pl.graph.tasks)))
-        idx = pl.graph.index()
-        for g in groups:
-            assert np.all(idx.level[g.tids] == g.level)
-            kinds = {pl.graph.tasks[t].kernel for t in g.tids.tolist()}
-            assert kinds == {g.kernel}
-        # levels ascend, kernels grouped within a level
-        lv = [g.level for g in groups]
-        assert lv == sorted(lv)
-
-    def test_accepts_graph_or_plan(self):
-        pl = plan(4, 3, "fibonacci")
-        a = level_kernel_groups(pl)
-        b = level_kernel_groups(pl.graph)
-        assert len(a) == len(b)
-        with pytest.raises(TypeError):
-            level_kernel_groups(object())
-
-
 class TestBatchedObservability:
     def _run(self, rng, **kw):
         from repro.obs.tracer import Tracer
@@ -115,14 +90,13 @@ class TestBatchedObservability:
         groups = pl.level_groups()
         assert len(tracer) == len(groups)
         assert m.counter("batched.groups").value == len(groups)
-        assert m.counter("batched.levels").value == groups[-1].level + 1
         retired = sum(m.counter(f"tasks.retired.{k.value}").value
                       for k in Kernel)
         assert retired == len(pl.graph.tasks)
         hist = m.get("batched.group_size")
         assert hist is not None and hist.count == len(groups)
-        # span names carry the batch size and level
-        assert "[x" in tracer.spans[0].name and "@L" in tracer.spans[0].name
+        # span names carry the group size
+        assert "[x" in tracer.spans[0].name
 
     def test_analyze_tracer_consumes_group_spans(self, rng):
         from repro.obs.analyze import analyze_tracer
