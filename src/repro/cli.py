@@ -133,7 +133,7 @@ def _sweep_problem(spec: str, args) -> int:
         print(f"sweep: bad --processors list {args.processors!r}",
               file=sys.stderr)
         return 2
-    work = float(sum(t.weight for t in pl.graph.tasks))
+    work = float(pl.total_weight())
     cp = pl.critical_path()
     rows = []
     for P in procs:
@@ -143,7 +143,7 @@ def _sweep_problem(spec: str, args) -> int:
                      round(lower / rep.makespan, 3)])
     print(format_table(
         ["P", "makespan", "ALAP bound", "efficiency"], rows,
-        title=f"{pl.scheme} ({pl.problem}): {len(pl.graph.tasks)} tasks, "
+        title=f"{pl.scheme} ({pl.problem}): {len(pl.graph)} tasks, "
               f"work {work:g}, critical path {cp:g}"))
     return 0
 
@@ -235,7 +235,7 @@ def _progress_setup(pl, nb: int, workers, mode: str, label: str,
     if bus is None:
         bus = EventBus()
     if state is None:
-        state = LiveState(total=len(pl.graph.tasks), nb=nb).connect(bus)
+        state = LiveState(total=len(pl.graph), nb=nb).connect(bus)
     replay = pl.replay(procs)
     renderer = ProgressRenderer(
         state, replay, clock=bus.now, totals=kernel_totals(pl),
@@ -552,7 +552,7 @@ def _cmd_profile(args) -> int:
 
         # --events wants every event of the run in the ring at the
         # end; 4x tasks covers start/done plus group/frontier records
-        ntasks = len(pl.graph.tasks)
+        ntasks = len(pl.graph)
         bus = EventBus(capacity=max(4096, 4 * ntasks))
         state = LiveState(total=ntasks, nb=nb).connect(bus)
         metrics_reg = MetricsRegistry()

@@ -1,21 +1,13 @@
 """Flat numpy index of a task graph — the simulator's substrate (S10).
 
-A :class:`TaskGraph` stores tasks as Python objects with per-task
-dependency lists, which is the right shape for construction and
-inspection but the wrong one for the simulators: walking millions of
-``Task.deps`` lists dominates the runtime of
-:func:`~repro.sim.simulate.simulate_unbounded` on large grids.
-
-:class:`GraphIndex` converts the graph once into CSR-style arrays —
-predecessor and successor adjacency, per-task weights, and a
-topological *level* decomposition (level of a task = length of the
-longest edge path reaching it).  All tasks of one level have every
-predecessor in strictly earlier levels, so a forward (or reverse) pass
-over levels can be expressed with ``np.maximum.reduceat`` over
-pre-gathered segments instead of a per-task Python loop.  The arrays
-also back the plan cache's on-disk format
-(:mod:`repro.planner`), so a cached plan skips both dataflow inference
-and re-indexing.
+:class:`GraphIndex` extends a :class:`TaskGraph`'s predecessor CSR
+(its ``dep_ptr``/``dep_adj`` columns) with everything the simulators
+walk: successor adjacency, per-task weights, and a topological *level*
+decomposition (level of a task = length of the longest edge path
+reaching it).  All tasks of one level have every predecessor in
+strictly earlier levels, so a forward (or reverse) pass over levels
+can be expressed with ``np.maximum.reduceat`` over pre-gathered
+segments instead of a per-task Python loop.
 
 The index is immutable by convention: it is built from a fully
 constructed graph (``TaskGraph.index()`` memoizes it) and shared by
@@ -125,20 +117,13 @@ class GraphIndex:
 def build_index(graph: "TaskGraph") -> GraphIndex:
     """Build the :class:`GraphIndex` of ``graph``.
 
-    One O(tasks + edges) pass; prefer the memoized
-    :meth:`TaskGraph.index` over calling this directly.
+    Reads the graph's columns; one O(tasks + edges) pass.  Prefer the
+    memoized :meth:`TaskGraph.index` over calling this directly.
     """
-    tasks = graph.tasks
-    n = len(tasks)
-    weights = np.fromiter((t.weight for t in tasks), dtype=np.float64,
-                          count=n)
-    dep_counts = np.fromiter((len(t.deps) for t in tasks), dtype=np.int64,
-                             count=n)
-    ne = int(dep_counts.sum())
-    pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(dep_counts, out=pred_ptr[1:])
-    pred_adj = np.fromiter((d for t in tasks for d in t.deps),
-                           dtype=np.int64, count=ne)
+    n = len(graph)
+    weights = graph.weights
+    pred_ptr, pred_adj = graph.dep_ptr, graph.dep_adj
+    dep_counts = np.diff(pred_ptr)
 
     # successors: edges are (target asc, dep) in pred_adj; a stable
     # sort by source groups them into CSR with ascending targets,

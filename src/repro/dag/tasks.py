@@ -6,6 +6,12 @@ A :class:`Task` is one kernel invocation — ``GEQRT(i,k)``,
 :class:`TaskGraph` is the full DAG of a factorization, in a
 topologically valid emission order (program order of the elimination
 list), ready for the discrete-event simulator or a runtime executor.
+
+The graph stores *columns*, not objects: one flat array per task field
+plus the dependency lists in CSR form — exactly the arrays of
+:meth:`TaskGraph.to_arrays`.  Every hot consumer (index, simulators,
+analytics, executors) reads the columns; :attr:`TaskGraph.tasks`
+materializes :class:`Task` objects only when something asks for them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from ..kernels.costs import KERNEL_WEIGHTS, Kernel
+from ..kernels.costs import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import GraphIndex
@@ -24,7 +30,24 @@ __all__ = ["Task", "TaskGraph"]
 
 #: stable kernel <-> integer coding for the array form of a graph
 KERNEL_CODES: tuple[Kernel, ...] = tuple(Kernel)
-_KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
+
+#: codes of the kernels that zero a tile (``TaskGraph.zero_task``)
+_ZERO_CODES = [KERNEL_CODES.index(k) for k in (Kernel.TSQRT, Kernel.TTQRT)]
+
+#: column name in :meth:`TaskGraph.to_arrays` -> (attribute, dtype)
+_COLUMNS = {"kernel": ("codes", np.int8), "row": ("rows", np.int32),
+            "piv": ("pivs", np.int32), "col": ("cols", np.int32),
+            "j": ("js", np.int32), "weight": ("weights", np.float64),
+            "dep_ptr": ("dep_ptr", np.int64),
+            "dep_adj": ("dep_adj", np.int64)}
+
+
+def _label(kernel: Kernel, row: int, piv: Optional[int], col: int,
+           j: Optional[int]) -> str:
+    """Paper-style 1-based rendering, e.g. ``TTMQR(3,1,1,2)``."""
+    args = [row + 1] + ([] if piv is None else [piv + 1]) + [col + 1] + (
+        [] if j is None else [j + 1])
+    return f"{kernel}({','.join(map(str, args))})"
 
 
 @dataclass(slots=True)
@@ -63,84 +86,107 @@ class Task:
     deps: list[int] = field(default_factory=list)
 
     def __str__(self) -> str:
-        args = [str(self.row + 1)]
-        if self.piv is not None:
-            args.append(str(self.piv + 1))
-        args.append(str(self.col + 1))
-        if self.j is not None:
-            args.append(str(self.j + 1))
-        return f"{self.kernel}({','.join(args)})"
+        return _label(self.kernel, self.row, self.piv, self.col, self.j)
 
 
 class TaskGraph:
-    """The kernel DAG of one tiled QR factorization.
+    """The kernel DAG of one tiled factorization, stored as columns.
 
-    Tasks are stored in a topologically valid order (dependencies point
-    to earlier indices).  ``zero_task[(i, k)]`` maps each sub-diagonal
-    tile to the id of the task that zeroes it (its TSQRT/TTQRT), which
-    is what the paper's "time-step at which the tile is zeroed out"
-    tables report.
+    Tasks are in a topologically valid order (dependencies point to
+    earlier indices).  Task ``tid``'s fields are ``codes[tid]`` (its
+    position in :data:`KERNEL_CODES`), ``rows``, ``pivs``, ``cols``,
+    ``js`` (``-1`` for "none") and ``weights``; its predecessors are
+    ``dep_adj[dep_ptr[tid]:dep_ptr[tid + 1]]``.  The constructor takes
+    them as an ``arrays`` dict in the form of :meth:`to_arrays` (none:
+    an empty graph).  The columns are read-only and may be shared
+    between graphs (:meth:`with_weights`).
+
+    :attr:`tasks` builds the :class:`Task` objects on first access —
+    O(tasks) Python objects, cached for the graph's lifetime — for
+    object-level consumers (observers, DOT/networkx export, the
+    simulators' reference oracles).  ``zero_task[(i, k)]`` maps each
+    sub-diagonal tile to the id of the task that zeroes it (its
+    TSQRT/TTQRT), which is what the paper's "time-step at which the
+    tile is zeroed out" tables report.
     """
 
-    def __init__(self, p: int, q: int, name: str = "", problem: str = "qr"):
+    def __init__(self, p: int, q: int, name: str = "", problem: str = "qr",
+                 arrays: Optional[dict[str, np.ndarray]] = None):
         self.p = p
         self.q = q
         self.name = name
         #: problem family that produced this DAG ("qr", "cholesky", "lu");
         #: analytics and trace metadata label reports with it.
         self.problem = problem
-        self.tasks: list[Task] = []
-        self.zero_task: dict[tuple[int, int], int] = {}
+        for key, (attr, dtype) in _COLUMNS.items():
+            if arrays is None:
+                col = np.zeros(1 if key == "dep_ptr" else 0, dtype=dtype)
+            else:
+                # a read-only view: the caller's array keeps its flags
+                col = np.asarray(arrays[key], dtype=dtype).view()
+            col.flags.writeable = False
+            setattr(self, attr, col)
+        self._tasks: Optional[list[Task]] = None
+        self._zero_task: Optional[dict[tuple[int, int], int]] = None
         self._index: Optional["GraphIndex"] = None
 
-    def add(
-        self,
-        kernel: Kernel,
-        row: int,
-        piv: Optional[int],
-        col: int,
-        j: Optional[int],
-        deps: list[int],
-        weight: Optional[float] = None,
-    ) -> Task:
-        """Append a task; ``weight`` defaults to the Table-1 cost."""
-        w = float(KERNEL_WEIGHTS[kernel]) if weight is None else float(weight)
-        # dedupe cheaply (dependency lists are tiny: typically 1-5 entries)
-        uniq: list[int] = []
-        for d in deps:
-            if d is not None and d not in uniq:
-                uniq.append(d)
-        t = Task(tid=len(self.tasks), kernel=kernel, row=row, piv=piv,
-                 col=col, j=j, weight=w, deps=uniq)
-        self.tasks.append(t)
-        self._index = None  # structure changed; any memoized index is stale
-        if kernel in (Kernel.TSQRT, Kernel.TTQRT):
-            self.zero_task[(row, col)] = t.tid
-        return t
-
     def __len__(self) -> int:
-        return len(self.tasks)
+        return int(self.codes.size)
 
     def __iter__(self) -> Iterator[Task]:
         return iter(self.tasks)
 
+    @property
+    def tasks(self) -> list[Task]:
+        """The tasks as :class:`Task` objects (built once, then cached)."""
+        if self._tasks is None:
+            ptr, adj = self.dep_ptr.tolist(), self.dep_adj.tolist()
+            self._tasks = [
+                Task(tid=tid, kernel=KERNEL_CODES[c], row=r,
+                     piv=None if pv < 0 else pv, col=k,
+                     j=None if j < 0 else j, weight=w,
+                     deps=adj[ptr[tid]:ptr[tid + 1]])
+                for tid, (c, r, pv, k, j, w) in enumerate(zip(
+                    self.codes.tolist(), self.rows.tolist(),
+                    self.pivs.tolist(), self.cols.tolist(),
+                    self.js.tolist(), self.weights.tolist()))]
+        return self._tasks
+
+    def label(self, tid: int) -> str:
+        """``str(self.tasks[tid])`` without building any Task object."""
+        piv, j = int(self.pivs[tid]), int(self.js[tid])
+        return _label(KERNEL_CODES[self.codes[tid]], int(self.rows[tid]),
+                      None if piv < 0 else piv, int(self.cols[tid]),
+                      None if j < 0 else j)
+
+    @property
+    def zero_task(self) -> dict[tuple[int, int], int]:
+        """``{(i, k): tid}`` of the TSQRT/TTQRT that zeroes tile ``(i, k)``."""
+        if self._zero_task is None:
+            tids = np.flatnonzero(np.isin(self.codes, _ZERO_CODES))
+            self._zero_task = dict(zip(
+                zip(self.rows[tids].tolist(), self.cols[tids].tolist()),
+                tids.tolist()))
+        return self._zero_task
+
     def total_weight(self) -> float:
-        """Sum of task weights (the Section-2.2 invariant ``6pq^2-2q^3``)."""
-        return sum(t.weight for t in self.tasks)
+        """Sum of task weights (the Section-2.2 invariant ``6pq^2-2q^3``),
+        added left to right in task order."""
+        return sum(self.weights.tolist())
 
     def successors(self) -> list[list[int]]:
         """Adjacency list of successors (computed on demand)."""
-        succ: list[list[int]] = [[] for _ in self.tasks]
-        for t in self.tasks:
-            for d in t.deps:
-                succ[d].append(t.tid)
+        ptr, adj = self.dep_ptr.tolist(), self.dep_adj.tolist()
+        succ: list[list[int]] = [[] for _ in range(len(self))]
+        for tid in range(len(self)):
+            for d in adj[ptr[tid]:ptr[tid + 1]]:
+                succ[d].append(tid)
         return succ
 
     def index(self) -> "GraphIndex":
         """The memoized :class:`~repro.dag.index.GraphIndex` of this graph.
 
-        Built on first use and reused by every simulation; appending a
-        task invalidates it.
+        Built on first use and reused by every simulation.
         """
         if self._index is None:
             from .index import build_index  # local: tasks <-> index
@@ -152,64 +198,25 @@ class TaskGraph:
     # flat array form (the plan cache's on-disk representation)
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Dump the graph as a dict of flat numpy arrays.
+        """The graph's columns as a dict of flat (read-only) arrays.
 
         The inverse of :meth:`from_arrays`; ``piv``/``j`` use ``-1``
         for ``None``.  Dependency lists are stored CSR-style
         (``dep_ptr``/``dep_adj``).
         """
-        n = len(self.tasks)
-        kernel = np.fromiter((_KERNEL_TO_CODE[t.kernel] for t in self.tasks),
-                             dtype=np.int8, count=n)
-        row = np.fromiter((t.row for t in self.tasks), dtype=np.int32, count=n)
-        piv = np.fromiter((-1 if t.piv is None else t.piv
-                           for t in self.tasks), dtype=np.int32, count=n)
-        col = np.fromiter((t.col for t in self.tasks), dtype=np.int32, count=n)
-        j = np.fromiter((-1 if t.j is None else t.j
-                         for t in self.tasks), dtype=np.int32, count=n)
-        weight = np.fromiter((t.weight for t in self.tasks),
-                             dtype=np.float64, count=n)
-        counts = np.fromiter((len(t.deps) for t in self.tasks),
-                             dtype=np.int64, count=n)
-        dep_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=dep_ptr[1:])
-        dep_adj = np.fromiter((d for t in self.tasks for d in t.deps),
-                              dtype=np.int64, count=int(dep_ptr[-1]))
-        return {"kernel": kernel, "row": row, "piv": piv, "col": col,
-                "j": j, "weight": weight, "dep_ptr": dep_ptr,
-                "dep_adj": dep_adj}
+        return {key: getattr(self, attr)
+                for key, (attr, _) in _COLUMNS.items()}
 
     @classmethod
     def from_arrays(cls, p: int, q: int, name: str,
-                    arrays: dict[str, np.ndarray]) -> "TaskGraph":
+                    arrays: dict[str, np.ndarray],
+                    problem: str = "qr") -> "TaskGraph":
         """Rebuild a graph dumped by :meth:`to_arrays`.
 
-        Reconstructs tasks directly — no dataflow inference — which is
-        what makes loading a cached plan much cheaper than
-        :func:`~repro.dag.build.build_dag`.
+        No dataflow inference — which is what makes loading a cached
+        plan much cheaper than :func:`~repro.dag.build.build_dag`.
         """
-        g = cls(p, q, name)
-        kernel = arrays["kernel"]
-        row = arrays["row"].tolist()
-        piv = arrays["piv"].tolist()
-        col = arrays["col"].tolist()
-        j = arrays["j"].tolist()
-        weight = arrays["weight"].tolist()
-        dep_ptr = arrays["dep_ptr"].tolist()
-        dep_adj = arrays["dep_adj"].tolist()
-        zero = (Kernel.TSQRT, Kernel.TTQRT)
-        tasks = g.tasks
-        for tid, code in enumerate(kernel.tolist()):
-            k = KERNEL_CODES[code]
-            t = Task(tid=tid, kernel=k, row=row[tid],
-                     piv=None if piv[tid] < 0 else piv[tid],
-                     col=col[tid], j=None if j[tid] < 0 else j[tid],
-                     weight=weight[tid],
-                     deps=dep_adj[dep_ptr[tid]:dep_ptr[tid + 1]])
-            tasks.append(t)
-            if k in zero:
-                g.zero_task[(t.row, t.col)] = tid
-        return g
+        return cls(p, q, name, problem, arrays)
 
     def to_networkx(self):
         """Export as a :class:`networkx.DiGraph` (requires networkx)."""
@@ -229,8 +236,25 @@ class TaskGraph:
         Used to feed *measured* kernel times (seconds) into the
         simulator for the experimental-performance reproduction.
         """
-        out = TaskGraph(self.p, self.q, self.name, problem=self.problem)
-        for t in self.tasks:
-            out.add(t.kernel, t.row, t.piv, t.col, t.j, list(t.deps),
-                    weight=weights[t.kernel])
+        lut = np.zeros(len(KERNEL_CODES))
+        for c in np.unique(self.codes).tolist():
+            lut[c] = float(weights[KERNEL_CODES[c]])
+        return self.with_weights(lut[self.codes])
+
+    def with_weights(self, weights: np.ndarray,
+                     name: Optional[str] = None) -> "TaskGraph":
+        """Copy sharing every structural column, with new per-task weights.
+
+        The copy also shares this graph's index structure
+        (:meth:`GraphIndex.with_weights
+        <repro.dag.index.GraphIndex.with_weights>`): the level
+        decomposition depends only on the edges.
+        """
+        w = np.array(weights, dtype=np.float64)
+        if w.shape != self.weights.shape:
+            raise ValueError(f"weights have shape {w.shape}, expected "
+                             f"{self.weights.shape}")
+        out = TaskGraph(self.p, self.q, self.name if name is None else name,
+                        self.problem, {**self.to_arrays(), "weight": w})
+        out._index = self.index().with_weights(out.weights)
         return out

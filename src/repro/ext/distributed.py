@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dag.tasks import TaskGraph
+from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.costs import Kernel
 from ..schemes.elimination import EliminationList
 from ..sim.simulate import SimResult, bottom_levels
@@ -33,6 +33,10 @@ __all__ = [
     "distributed_graph",
     "simulate_distributed",
 ]
+
+#: the two-row kernels, which pay a transfer when their rows are remote
+_STACKED_CODES = [KERNEL_CODES.index(k) for k in (
+    Kernel.TSQRT, Kernel.TTQRT, Kernel.TSMQR, Kernel.TTMQR)]
 
 
 @dataclass(frozen=True)
@@ -182,15 +186,16 @@ def distributed_graph(
 
     Every stacked kernel (TSQRT/TTQRT/TSMQR/TTMQR) whose two rows live
     on different nodes pays one tile transfer on top of its Table-1
-    weight; node-local kernels are unchanged.  The result feeds the
-    usual simulators, giving distributed-aware critical paths.
+    weight; node-local kernels are unchanged.  The copy shares the
+    graph's structure and problem family; it feeds the usual
+    simulators, giving distributed-aware critical paths.
     """
-    out = TaskGraph(graph.p, graph.q,
-                    name=f"{graph.name}@{layout.nodes}nodes")
-    stacked = (Kernel.TSQRT, Kernel.TTQRT, Kernel.TSMQR, Kernel.TTMQR)
-    for t in graph.tasks:
-        w = t.weight
-        if t.kernel in stacked and layout.crosses(t.row, t.piv):
-            w += tile_comm_cost
-        out.add(t.kernel, t.row, t.piv, t.col, t.j, list(t.deps), weight=w)
-    return out
+    stacked = np.flatnonzero(np.isin(graph.codes, _STACKED_CODES))
+    rows, pivs = graph.rows[stacked], graph.pivs[stacked]
+    owner = np.array([layout.owner(r) for r in range(
+        int(max(rows.max(initial=-1), pivs.max(initial=-1))) + 1)],
+        dtype=np.int64)
+    cross = stacked[owner[rows] != owner[pivs]]
+    w = graph.weights.copy()
+    w[cross] += tile_comm_cost
+    return graph.with_weights(w, name=f"{graph.name}@{layout.nodes}nodes")

@@ -401,9 +401,8 @@ def critical_path_tasks(result: SimResult) -> CriticalPath:
                     else:
                         nxt = int(cand.min())
                     via = "worker"
-        t = g.tasks[cur]
         steps.append(CriticalPathStep(
-            tid=cur, name=str(t), kernel=t.kernel.value,
+            tid=cur, name=g.label(cur), kernel=KERNEL_ORDER[g.codes[cur]],
             weight=float(idx.weights[cur]), start=s,
             finish=float(finish[cur]), via=via))
         if nxt is None:
@@ -430,6 +429,28 @@ def _kernel_pivot(names: list[str], durations: list[float]) -> list[KernelStats]
     for name, d in zip(names, durations):
         total_by[name] = total_by.get(name, 0.0) + d
         count_by[name] = count_by.get(name, 0) + 1
+    return _kernel_stats(total_by, count_by)
+
+
+def _kernel_pivot_codes(codes: np.ndarray,
+                        durations: np.ndarray) -> list[KernelStats]:
+    """:func:`_kernel_pivot` over kernel codes, in one ``bincount``.
+
+    ``bincount`` adds each bin's durations in task order, and the
+    kernels enter the dicts in order of first appearance, so every
+    sum is the one the per-task loop computes.
+    """
+    totals = np.bincount(codes, weights=durations).tolist()
+    counts = np.bincount(codes).tolist()
+    _, first = np.unique(codes, return_index=True)
+    present = codes[np.sort(first)].tolist()
+    return _kernel_stats({KERNEL_ORDER[c]: totals[c] for c in present},
+                         {KERNEL_ORDER[c]: counts[c] for c in present})
+
+
+def _kernel_stats(total_by: dict[str, float],
+                  count_by: dict[str, int]) -> list[KernelStats]:
+    """Per-kernel stats of accumulated totals, in canonical order."""
     grand = sum(total_by.values())
     order = [k for k in KERNEL_ORDER if k in total_by] + sorted(
         k for k in total_by if k not in KERNEL_ORDER)
@@ -479,7 +500,7 @@ def analyze_sim(result: SimResult, label: str = "",
     utilization = (total_busy / (P * makespan)
                    if P and makespan > 0 else None)
 
-    kernels = _kernel_pivot([t.kernel.value for t in g.tasks], w.tolist())
+    kernels = _kernel_pivot_codes(g.codes, w)
 
     unbounded = result if P is None else simulate_unbounded(g)
     slack_arr = task_slack(g, unbounded=unbounded)

@@ -244,9 +244,6 @@ class Plan:
         merged = dict(KERNEL_WEIGHTS)
         merged.update(_normalize_costs(costs))
         graph = self.graph.rescale(merged)
-        graph._index = self.index.with_weights(
-            np.fromiter((merged[t.kernel] for t in graph.tasks),
-                        dtype=np.float64, count=len(graph.tasks)))
         return Plan(p=self.p, q=self.q, family=self.family,
                     scheme=self.scheme, elims=self.elims, graph=graph,
                     problem=self.problem, costs=merged, key=None)
@@ -529,8 +526,7 @@ def load_plan(path) -> Plan:
         graph = TaskGraph.from_arrays(
             meta["p"], meta["q"], meta["graph_name"],
             {name[2:]: data[name] for name in data.files
-             if name.startswith("g_")})
-    graph.problem = meta.get("problem", "qr")
+             if name.startswith("g_")}, problem=meta.get("problem", "qr"))
     costs = meta.get("costs")
     family = meta.get("family")
     return Plan(p=meta["p"], q=meta["q"],

@@ -14,10 +14,11 @@ Kernel     Operation                                   Weight
 
 Total weight over the grid is exactly ``t^3`` — the classical
 ``n^3/3`` flops.  Dependencies are inferred superscalar-style from
-per-tile read/write sets with the same :class:`DataflowTracker` the QR
-builder uses; because each tile ``A[i][k]`` becomes read-only once its
-own TRSM has run, the plain one-resource-per-tile model already yields
-the exact PLASMA DAG (no V=NODEP-style relaxation is needed).
+per-tile read/write sets by the same
+:func:`~repro.dag.build.resolve_hazards` the QR builder uses; because
+each tile ``A[i][k]`` becomes read-only once its own TRSM has run, the
+plain one-resource-per-tile model already yields the exact PLASMA DAG
+(no V=NODEP-style relaxation is needed).
 
 The critical path in these units is ``9t - 10`` for ``t >= 2`` (and
 ``1`` for ``t = 1``): the chain POTRF(0) → TRSM(1,0) → GEMM(2,1,0) →
@@ -30,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..dag.build import DataflowTracker
-from ..dag.tasks import TaskGraph
+from ..dag.build import AccessTable, assemble
+from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.costs import CHOLESKY_KERNELS, Kernel
 from ..schemes.elimination import EliminationList
 from .base import Problem
@@ -56,42 +57,31 @@ def build_cholesky_dag(t: int) -> TaskGraph:
 
     Tasks are emitted in right-looking program order (factor panel
     ``k``, then update the trailing submatrix) and dependencies are
-    inferred from per-tile read/write sets.
+    inferred from per-tile read/write sets, one resource per
+    lower-triangular tile.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    g = TaskGraph(t, t, name=f"cholesky(t={t})", problem="cholesky")
-    flow = DataflowTracker()
 
-    def _r(i, j):  # one resource per lower-triangular tile
+    def r(i, j):
         return i * t + j
 
-    def emit(kernel, row, piv, col, j, reads, writes):
-        deps: list[int] = []
-        for res in reads:
-            deps.extend(flow.read(res))
-        for res in writes:
-            deps.extend(flow.write(res))
-        task = g.add(kernel, row, piv, col, j, deps)
-        for res in reads:
-            flow.note_read(res, task.tid)
-        for res in writes:
-            flow.note_write(res, task.tid)
-        return task
-
+    # (kernel, row, col, j, reads, writes) in program order
+    tasks = []
     for k in range(t):
-        emit(Kernel.POTRF, k, None, k, None,
-             reads=(), writes=(_r(k, k),))
+        tasks.append((Kernel.POTRF, k, k, -1, (), (r(k, k),)))
+        tasks += [(Kernel.TRSM, i, k, -1, (r(k, k),), (r(i, k),))
+                  for i in range(k + 1, t)]
         for i in range(k + 1, t):
-            emit(Kernel.TRSM, i, None, k, None,
-                 reads=(_r(k, k),), writes=(_r(i, k),))
-        for i in range(k + 1, t):
-            emit(Kernel.SYRK, i, None, k, None,
-                 reads=(_r(i, k),), writes=(_r(i, i),))
-            for j in range(k + 1, i):
-                emit(Kernel.GEMM, i, None, k, j,
-                     reads=(_r(i, k), _r(j, k)), writes=(_r(i, j),))
-    return g
+            tasks.append((Kernel.SYRK, i, k, -1, (r(i, k),), (r(i, i),)))
+            tasks += [(Kernel.GEMM, i, k, j, (r(i, k), r(j, k)), (r(i, j),))
+                      for j in range(k + 1, i)]
+    kernel, row, col, j, reads, writes = zip(*tasks)
+    return assemble(
+        t, t, f"cholesky(t={t})", "cholesky",
+        {"kernel": [KERNEL_CODES.index(x) for x in kernel], "row": row,
+         "piv": [-1] * len(tasks), "col": col, "j": j},
+        AccessTable.from_lists(reads, writes))
 
 
 @dataclass(frozen=True, init=False)

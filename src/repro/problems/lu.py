@@ -28,69 +28,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..dag.build import DataflowTracker
-from ..dag.tasks import TaskGraph
+import numpy as np
+
+from ..dag.build import assemble, block_tables
+from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.costs import LU_KERNELS, Kernel
 from ..schemes.elimination import EliminationList
 from .base import Problem
 
 __all__ = ["LUProblem", "build_lu_dag"]
 
+_GETRF, _GESSM, _TSTRF, _SSSSM = (KERNEL_CODES.index(k) for k in (
+    Kernel.GETRF, Kernel.GESSM, Kernel.TSTRF, Kernel.SSSSM))
+
 
 def build_lu_dag(p: int, q: int) -> TaskGraph:
     """Build the incremental-pivoting tiled-LU DAG for ``p x q`` tiles.
 
-    Tasks are emitted in right-looking program order: GETRF on the
-    diagonal, the GESSM row broadcast, then for each sub-panel row the
-    TSTRF elimination and its SSSSM trailing updates.
+    Tasks are emitted in right-looking program order, as elimination
+    blocks (:func:`~repro.dag.build.block_tables`): per panel ``k``,
+    GETRF on the diagonal with its GESSM row broadcast, then for each
+    sub-panel row ``i`` the TSTRF elimination with its SSSSM trailing
+    updates.  GETRF's ``L`` factor ``L(k)`` and each TSTRF's transform
+    block ``F(i, k)`` are the blocks' write-once resources.
     """
     if not (p >= q >= 1):
         raise ValueError(f"need p >= q >= 1, got p={p}, q={q}")
-    g = TaskGraph(p, q, name=f"lu(p={p},q={q})", problem="lu")
-    flow = DataflowTracker()
-
-    # Resources: R(i, j) is the tile content; L(k) the write-once
-    # L/pivot output of GETRF(k); F(i, k) the write-once transform
-    # block of TSTRF(i, k).  Splitting L and F from R is what lets
-    # GESSM run concurrently with the TSTRF chain that rewrites
-    # R(k, k) — the LU analogue of QR's V=NODEP relaxation.
-    nr = p * q
-
-    def _r(i, j):
-        return i * q + j
-
-    def _l(k):
-        return nr + k
-
-    def _f(i, k):
-        return nr + q + i * q + k
-
-    def emit(kernel, row, piv, col, j, reads, writes):
-        deps: list[int] = []
-        for res in reads:
-            deps.extend(flow.read(res))
-        for res in writes:
-            deps.extend(flow.write(res))
-        task = g.add(kernel, row, piv, col, j, deps)
-        for res in reads:
-            flow.note_read(res, task.tid)
-        for res in writes:
-            flow.note_write(res, task.tid)
-        return task
-
-    for k in range(min(p, q)):
-        emit(Kernel.GETRF, k, None, k, None,
-             reads=(), writes=(_r(k, k), _l(k)))
-        for j in range(k + 1, q):
-            emit(Kernel.GESSM, k, None, k, j,
-                 reads=(_l(k),), writes=(_r(k, j),))
-        for i in range(k + 1, p):
-            emit(Kernel.TSTRF, i, k, k, None,
-                 reads=(), writes=(_r(k, k), _r(i, k), _f(i, k)))
-            for j in range(k + 1, q):
-                emit(Kernel.SSSSM, i, k, k, j,
-                     reads=(_f(i, k),), writes=(_r(k, j), _r(i, j)))
-    return g
+    col = np.concatenate([np.full(p - k, k) for k in range(q)])
+    row = np.concatenate([np.arange(k, p) for k in range(q)])
+    head = row == col
+    return assemble(p, q, f"lu(p={p},q={q})", "lu", *block_tables(
+        q, fcode=np.where(head, _GETRF, _TSTRF),
+        ucode=np.where(head, _GESSM, _SSSSM), row=row,
+        piv=np.where(head, -1, col), col=col,
+        vres=p * q + np.where(head, col, q + row * q + col)))
 
 
 @dataclass(frozen=True, init=False)

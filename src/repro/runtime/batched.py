@@ -85,7 +85,7 @@ def execute_batched(
     g, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
-    ntasks = len(g.tasks)
+    ntasks = len(g)
     if metrics is not None:
         metrics.counter(
             "batched.numeric." + ("lapack" if use_lapack else "numpy")).inc()

@@ -44,7 +44,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..dag.tasks import Task, TaskGraph
+from ..dag.tasks import KERNEL_CODES, Task, TaskGraph
 from ..kernels.backend import KernelBackend, get_backend
 from ..kernels.costs import Kernel
 from ..obs.metrics import MetricsRegistry
@@ -52,7 +52,7 @@ from ..obs.tracer import Tracer
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .group_executor import GroupExecutor, record_tfactors
-from .groups import FrontierCore, resolve_batch, unwrap_graph
+from .groups import FACTOR_CODES, FrontierCore, resolve_batch, unwrap_graph
 from .options import ExecOptions
 
 __all__ = ["ExecutionContext", "ExecOptions", "execute_graph"]
@@ -95,28 +95,31 @@ class ExecutionContext:
     metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
-    def run_task(self, t: Task) -> None:
-        """Execute one kernel task against the tile views."""
-        bk, tiles, tf = self.backend, self.tiled, self.tfactors
-        if t.kernel is Kernel.GEQRT:
-            tf[(t.row, t.col, "ge")] = bk.geqrt(tiles.tile(t.row, t.col), self.ib)
-        elif t.kernel is Kernel.UNMQR:
-            bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                     tiles.tile(t.row, t.j))
-        elif t.kernel is Kernel.TSQRT:
-            tf[(t.row, t.col, "ts")] = bk.tsqrt(
-                tiles.tile(t.piv, t.col), tiles.tile(t.row, t.col), self.ib)
-        elif t.kernel is Kernel.TSMQR:
-            bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                     tiles.tile(t.piv, t.j), tiles.tile(t.row, t.j))
-        elif t.kernel is Kernel.TTQRT:
-            tf[(t.row, t.col, "tt")] = bk.ttqrt(
-                tiles.tile(t.piv, t.col), tiles.tile(t.row, t.col), self.ib)
-        elif t.kernel is Kernel.TTMQR:
-            bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                     tiles.tile(t.piv, t.j), tiles.tile(t.row, t.j))
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown kernel {t.kernel}")
+    def run_task(self, code: int, row: int, piv: int, col: int,
+                 j: int) -> None:
+        """Execute one kernel task against the tile views, given by its
+        graph columns (kernel code; ``-1`` for no ``piv``/``j``)."""
+        bk, tiles, tf, kernel = (self.backend, self.tiled, self.tfactors,
+                                 KERNEL_CODES[code])
+        if kernel is Kernel.GEQRT:
+            tf[(row, col, "ge")] = bk.geqrt(tiles.tile(row, col), self.ib)
+        elif kernel is Kernel.UNMQR:
+            bk.unmqr(tiles.tile(row, col), tf[(row, col, "ge")],
+                     tiles.tile(row, j))
+        elif kernel is Kernel.TSQRT:
+            tf[(row, col, "ts")] = bk.tsqrt(
+                tiles.tile(piv, col), tiles.tile(row, col), self.ib)
+        elif kernel is Kernel.TSMQR:
+            bk.tsmqr(tiles.tile(row, col), tf[(row, col, "ts")],
+                     tiles.tile(piv, j), tiles.tile(row, j))
+        elif kernel is Kernel.TTQRT:
+            tf[(row, col, "tt")] = bk.ttqrt(
+                tiles.tile(piv, col), tiles.tile(row, col), self.ib)
+        elif kernel is Kernel.TTMQR:
+            bk.ttmqr(tiles.tile(row, col), tf[(row, col, "tt")],
+                     tiles.tile(piv, j), tiles.tile(row, j))
+        else:
+            raise ValueError(f"unknown kernel {kernel}")
 
     # ------------------------------------------------------------------
     def apply_q_right(self, c: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -157,21 +160,26 @@ class ExecutionContext:
             rows = slice(i * nb, min((i + 1) * nb, m))
             return c[rows, :] if side == "L" else c[:, rows]
 
-        panel_tasks = [t for t in self.graph.tasks
-                       if t.kernel in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
+        g = self.graph
+        panel = np.flatnonzero(np.isin(g.codes, list(FACTOR_CODES)))
         # Q^H from the left and Q from the right run in emission order
-        forward = adjoint == (side == "L")
-        for t in (panel_tasks if forward else reversed(panel_tasks)):
-            if t.kernel is Kernel.GEQRT:
-                bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                         block(t.row), adjoint=adjoint, side=side)
-            elif t.kernel is Kernel.TSQRT:
-                bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                         block(t.piv), block(t.row), adjoint=adjoint,
+        if adjoint != (side == "L"):
+            panel = panel[::-1]
+        for code, row, piv, col in zip(g.codes[panel].tolist(),
+                                       g.rows[panel].tolist(),
+                                       g.pivs[panel].tolist(),
+                                       g.cols[panel].tolist()):
+            kernel = KERNEL_CODES[code]
+            if kernel is Kernel.GEQRT:
+                bk.unmqr(tiles.tile(row, col), tf[(row, col, "ge")],
+                         block(row), adjoint=adjoint, side=side)
+            elif kernel is Kernel.TSQRT:
+                bk.tsmqr(tiles.tile(row, col), tf[(row, col, "ts")],
+                         block(piv), block(row), adjoint=adjoint,
                          side=side)
             else:
-                bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                         block(t.piv), block(t.row), adjoint=adjoint,
+                bk.ttmqr(tiles.tile(row, col), tf[(row, col, "tt")],
+                         block(piv), block(row), adjoint=adjoint,
                          side=side)
         return c
 
@@ -195,7 +203,7 @@ def _prepare(graph, tiled: TiledMatrix, backend, ib: int, tracer,
                            ib=_clamp_ib(ib, tiled.nb, metrics),
                            tracer=tracer, metrics=metrics)
     if metrics is not None:
-        metrics.counter("scheduler.tasks_total").inc(len(g.tasks))
+        metrics.counter("scheduler.tasks_total").inc(len(g))
         metrics.gauge("scheduler.workers", keep_samples=False).set(workers)
     return plan, ctx, bus
 
@@ -342,7 +350,7 @@ def execute_graph(
                               collect_metrics, bus, workers)
     if workers == 1:
         _run_sequential(ctx, on_task_done, bus)
-    elif ctx.graph.tasks:
+    elif len(ctx.graph):
         _run_threads(plan, ctx, workers, opts.batch, on_task_done, bus)
     return ctx
 
@@ -352,27 +360,31 @@ def _run_sequential(ctx: ExecutionContext, on_task_done, bus) -> None:
     graph, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
-    total = len(graph.tasks)
+    # Task objects only for the observers that receive them
+    tasks = graph.tasks if timed or on_task_done is not None else None
+    total = len(graph)
     if bus is not None:
         bus.publish("run_start", total=total, count=1,
                     problem=getattr(graph, "problem", "") or "")
-    for i, t in enumerate(graph.tasks, start=1):
+    for tid, cols in enumerate(zip(graph.codes.tolist(), graph.rows.tolist(),
+                                   graph.pivs.tolist(), graph.cols.tolist(),
+                                   graph.js.tolist())):
         if bus is not None:
-            bus.publish("task_start", tid=t.tid, kernel=t.kernel.value,
-                        worker=0)
+            bus.publish("task_start", tid=tid,
+                        kernel=tasks[tid].kernel.value, worker=0)
         if timed:
             t0 = time.perf_counter()
-        ctx.run_task(t)
+        ctx.run_task(*cols)
         if timed:
             t1 = time.perf_counter()
             if observed:
-                _observe_task(t, t0, t1, tracer, metrics, submit=t0,
-                              worker=0)
+                _observe_task(tasks[tid], t0, t1, tracer, metrics,
+                              submit=t0, worker=0)
         if bus is not None:
-            bus.publish("task_done", tid=t.tid, kernel=t.kernel.value,
+            bus.publish("task_done", tid=tid, kernel=tasks[tid].kernel.value,
                         worker=0, value=t1 - t0)
         if on_task_done is not None:
-            on_task_done(t, i, total)
+            on_task_done(tasks[tid], tid + 1, total)
     if bus is not None:
         bus.publish("run_done", count=total, value=bus.now())
 
@@ -394,8 +406,11 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     """
     graph, tiled, tracer, metrics = ctx.graph, ctx.tiled, ctx.tracer, \
         ctx.metrics
-    tasks = graph.tasks
-    n, W = len(tasks), workers
+    observed = tracer is not None or metrics is not None
+    timed = observed or bus is not None
+    # Task objects only for the observers that receive them
+    tasks = graph.tasks if timed or on_task_done is not None else None
+    n, W = len(graph), workers
     weights = graph.index().weights
     batch_size = resolve_batch(batch, tiled.nb, float(weights.mean()),
                                workers=W)
@@ -408,8 +423,6 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     pool = TilePool(tiled)
     # validates ib before any thread starts
     ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, ctx.backend)
-    observed = tracer is not None or metrics is not None
-    timed = observed or bus is not None
     # ready stamps are epoch-relative; the queue wait (start - ready)
     # is epoch-invariant, so a metrics-only run uses a local epoch
     # while a traced run shares the tracer's
@@ -474,7 +487,8 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
                                 count=depth)
             if stop:
                 return
-            grp = (np.asarray(tids, dtype=np.int64), [tasks[t] for t in tids])
+            grp = (np.asarray(tids, dtype=np.int64),
+                   None if tasks is None else [tasks[t] for t in tids])
             if bus is not None:
                 for task in grp[1]:
                     bus.publish("task_start", tid=task.tid,

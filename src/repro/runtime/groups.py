@@ -64,6 +64,10 @@ KIND = {_KERNEL_TO_CODE[k]: kind for k, kind in (
     (Kernel.GEQRT, "ge"), (Kernel.UNMQR, "ge"), (Kernel.TSQRT, "ts"),
     (Kernel.TSMQR, "ts"), (Kernel.TTQRT, "tt"), (Kernel.TTMQR, "tt"))}
 
+#: :data:`KIND` as an index over kernel codes (-1: no T factor)
+_KIND_OF = np.array([("ge", "ts", "tt").index(KIND[c]) if c in KIND else -1
+                     for c in range(len(KERNEL_CODES))], dtype=np.int64)
+
 #: group-size histogram buckets (powers of two) of every transport
 SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
@@ -163,36 +167,33 @@ class DispatchArrays:
 
 
 def dispatch_arrays(graph: TaskGraph) -> DispatchArrays:
-    """Flatten ``graph`` into :class:`DispatchArrays` (one pass).
+    """Flatten ``graph`` into :class:`DispatchArrays` (reads its columns).
 
     Prefer the memoized ``Plan.dispatch_arrays()`` when a plan is
     available — persistent pools then skip the per-run flattening.
     """
-    tasks = graph.tasks
-    n = len(tasks)
-    codes = np.fromiter((_KERNEL_TO_CODE[t.kernel] for t in tasks),
-                        dtype=np.int8, count=n)
-    rows = np.fromiter((t.row for t in tasks), dtype=np.int64, count=n)
-    pivs = np.fromiter((-1 if t.piv is None else t.piv for t in tasks),
-                       dtype=np.int64, count=n)
-    cols = np.fromiter((t.col for t in tasks), dtype=np.int64, count=n)
-    js = np.fromiter((-1 if t.j is None else t.j for t in tasks),
-                     dtype=np.int64, count=n)
-    # factor tasks get a slot in the T store; apply tasks reference
-    # their source factor's slot by its (row, col, kind) key
-    fmap: dict[tuple[int, int, str], int] = {}
+    codes, n = graph.codes, len(graph)
+    rows, cols = graph.rows.astype(np.int64), graph.cols.astype(np.int64)
+    # factor tasks get a slot in the T store, in tid order; apply
+    # tasks reference their source factor's slot by its (row, col,
+    # kind) key
+    key = ((rows * (int(cols.max(initial=0)) + 1) + cols) * 3
+           + _KIND_OF[codes])
+    factor = np.isin(codes, list(FACTOR_CODES))
+    apply = np.isin(codes, list(APPLY_CODES))
+    nfactor = int(factor.sum())
     fslot = np.full(n, -1, dtype=np.int64)
+    fslot[factor] = np.arange(nfactor)
+    slot_of = np.full(int(key.max(initial=0)) + 1, -1, dtype=np.int64)
+    slot_of[key[factor]] = fslot[factor]
     src = np.full(n, -1, dtype=np.int64)
-    for t in tasks:
-        code = _KERNEL_TO_CODE[t.kernel]
-        if code in FACTOR_CODES:
-            fslot[t.tid] = fmap[(t.row, t.col, KIND[code])] = len(fmap)
-    for t in tasks:
-        code = _KERNEL_TO_CODE[t.kernel]
-        if code in APPLY_CODES:
-            src[t.tid] = fmap[(t.row, t.col, KIND[code])]
-    return DispatchArrays(codes=codes, rows=rows, pivs=pivs, cols=cols,
-                          js=js, fslot=fslot, src=src, nfactor=len(fmap))
+    src[apply] = slot_of[key[apply]]
+    if (src[apply] < 0).any():
+        raise KeyError("an apply task has no source factor task")
+    return DispatchArrays(codes=codes, rows=rows,
+                          pivs=graph.pivs.astype(np.int64), cols=cols,
+                          js=graph.js.astype(np.int64), fslot=fslot, src=src,
+                          nfactor=nfactor)
 
 
 def dedup_hits(srcs) -> int:
@@ -415,7 +416,7 @@ def drain_groups(graph) -> list[tuple[int, np.ndarray]]:
     earlier group.
     """
     g, _ = unwrap_graph(graph)
-    core = FrontierCore(graph, batch=max(1, len(g.tasks)))
+    core = FrontierCore(graph, batch=max(1, len(g)))
     groups = []
     while len(core):
         code, tids = core.pop()

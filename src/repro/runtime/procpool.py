@@ -497,7 +497,7 @@ class ProcessPool:
                                   self.workers)
         g, tracer, metrics, ib = ctx.graph, ctx.tracer, ctx.metrics, ctx.ib
         panel_starts(tiled.nb, ib)  # validate ib >= 1 before dispatch
-        n = len(g.tasks)
+        n = len(g)
         if metrics is not None:
             metrics.counter(f"procpool.start_method.{self.start_method}"
                             ).inc()
@@ -651,6 +651,9 @@ class ProcessPool:
         W = self.workers
         dtracer = (tracer if isinstance(tracer, DistributedTracer)
                    else None)
+        # Task objects only for the observers that receive them
+        tasks = (g.tasks if tracer is not None or metrics is not None
+                 or on_task_done is not None else None)
         epoch = tracer.epoch if tracer is not None else time.perf_counter()
         # per-run in-flight bookkeeping: tid -> [ready, dispatch,
         # worker] stamps, popped at retire and cleared by run() — a
@@ -764,7 +767,7 @@ class ProcessPool:
                     share = dt / len(tids)
                     for tid in tids:
                         completed += 1
-                        task = g.tasks[tid]
+                        task = None if tasks is None else tasks[tid]
                         if dtracer is not None:
                             ent = pending.pop(tid)
                             dtracer.record_parent(task, ent[0], ent[1],

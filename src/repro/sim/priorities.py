@@ -10,18 +10,21 @@ perturbs makespans by only a few percent, confirming the paper's
 framing of critical path as the right metric.
 
 Every policy maps a :class:`~repro.dag.tasks.TaskGraph` to an array of
-priorities (lower = dispatched first).
+priorities (lower = dispatched first), reading the graph's columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dag.tasks import TaskGraph
+from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.costs import Kernel
 from .simulate import _resolve, bottom_levels
 
 __all__ = ["PRIORITIES", "priority_vector"]
+
+_PANEL_CODES = [KERNEL_CODES.index(k)
+                for k in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
 
 
 def _graph_of(graph) -> TaskGraph:
@@ -37,7 +40,7 @@ def critical_path_priority(graph) -> np.ndarray:
 
 def fifo_priority(graph) -> np.ndarray:
     """Emission (program) order."""
-    return np.arange(len(_graph_of(graph).tasks), dtype=float)
+    return np.arange(len(_graph_of(graph)), dtype=float)
 
 
 def panel_first_priority(graph) -> np.ndarray:
@@ -47,33 +50,30 @@ def panel_first_priority(graph) -> np.ndarray:
     parallelism early.
     """
     graph = _graph_of(graph)
-    n = len(graph.tasks)
+    n = len(graph)
     prio = np.arange(n, dtype=float)
-    panel = {Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT}
-    for t in graph.tasks:
-        if t.kernel in panel:
-            prio[t.tid] -= n  # strictly ahead of every update kernel
+    prio[np.isin(graph.codes, _PANEL_CODES)] -= n  # ahead of every update
     return prio
 
 
 def column_major_priority(graph) -> np.ndarray:
     """Leftmost panel column first (greedy pipeline draining)."""
     graph = _graph_of(graph)
-    n = len(graph.tasks)
-    return np.array([t.col * n + t.tid for t in graph.tasks], dtype=float)
+    n = len(graph)
+    return (graph.cols.astype(np.int64) * n + np.arange(n)).astype(float)
 
 
 def heaviest_first_priority(graph) -> np.ndarray:
     """Longest processing time (LPT) first, tie-broken by program order."""
     graph = _graph_of(graph)
-    n = len(graph.tasks)
-    return np.array([-t.weight * n + t.tid for t in graph.tasks], dtype=float)
+    n = len(graph)
+    return -graph.weights * n + np.arange(n)
 
 
 def random_priority(graph, seed: int = 0) -> np.ndarray:
     """Uniformly random dispatch order (the ablation's control arm)."""
     rng = np.random.default_rng(seed)
-    return rng.permutation(len(_graph_of(graph).tasks)).astype(float)
+    return rng.permutation(len(_graph_of(graph))).astype(float)
 
 
 PRIORITIES = {

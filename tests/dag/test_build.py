@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag import build_dag
-from repro.dag.build import DataflowTracker
+from repro.dag import AccessTable, build_dag, resolve_hazards
 from repro.kernels.costs import Kernel, total_weight
 from repro.schemes import flat_tree, greedy, plasma_tree
 from tests.conftest import random_elimination_list
@@ -44,30 +43,47 @@ def depends(graph, a, b):
     return False
 
 
-class TestDataflowTracker:
+#: resources are plain integers
+A, B, C, X, Y, Z = range(6)
+
+
+def resolved(reads, writes):
+    """Dependency lists :func:`resolve_hazards` infers for tasks with
+    the given per-task read and write resources."""
+    ptr, adj = resolve_hazards(AccessTable.from_lists(reads, writes))
+    return [adj[ptr[t]:ptr[t + 1]].tolist() for t in range(len(reads))]
+
+
+class TestResolveHazards:
     def test_raw(self):
-        f = DataflowTracker()
-        f.note_write("x", 1)
-        assert f.read("x") == [1]
+        assert resolved([(), (X,)], [(X,), ()]) == [[], [0]]
 
     def test_war(self):
-        f = DataflowTracker()
-        f.note_write("x", 1)
-        f.note_read("x", 2)
-        f.note_read("x", 3)
-        assert sorted(f.write("x")) == [1, 2, 3]
+        deps = resolved([(), (X,), (X,), ()], [(X,), (), (), (X,)])
+        assert deps[3] == [0, 1, 2]  # last writer, then readers in order
 
     def test_waw_clears_readers(self):
-        f = DataflowTracker()
-        f.note_write("x", 1)
-        f.note_read("x", 2)
-        f.note_write("x", 3)
-        assert f.write("x") == [3]
+        deps = resolved([(), (X,), (), ()], [(X,), (), (X,), (X,)])
+        assert deps[2] == [0, 1]
+        assert deps[3] == [2]
 
     def test_fresh_resource(self):
-        f = DataflowTracker()
-        assert f.read("y") == []
-        assert f.write("y") == []
+        assert resolved([(Y,), ()], [(), (Z,)]) == [[], []]
+
+    def test_order_and_first_occurrence(self):
+        # reads before writes, each write's last writer before its
+        # readers; the repeated writer 0 keeps its first position
+        deps = resolved([(), (B,), (C,)],
+                        [(A, B, C), (), (C, A, B)])
+        assert deps[2] == [0, 1]
+
+    def test_own_accesses_ignored(self):
+        # a task that reads and writes one resource never depends on
+        # itself, and a later reader sees it as the writer
+        assert resolved([(X,), (X,)], [(X,), ()]) == [[], [0]]
+
+    def test_empty(self):
+        assert resolved([], []) == []
 
 
 class TestPaperDependencies:

@@ -100,6 +100,21 @@ class TestDistributedGraph:
             else:
                 assert t2.weight == t.weight + 5.0
 
+    @pytest.mark.parametrize("spec", ["lu(p=8,q=4)", "cholesky(t=8)"])
+    def test_keeps_problem_family(self, spec):
+        """A reweighted LU/Cholesky graph must not come back labelled
+        ``qr``: analytics would then attach the QR Theorem 1(3)
+        bound to it."""
+        from repro.api import plan
+        from repro.obs.analyze import analyze_sim
+
+        g = plan(spec).graph
+        g2 = distributed_graph(g, DistributedLayout(8, 2), 0.0)
+        assert g2.problem == g.problem != "qr"
+        bounds = analyze_sim(simulate_unbounded(g2)).bounds
+        assert bounds == analyze_sim(simulate_unbounded(g)).bounds
+        assert "paper_cp_lower_bound" not in bounds
+
     def test_flat_tree_pays_for_its_global_pivot(self):
         """Under a block layout, FlatTree's single pivot row touches
         every other node's rows *serially*, so its disadvantage GROWS
