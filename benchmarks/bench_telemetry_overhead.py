@@ -34,6 +34,7 @@ import numpy as np  # noqa: E402
 from repro.api import plan  # noqa: E402
 from repro.obs import (EventBus, LiveState, MetricsRegistry,  # noqa: E402
                        Sampler)
+from repro.runtime import ExecOptions  # noqa: E402
 from repro.runtime.executor import execute_graph  # noqa: E402
 from repro.tiles.layout import TiledMatrix  # noqa: E402
 
@@ -43,11 +44,12 @@ def run_case(m: int, n: int, nb: int, rounds: int, mode: str,
     rng = np.random.default_rng(20110814)
     a = rng.standard_normal((m, n))
     pl = plan(m // nb, n // nb, "greedy")
+    opts = ExecOptions(mode=mode, workers=workers)
 
     def bare() -> float:
         tiled = TiledMatrix(a.copy(), nb)
         t0 = time.perf_counter()
-        execute_graph(pl, tiled, ib=min(32, nb), workers=workers, mode=mode)
+        execute_graph(pl, tiled, opts, ib=min(32, nb))
         return time.perf_counter() - t0
 
     def instrumented() -> float:
@@ -64,8 +66,7 @@ def run_case(m: int, n: int, nb: int, rounds: int, mode: str,
         metrics = MetricsRegistry()
         with Sampler(metrics, state):
             t0 = time.perf_counter()
-            execute_graph(pl, tiled, ib=min(32, nb), workers=workers,
-                          mode=mode, bus=bus)
+            execute_graph(pl, tiled, opts, ib=min(32, nb), bus=bus)
             dt = time.perf_counter() - t0
         return dt
 

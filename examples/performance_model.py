@@ -11,11 +11,9 @@ Run: ``python examples/performance_model.py [nb] [cores]``
 
 import sys
 
-
 from repro.analysis import PerformanceModel, predicted_gflops
 from repro.bench import format_series, time_kernels
 from repro.bench.kernel_timing import measure_gamma_seq
-from repro.kernels.costs import Kernel
 
 
 def main() -> None:
@@ -24,7 +22,7 @@ def main() -> None:
 
     print(f"measuring kernels at nb={nb} (LAPACK backend, warm cache)...")
     rates = time_kernels(nb, ib=32, backend="lapack", strategy="warm")
-    for k in Kernel:
+    for k in rates.seconds:  # the measured (QR) kernels
         print(f"  {k.value}: {rates.gflops[k]:6.2f} GFLOP/s "
               f"({rates.seconds[k] * 1e6:8.1f} us)")
     gamma = measure_gamma_seq(rates)

@@ -6,7 +6,9 @@ One import surface for the things users do with this package:
   planning artifacts of one problem shape: a QR grid, or any
   registered problem family (``"cholesky(t=8)"``, ``"lu(p=8,q=8)"``);
 - :func:`factor` — numerically factor a matrix (QR only), optionally
-  from a prebuilt plan;
+  from a prebuilt plan; the same function as :func:`repro.tiled_qr`,
+  its execution keywords the fields of
+  :class:`~repro.runtime.ExecOptions`;
 - :func:`simulate` — schedule a plan's DAG on ``P`` processors (or
   unbounded) and return the timing result;
 - :func:`analyze` — turn a simulation, plan, or trace into a
@@ -43,9 +45,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
-from .core.tiled_qr import TiledQRFactorization, tiled_qr
+from .core.tiled_qr import tiled_qr
 from .kernels.costs import KernelFamily
 from .obs.analyze import OverheadReport, analyze, overhead_report
 from .obs.tracer import DistributedTracer
@@ -90,60 +90,8 @@ __all__ = [
 ]
 
 
-def factor(
-    a: np.ndarray,
-    nb: int = 64,
-    ib: int = 32,
-    scheme: Union[str, EliminationList, Plan] = "greedy",
-    family: KernelFamily | str = KernelFamily.TT,
-    backend: str = "reference",
-    workers: Optional[int] = None,
-    mode: str = "task",
-    numeric: str = "auto",
-    start_method: Optional[str] = None,
-    pool=None,
-    batch="auto",
-    tracer=None,
-    metrics=None,
-    bus=None,
-    on_task_done=None,
-    options: Optional[ExecOptions] = None,
-    **scheme_params,
-) -> TiledQRFactorization:
-    """Tiled QR factorization of ``a`` — facade over :func:`repro.tiled_qr`.
-
-    Identical semantics to :func:`repro.core.tiled_qr.tiled_qr`;
-    ``scheme`` may be a name/spec string, an
-    :class:`~repro.schemes.elimination.EliminationList`, or a
-    :class:`~repro.planner.Plan` from :func:`plan` (whose grid must
-    match the tiling of ``a``; its kernel family wins over ``family``;
-    it must be a QR plan — Cholesky/LU plans simulate but do not
-    execute).
-    ``mode="batched"`` runs the inline transport (groups of ready
-    same-kernel tasks as stacked 3-D kernels over a contiguous tile
-    pool) instead of per-task kernels — usually the fastest way to
-    factor a real matrix; ``numeric`` picks its factor-kernel
-    implementation (``"auto"``/``"numpy"``/``"lapack"``);
-    ``mode="process"`` runs the
-    kernels on ``workers`` worker processes over a shared-memory tile
-    pool (``start_method`` picks fork/spawn, ``pool`` reuses a
-    persistent :class:`repro.runtime.ProcessPool`, ``batch`` controls
-    micro-batched dispatch — ``"auto"``/``"off"``/group size); see
-    docs/performance.md.  The execution knobs may also arrive
-    bundled as ``options=ExecOptions(...)`` — the individual keywords
-    stay accepted, and a conflicting non-default keyword raises (see
-    :meth:`ExecOptions.resolve`).
-    ``tracer``/``metrics``/``bus``/``on_task_done`` are the
-    observability passthroughs (span capture, metrics registry,
-    streaming event bus, completion callback) — see
-    :func:`repro.runtime.executor.execute_graph`.
-    """
-    return tiled_qr(a, nb=nb, ib=ib, scheme=scheme, family=family,
-                    backend=backend, workers=workers, mode=mode,
-                    numeric=numeric, start_method=start_method, pool=pool,
-                    batch=batch, tracer=tracer, metrics=metrics,
-                    bus=bus, on_task_done=on_task_done, options=options,
-                    **scheme_params)
+#: the factorization entry point is :func:`repro.tiled_qr` itself
+factor = tiled_qr
 
 
 def _is_problem_spec(spec: str) -> bool:

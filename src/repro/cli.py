@@ -65,6 +65,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -213,9 +214,8 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _progress_setup(pl, nb: int, workers, mode: str, label: str,
-                    bus=None, state=None, show_workers: bool = False,
-                    interval: float = 0.1):
+def _progress_setup(pl, nb: int, opts, label: str, bus=None, state=None,
+                    show_workers: bool = False, interval: float = 0.1):
     """Wire a bus + live state + renderer for one planned run.
 
     Returns ``(bus, state, renderer, replay)``; an existing
@@ -226,12 +226,7 @@ def _progress_setup(pl, nb: int, workers, mode: str, label: str,
     """
     from .obs import EventBus, LiveState, ProgressRenderer, kernel_totals
 
-    if mode == "batched":
-        procs = None
-    elif mode == "process":
-        procs = workers if workers and workers > 1 else (os.cpu_count() or 1)
-    else:
-        procs = workers if workers and workers > 1 else 1
+    procs = None if opts.mode == "batched" else _lanes(opts)
     if bus is None:
         bus = EventBus()
     if state is None:
@@ -241,6 +236,13 @@ def _progress_setup(pl, nb: int, workers, mode: str, label: str,
         state, replay, clock=bus.now, totals=kernel_totals(pl),
         label=label, show_workers=show_workers, interval=interval)
     return bus, state, renderer, replay
+
+
+def _lanes(opts) -> int:
+    """Worker lanes of a task- or process-mode run."""
+    if opts.workers:
+        return opts.workers
+    return (os.cpu_count() or 1) if opts.mode == "process" else 1
 
 
 def _eta_summary(renderer, state) -> str | None:
@@ -257,22 +259,33 @@ def _eta_summary(renderer, state) -> str | None:
             f"({drift * +100:+.1f}% drift)")
 
 
-def _exec_options(args):
-    """The run's execution knobs as one ExecOptions bundle."""
+#: the subcommands that execute a factorization, each with the
+#: execution-flag defaults it overrides; every other flag defaults to
+#: its ExecOptions field's default
+_EXEC_COMMANDS = {"factor": {}, "profile": {"workers": 4},
+                  "overhead": {"mode": "process", "workers": 4},
+                  "top": {"workers": 4}}
+
+
+def _add_exec_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """One flag per ExecOptions field with CLI metadata (its help,
+    choices and type), defaulting as :data:`_EXEC_COMMANDS` says."""
     from .runtime.options import ExecOptions
 
-    return ExecOptions(mode=args.mode, workers=args.workers,
-                       numeric=args.numeric,
-                       start_method=args.start_method,
-                       batch=getattr(args, "batch", "auto"))
+    overrides = _EXEC_COMMANDS[command]
+    for f in fields(ExecOptions):
+        if f.metadata:
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           default=overrides.get(f.name, f.default),
+                           **f.metadata)
 
 
-def _add_batch(p) -> None:
-    p.add_argument("--batch", default="auto", metavar="auto|N|off",
-                   help="micro-batch dispatch for --mode process/task: "
-                        "auto (default) targets ~1ms of work per group, "
-                        "an int fixes the group size, off (or 1) "
-                        "dispatches single tasks")
+def _kernels(opts, dtype) -> str:
+    """``mode/backend`` as the run resolves them, for the summaries."""
+    from .runtime.options import resolve_backend
+
+    bk = resolve_backend(opts.backend, opts.mode, dtype)
+    return f"{opts.mode}/{bk.name}"
 
 
 def _cmd_factor(args) -> int:
@@ -291,6 +304,7 @@ def _cmd_factor(args) -> int:
         print("factor: need --random MxN or --input FILE", file=sys.stderr)
         return 2
     params = {"bs": args.bs} if args.bs is not None else {}
+    opts = args.options
     bus = renderer = state = None
     if args.progress:
         from .api import plan as build_plan
@@ -298,13 +312,13 @@ def _cmd_factor(args) -> int:
         p_t, q_t = -(-a.shape[0] // args.nb), -(-a.shape[1] // args.nb)
         pl = build_plan(p_t, q_t, args.scheme, args.family, **params)
         bus, state, renderer, _ = _progress_setup(
-            pl, args.nb, args.workers, args.mode,
+            pl, args.nb, opts,
             label=f"{args.scheme} {p_t}x{q_t} nb={args.nb}")
         renderer.start()
     try:
         f = tiled_qr(a, nb=args.nb, ib=args.ib, scheme=args.scheme,
-                     family=args.family, backend=args.backend,
-                     options=_exec_options(args), bus=bus, **params)
+                     family=args.family, bus=bus,
+                     **vars(opts), **params)
     finally:
         if renderer is not None:
             renderer.stop()
@@ -313,9 +327,8 @@ def _cmd_factor(args) -> int:
         if line:
             print(f"  {line}")
     rep = assess(f, a)
-    how = args.mode if args.mode in ("batched", "process") else args.backend
     print(f"factored {src} with {args.scheme} ({args.family}, "
-          f"{how}, nb={args.nb})")
+          f"{_kernels(opts, a.dtype)}, nb={args.nb})")
     print(f"  backward error   {rep.backward_error:.3e}")
     print(f"  orthogonality    {rep.orthogonality:.3e}")
     print(f"  eps multiple     {rep.eps_multiple:.1f}  "
@@ -530,6 +543,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_profile(args) -> int:
     from .api import plan
     from .obs.chrome_trace import write_chrome_trace
+    from .obs.metrics import MetricsRegistry
     from .obs.tracer import DistributedTracer, Tracer
     from .planner import PLAN_METRICS, plan_cache_stats
     from .runtime.executor import execute_graph
@@ -544,46 +558,40 @@ def _cmd_profile(args) -> int:
 
     # the process backend merges worker-side spans onto the parent
     # timeline (clock-aligned); the other modes record plain spans
-    tracer = DistributedTracer() if args.mode == "process" else Tracer()
+    opts = args.options
+    tracer = DistributedTracer() if opts.mode == "process" else Tracer()
     stream_on = bool(args.progress or args.events or args.prometheus)
     bus = state = renderer = sampler = None
+    metrics = MetricsRegistry()
     if stream_on:
-        from .obs import EventBus, LiveState, MetricsRegistry, Sampler
+        from .obs import EventBus, LiveState, Sampler
 
         # --events wants every event of the run in the ring at the
         # end; 4x tasks covers start/done plus group/frontier records
         ntasks = len(pl.graph)
         bus = EventBus(capacity=max(4096, 4 * ntasks))
         state = LiveState(total=ntasks, nb=nb).connect(bus)
-        metrics_reg = MetricsRegistry()
-        sampler = Sampler(metrics_reg, state).start()
+        sampler = Sampler(metrics, state).start()
         if args.progress:
             _, _, renderer, _ = _progress_setup(
-                pl, nb, args.workers, args.mode,
-                label=f"{args.scheme} {args.p}x{args.q} nb={nb}",
+                pl, nb, opts, label=f"{args.scheme} {args.p}x{args.q} nb={nb}",
                 bus=bus, state=state)
             renderer.start()
-    else:
-        metrics_reg = None
     try:
-        ctx = execute_graph(pl, tiled, backend=args.backend,
-                            ib=min(args.ib, nb),
-                            options=_exec_options(args),
-                            tracer=tracer, metrics=metrics_reg,
-                            collect_metrics=True, bus=bus)
+        execute_graph(pl, tiled, opts, ib=min(args.ib, nb), tracer=tracer,
+                      metrics=metrics, bus=bus)
     finally:
         if sampler is not None:
             sampler.stop()
         if renderer is not None:
             renderer.stop()
-    metrics = ctx.metrics
     if renderer is not None:
         line = _eta_summary(renderer, state)
         if line:
             print(line)
 
     sim = None
-    if args.mode == "batched":
+    if opts.mode == "batched":
         # one span per stacked group; per-task weights would be
         # meaningless, so skip the simulated overlay
         sim = None
@@ -594,17 +602,11 @@ def _cmd_profile(args) -> int:
         for t in pl.graph.tasks:
             h = metrics.get(f"kernel.seconds.{t.kernel.value}")
             weights[t.kernel] = h.mean if h is not None and h.count else 0.0
-        if args.mode == "process":
-            procs = (args.workers if args.workers and args.workers > 1
-                     else (os.cpu_count() or 1))
-        else:
-            procs = args.workers if args.workers and args.workers > 1 else 1
-        sim = pl.rescaled(weights).schedule(procs)
+        sim = pl.rescaled(weights).schedule(_lanes(opts))
 
-    how = (args.mode if args.mode in ("batched", "process")
-           else args.backend)
-    print(f"profiled {args.scheme} ({args.family}, {how}) on a "
-          f"{m} x {n} matrix, nb={nb}, workers={args.workers}")
+    print(f"profiled {args.scheme} ({args.family}, "
+          f"{_kernels(opts, a.dtype)}) on a {m} x {n} matrix, nb={nb}, "
+          f"workers={opts.workers}")
     print(f"  tasks            {len(tracer)}")
     print(f"  makespan         {tracer.makespan() * 1e3:.2f} ms")
     print(f"  worker busy      {tracer.busy_fraction() * 100:.1f} %")
@@ -637,7 +639,7 @@ def _cmd_profile(args) -> int:
             print(render_overhead_report(overhead_report(
                 tracer, graph=pl,
                 label=f"{args.scheme} {args.p}x{args.q} nb={nb} "
-                      f"({args.mode})")))
+                      f"({opts.mode})")))
     if args.out:
         write_chrome_trace(args.out, tracer=tracer, sim=sim,
                            sim_time_scale=1e6,
@@ -676,13 +678,13 @@ def _cmd_overhead(args) -> int:
     tiled = TiledMatrix(a, nb)
     pl = plan(args.p, args.q, args.scheme, args.family,
               **_scheme_params(args))
-    tracer = DistributedTracer() if args.mode == "process" else Tracer()
-    execute_graph(pl, tiled, backend=args.backend, ib=min(args.ib, nb),
-                  options=_exec_options(args), tracer=tracer)
+    opts = args.options
+    tracer = DistributedTracer() if opts.mode == "process" else Tracer()
+    execute_graph(pl, tiled, opts, ib=min(args.ib, nb), tracer=tracer)
     rep = overhead_report(
         tracer, graph=pl,
-        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({args.mode}, "
-              f"workers={args.workers})")
+        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({opts.mode}, "
+              f"workers={opts.workers})")
     print(render_overhead_report(rep, args.format))
     if args.json:
         import json as json_mod
@@ -706,18 +708,17 @@ def _cmd_top(args) -> int:
     tiled = TiledMatrix(a, nb)
     pl = plan(args.p, args.q, args.scheme, args.family,
               **_scheme_params(args))
+    opts = args.options
     bus, state, renderer, replay = _progress_setup(
-        pl, nb, args.workers, args.mode,
-        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({args.mode})",
+        pl, nb, opts,
+        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({opts.mode})",
         show_workers=True, interval=args.interval)
 
     errors: list[BaseException] = []
 
     def run() -> None:
         try:
-            execute_graph(pl, tiled, backend=args.backend,
-                          ib=min(args.ib, nb),
-                          options=_exec_options(args), bus=bus)
+            execute_graph(pl, tiled, opts, ib=min(args.ib, nb), bus=bus)
         except BaseException as exc:  # surfaced after the join
             errors.append(exc)
 
@@ -800,23 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ib", type=int, default=32)
     p.add_argument("--scheme", default="greedy")
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
-    p.add_argument("--backend", default="lapack",
-                   choices=["reference", "lapack"])
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--mode", default="task",
-                   choices=["task", "batched", "process"],
-                   help="batched = stacked kernel groups in the "
-                        "calling thread (ignores --backend/--workers); "
-                        "process = worker processes over shared-memory "
-                        "tiles")
-    p.add_argument("--numeric", default="auto",
-                   choices=["auto", "numpy", "lapack"],
-                   help="factor-kernel implementation for --mode "
-                        "batched/process")
-    p.add_argument("--start-method", default=None,
-                   choices=["fork", "spawn", "forkserver"],
-                   help="multiprocessing start method for --mode process")
-    _add_batch(p)
+    _add_exec_flags(p, "factor")
     p.add_argument("--bs", type=int, default=None)
     p.add_argument("--save", help="save the factorization to this .npz")
     p.add_argument("--progress", action="store_true",
@@ -898,23 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.add_argument("--nb", type=int, default=64, help="tile size")
     p.add_argument("--ib", type=int, default=32, help="inner blocking")
-    p.add_argument("--backend", default="lapack",
-                   choices=["reference", "lapack"])
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--mode", default="task",
-                   choices=["task", "batched", "process"],
-                   help="batched = stacked kernel groups in the "
-                        "calling thread (spans cover groups and the "
-                        "simulated overlay is skipped); process = "
-                        "worker processes over shared-memory tiles")
-    p.add_argument("--numeric", default="auto",
-                   choices=["auto", "numpy", "lapack"],
-                   help="factor-kernel implementation for --mode "
-                        "batched/process")
-    p.add_argument("--start-method", default=None,
-                   choices=["fork", "spawn", "forkserver"],
-                   help="multiprocessing start method for --mode process")
-    _add_batch(p)
+    _add_exec_flags(p, "profile")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write Chrome trace-event JSON here")
     p.add_argument("--metrics-json", help="write the metrics snapshot here")
@@ -944,20 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.add_argument("--nb", type=int, default=64, help="tile size")
     p.add_argument("--ib", type=int, default=32, help="inner blocking")
-    p.add_argument("--backend", default="lapack",
-                   choices=["reference", "lapack"])
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--mode", default="process",
-                   choices=["task", "batched", "process"],
-                   help="process (default) = full six-phase attribution "
-                        "with clock-aligned worker spans; task/batched "
-                        "degenerate to queued + computing for "
-                        "comparison")
-    p.add_argument("--numeric", default="auto",
-                   choices=["auto", "numpy", "lapack"])
-    p.add_argument("--start-method", default=None,
-                   choices=["fork", "spawn", "forkserver"])
-    _add_batch(p)
+    _add_exec_flags(p, "overhead")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="text",
                    choices=["text", "json", "markdown"])
@@ -972,16 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.add_argument("--nb", type=int, default=64, help="tile size")
     p.add_argument("--ib", type=int, default=32, help="inner blocking")
-    p.add_argument("--backend", default="lapack",
-                   choices=["reference", "lapack"])
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--mode", default="task",
-                   choices=["task", "batched", "process"])
-    p.add_argument("--numeric", default="auto",
-                   choices=["auto", "numpy", "lapack"])
-    p.add_argument("--start-method", default=None,
-                   choices=["fork", "spawn", "forkserver"])
-    _add_batch(p)
+    _add_exec_flags(p, "top")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--interval", type=float, default=0.1,
                    help="dashboard repaint cadence in seconds")
@@ -991,6 +938,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _EXEC_COMMANDS:
+        from .runtime.options import ExecOptions
+
+        args.options = ExecOptions(**{
+            f.name: getattr(args, f.name)
+            for f in fields(ExecOptions) if f.metadata})
     return args.fn(args)
 
 

@@ -2,7 +2,7 @@
 
 Factor an ``m x n`` matrix (``m >= n``) with any of the paper's
 elimination trees and either kernel family, on either kernel backend,
-sequentially or on a thread pool:
+with any of the runtime's transports:
 
 >>> import numpy as np
 >>> from repro import tiled_qr
@@ -28,6 +28,7 @@ from ..kernels.costs import KernelFamily
 from ..planner import Plan
 from ..planner import plan as build_plan
 from ..runtime.executor import ExecutionContext, execute_graph
+from ..runtime.options import exec_keywords, pop_options
 from ..schemes.elimination import EliminationList
 from ..tiles.layout import TiledMatrix
 
@@ -146,27 +147,23 @@ def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
+@exec_keywords
 def tiled_qr(
     a: np.ndarray,
     nb: int = 64,
     ib: int = 32,
     scheme="greedy",
     family: KernelFamily | str = KernelFamily.TT,
-    backend: str = "reference",
-    workers: int | None = None,
-    mode: str = "task",
-    numeric: str = "auto",
-    start_method: str | None = None,
-    pool=None,
-    batch="auto",
+    *,
     tracer=None,
     metrics=None,
     bus=None,
     on_task_done=None,
-    options=None,
-    **scheme_params,
+    **params,
 ) -> TiledQRFactorization:
     """Tiled QR factorization of ``a`` (``m >= n``).
+
+    ``repro.api.factor`` is this function.
 
     Parameters
     ----------
@@ -185,47 +182,19 @@ def tiled_qr(
         :class:`~repro.schemes.elimination.EliminationList`, or a
         :class:`~repro.planner.Plan` from :func:`repro.api.plan`
         (whose grid shape must match the tiling of ``a``; its family
-        overrides ``family``).  Named schemes go through the
+        overrides ``family``; it must be a QR plan — Cholesky/LU plans
+        simulate but do not execute).  Named schemes go through the
         process-wide plan cache, so repeated factorizations of
         same-shaped matrices skip DAG construction.
     family : {"TT", "TS"}
         Kernel family (Section 2.1): TT maximizes parallelism, TS
         locality/sequential speed.  Ignored when ``scheme`` is a Plan.
-    backend : {"reference", "lapack"}
-        Numeric kernel implementation.
-    workers : int or None
-        ``None``/1 = sequential; ``>= 2`` = thread transport
-        (``mode="task"``) or the worker-process count
-        (``mode="process"``, default ``os.cpu_count()``).  Ignored
-        when ``mode="batched"``.
-    mode : {"task", "batched", "process"}
-        ``"task"`` retires one tile task at a time (or, with
-        ``workers >= 2``, groups of ready tasks on worker threads);
-        ``"batched"`` executes each group of ready same-kernel tasks
-        as stacked 3-D NumPy operations in the calling thread —
-        typically much faster (see docs/performance.md);
-        ``"process"`` runs the groups on worker processes over a
-        shared-memory tile pool.  ``backend`` is ignored in batched
-        and process modes.
-    numeric : {"auto", "numpy", "lapack"}
-        Factor-kernel implementation for ``mode="batched"`` and
-        ``mode="process"`` (ignored otherwise): ``"lapack"`` runs the
-        three factor kernels as per-slice LAPACK calls (real dtypes),
-        ``"numpy"`` keeps the stacked NumPy kernels, ``"auto"`` picks
-        LAPACK when supported.
-    start_method : str or None
-        ``mode="process"`` only: multiprocessing start method
-        (``"fork"``/``"spawn"``/``"forkserver"``; ``None`` = ``fork``
-        where available).
-    pool : repro.runtime.ProcessPool or None
-        ``mode="process"`` only: run on a persistent worker pool
-        instead of an ephemeral one.
-    batch : int or str
-        Group size of the process and thread transports:
-        ``"auto"`` (default) targets ~1ms of work per group, an int
-        ``>= 2`` fixes the group size, ``"off"`` dispatches single
-        tasks.  Bit-exact with single-task dispatch on the numpy path
-        (see :func:`repro.runtime.groups.resolve_batch`).
+    **execution keywords**
+        One keyword per :class:`~repro.runtime.ExecOptions` field, of
+        the same name (``mode=``, ``backend=``, ...), built into one
+        bundle for :func:`~repro.runtime.execute_graph`.  The
+        execution-options table in docs/api.md gives their values,
+        defaults and the transports that read them.
     tracer, metrics, bus, on_task_done
         Observability passthroughs to
         :func:`~repro.runtime.executor.execute_graph`: a span
@@ -234,18 +203,14 @@ def tiled_qr(
         :class:`~repro.obs.stream.EventBus` (live progress /
         ``repro top``), and a per-task completion callback.  All
         default to ``None`` (zero observation cost).
-    options : repro.runtime.ExecOptions or None
-        The execution knobs (``mode``, ``workers``, ``numeric``,
-        ``start_method``, ``pool``) as one bundle; the individual
-        keywords remain accepted, and a conflicting non-default
-        keyword raises (see :meth:`~repro.runtime.ExecOptions.resolve`).
-    **scheme_params
+    **params
         Extra parameters for the scheme (e.g. ``bs`` for plasma-tree).
 
     Returns
     -------
     TiledQRFactorization
     """
+    options = pop_options(params)
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
@@ -271,13 +236,10 @@ def tiled_qr(
         raise TypeError(
             "scheme must be a scheme name/spec string, an EliminationList, "
             f"or a Plan, got {type(scheme).__name__}")
-    pl = build_plan(tiled.p, tiled.q, scheme, family, **scheme_params)
+    pl = build_plan(tiled.p, tiled.q, scheme, family, **params)
     # pass the Plan itself: the frontier core reuses its memoized
     # bottom levels and dispatch arrays, batched mode its drain order
-    ctx = execute_graph(pl, tiled, backend=backend, ib=min(ib, nb),
-                        workers=workers, mode=mode, numeric=numeric,
-                        start_method=start_method, pool=pool, batch=batch,
-                        tracer=tracer, metrics=metrics, bus=bus,
-                        on_task_done=on_task_done, options=options)
+    ctx = execute_graph(pl, tiled, options, ib=min(ib, nb), tracer=tracer,
+                        metrics=metrics, bus=bus, on_task_done=on_task_done)
     return TiledQRFactorization(m=m, n=n, nb=nb, scheme=pl.elims,
                                 graph=pl.graph, context=ctx)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.tasks import TaskGraph
-from ..sim.simulate import SimResult, bottom_levels
+from ..sim.simulate import SimResult, _resolve, bottom_levels
 
 __all__ = ["Failure", "simulate_with_failures"]
 
@@ -41,7 +41,11 @@ def simulate_with_failures(
 
     Failures are detected immediately: the victim's in-flight task is
     re-queued at the failure instant and the worker never receives work
-    again.
+    again.  Without failures the schedule is
+    :func:`~repro.sim.simulate.simulate_bounded`'s, start, finish and
+    worker alike: every event of one instant retires (failures first,
+    then completions in task order) before any dispatch, and idle
+    workers are taken lowest index first.
 
     Parameters
     ----------
@@ -67,61 +71,67 @@ def simulate_with_failures(
     if len(death) >= processors:
         raise ValueError("at least one worker must survive")
 
-    n = len(graph.tasks)
+    g, idx = _resolve(graph)
+    n = idx.n
     prio = -bottom_levels(graph)
+    w = idx.weights
+    succ_ptr, succ_adj = idx.succ_ptr, idx.succ_adj
     start = np.zeros(n)
     finish = np.zeros(n)
     worker = np.full(n, -1, dtype=np.int64)
-    indeg = np.array([len(t.deps) for t in graph.tasks], dtype=np.int64)
-    succ = graph.successors()
+    indeg = idx.indegree
 
-    ready = [(prio[t.tid], t.tid) for t in graph.tasks if indeg[t.tid] == 0]
+    ready = [(prio[tid], tid) for tid in np.flatnonzero(indeg == 0).tolist()]
     heapq.heapify(ready)
-    alive = set(range(processors)) - {w for w, t in death.items() if t <= 0}
-    idle = sorted(alive)
+    alive = set(range(processors)) - {wk for wk, t in death.items() if t <= 0}
+    # popped from the end: lowest worker first, as in simulate_bounded
+    idle = sorted(alive, reverse=True)
     current: dict[int, int] = {}  # worker -> in-flight task
 
-    # unified event heap: (time, kind, payload); kind 0 = failure
-    # (processed before completions at equal times), kind 1 = completion
-    events: list[tuple[float, int, int]] = []
-    for w, t in death.items():
+    # event heap of (time, kind, key, worker): kind 0 = failure (key =
+    # worker), kind 1 = completion (key = tid), so one instant retires
+    # its failures first, then its completions in tid order
+    events: list[tuple[float, int, int, int]] = []
+    for wk, t in death.items():
         if t > 0:
-            heapq.heappush(events, (t, 0, w))
+            heapq.heappush(events, (t, 0, wk, wk))
 
     now = 0.0
     done = 0
     while done < n:
         while ready and idle:
             _, tid = heapq.heappop(ready)
-            w = idle.pop()
-            current[w] = tid
+            wk = idle.pop()
+            current[wk] = tid
             start[tid] = now
-            heapq.heappush(events, (now + graph.tasks[tid].weight, 1, w))
+            heapq.heappush(events, (now + w[tid], 1, tid, wk))
         if not events:
             raise RuntimeError("deadlock: no events pending, work remains")
-        now, kind, w = heapq.heappop(events)
-        if kind == 0:  # failure
-            if w in alive:
-                alive.discard(w)
-                if w in idle:
-                    idle.remove(w)
-                tid = current.pop(w, None)
-                if tid is not None:
-                    heapq.heappush(ready, (prio[tid], tid))
-            continue
-        # completion event — ignore if the worker already died (its
-        # task was re-queued by the failure handler)
-        if w not in alive or w not in current:
-            continue
-        tid = current.pop(w)
-        finish[tid] = now
-        worker[tid] = w
-        idle.append(w)
-        done += 1
-        for s in succ[tid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, (prio[s], s))
-    return SimResult(graph=graph, start=start, finish=finish,
+        # every event of the next instant before dispatching again
+        now = events[0][0]
+        while events and events[0][0] == now:
+            _, kind, tid, wk = heapq.heappop(events)
+            if kind == 0:  # failure: re-queue the lost task
+                if wk in alive:
+                    alive.discard(wk)
+                    if wk in idle:
+                        idle.remove(wk)
+                    lost = current.pop(wk, None)
+                    if lost is not None:
+                        heapq.heappush(ready, (prio[lost], lost))
+                continue
+            # a completion the worker's failure already cancelled
+            if current.get(wk) != tid or wk not in alive:
+                continue
+            del current[wk]
+            finish[tid] = now
+            worker[tid] = wk
+            idle.append(wk)
+            done += 1
+            for s in succ_adj[succ_ptr[tid]:succ_ptr[tid + 1]].tolist():
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, (prio[s], s))
+    return SimResult(graph=g, start=start, finish=finish,
                      makespan=float(finish.max()) if n else 0.0,
                      processors=processors, worker=worker)

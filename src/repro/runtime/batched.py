@@ -34,13 +34,14 @@ from __future__ import annotations
 import time
 
 from ..dag.tasks import KERNEL_CODES
+from ..kernels.backend import REFERENCE
 from ..obs.metrics import MetricsRegistry
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .executor import ExecutionContext, _prepare
-from .group_executor import (GroupExecutor, record_tfactors,
-                             use_lapack_factors)
+from .group_executor import GroupExecutor, record_tfactors
 from .groups import SIZE_BUCKETS, dispatch_arrays, drain_groups
+from .options import ExecOptions, resolve_backend
 
 __all__ = ["execute_batched"]
 
@@ -48,47 +49,39 @@ __all__ = ["execute_batched"]
 def execute_batched(
     graph,
     tiled: TiledMatrix,
+    options: ExecOptions | None = None,
+    *,
     ib: int = 32,
-    numeric: str = "auto",
     on_task_done=None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    collect_metrics: bool = False,
     bus=None,
 ) -> ExecutionContext:
     """Run a factorization DAG with the inline transport.
 
-    Usually reached via ``execute_graph(..., mode="batched")`` or
-    ``repro.api.factor(..., mode="batched")``; see the module docstring
-    for semantics.  ``graph`` may be a
+    Usually reached via ``execute_graph`` with
+    ``ExecOptions(mode="batched")``; see the module docstring for
+    semantics and :func:`~repro.runtime.execute_graph` for the other
+    parameters.  ``graph`` may be a
     :class:`~repro.dag.tasks.TaskGraph` or a
     :class:`~repro.planner.Plan` (whose memoized drain order is
-    reused).  The ``backend`` selection of the task executors does not
-    apply here; instead ``numeric`` picks the factor-kernel
-    implementation:
-
-    - ``"numpy"`` — stacked NumPy kernels throughout;
-    - ``"lapack"`` — per-slice LAPACK ``?geqrt``/``?tpqrt`` for the
-      factor kernels (real dtypes only; raises ``ValueError``
-      otherwise), stacked NumPy applies;
-    - ``"auto"`` (default) — ``"lapack"`` when supported for the
-      matrix dtype, else ``"numpy"``.
-
-    ``bus`` (an :class:`~repro.obs.stream.EventBus` or ``None``)
-    receives streaming telemetry: ``run_start``/``run_done`` and
-    ``group_start``/``group_done`` per group — ``count`` is the group
-    size, ``value`` the group seconds.
+    reused).  Of ``options`` only ``backend`` applies: it picks the
+    stacked factor kernels (:func:`~repro.runtime.options.
+    resolve_backend`).  ``bus`` receives ``run_start``/``run_done``
+    and ``group_start``/``group_done`` per group — ``count`` is the
+    group size, ``value`` the group seconds.
     """
-    use_lapack = use_lapack_factors(numeric, tiled.array.dtype)
-    plan, ctx, bus = _prepare(graph, tiled, "reference", ib, tracer,
-                              metrics, collect_metrics, bus, 1)
+    opts = ExecOptions() if options is None else options
+    bk = resolve_backend(opts.backend, "batched", tiled.array.dtype)
+    # the T store is in panel layout: Q replays with the reference kernels
+    plan, ctx, bus = _prepare(graph, tiled, REFERENCE, ib, tracer,
+                              metrics, bus, 1)
     g, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
     ntasks = len(g)
     if metrics is not None:
-        metrics.counter(
-            "batched.numeric." + ("lapack" if use_lapack else "numpy")).inc()
+        metrics.counter(f"batched.backend.{bk.name}").inc()
     if ntasks == 0:
         return ctx
     if plan is not None and hasattr(plan, "level_groups"):
@@ -97,8 +90,7 @@ def execute_batched(
         groups, da = drain_groups(g), dispatch_arrays(g)
 
     pool = TilePool(tiled)
-    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib,
-                               stacked="lapack" if use_lapack else "numpy")
+    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk, stacked=True)
     done_count = 0
     if bus is not None:
         bus.publish("run_start", total=ntasks, count=1,

@@ -45,7 +45,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, Task, TaskGraph
-from ..kernels.backend import KernelBackend, get_backend
+from ..kernels.backend import KernelBackend
 from ..kernels.costs import Kernel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -53,7 +53,7 @@ from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .group_executor import GroupExecutor, record_tfactors
 from .groups import FACTOR_CODES, FrontierCore, resolve_batch, unwrap_graph
-from .options import ExecOptions
+from .options import ExecOptions, resolve_backend
 
 __all__ = ["ExecutionContext", "ExecOptions", "execute_graph"]
 
@@ -184,8 +184,8 @@ class ExecutionContext:
         return c
 
 
-def _prepare(graph, tiled: TiledMatrix, backend, ib: int, tracer,
-             metrics, collect_metrics: bool, bus, workers: int):
+def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
+             tracer, metrics, bus, workers: int):
     """The entry every executor shares: ``(plan or None, context, bus)``.
 
     Unwraps a Plan, drops disabled observers (so ``ctx.tracer`` /
@@ -197,9 +197,7 @@ def _prepare(graph, tiled: TiledMatrix, backend, ib: int, tracer,
         tracer = None
     if bus is not None and not getattr(bus, "enabled", True):
         bus = None
-    if metrics is None and collect_metrics:
-        metrics = MetricsRegistry()
-    ctx = ExecutionContext(tiled=tiled, graph=g, backend=get_backend(backend),
+    ctx = ExecutionContext(tiled=tiled, graph=g, backend=backend,
                            ib=_clamp_ib(ib, tiled.nb, metrics),
                            tracer=tracer, metrics=metrics)
     if metrics is not None:
@@ -211,20 +209,13 @@ def _prepare(graph, tiled: TiledMatrix, backend, ib: int, tracer,
 def execute_graph(
     graph,
     tiled: TiledMatrix,
-    backend: str | KernelBackend = "reference",
+    options: ExecOptions | None = None,
+    *,
     ib: int = 32,
-    workers: int | None = None,
-    mode: str = "task",
-    numeric: str = "auto",
-    start_method: str | None = None,
-    pool=None,
-    batch="auto",
     on_task_done=None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    collect_metrics: bool = False,
     bus=None,
-    options: ExecOptions | None = None,
 ) -> ExecutionContext:
     """Run every kernel of ``graph`` against ``tiled``.
 
@@ -238,50 +229,16 @@ def execute_graph(
         priorities, and the inline transport its memoized drain order.
     tiled : TiledMatrix
         Tile views over the working array (mutated in place).
-    backend : str or KernelBackend
-        Per-tile kernels of task mode, ``"reference"`` or
-        ``"lapack"``.  Ignored by ``mode="batched"`` (stacked NumPy
-        kernels) and ``mode="process"`` (``numeric`` picks instead).
+    options : ExecOptions or None
+        How to run: mode, workers, kernel backend, start method, pool
+        and batch, as one bundle (``None``: ``ExecOptions()``, the
+        sequential reference kernels).  The execution-options table in
+        docs/api.md describes every field.
     ib : int
         Inner blocking size for the kernels.  Clamped to ``tiled.nb``
         at entry (with a log warning and an ``executor.ib_clamped``
         metrics counter) — ``ib > nb`` is meaningless and used to be
         silently absorbed by each kernel.
-    workers : int or None
-        ``None`` or ``1`` runs sequentially; otherwise the thread
-        transport with that many worker threads (``mode="task"``) or
-        the worker-process count (``mode="process"``).  Ignored by
-        ``mode="batched"`` (single-threaded orchestration over
-        multi-threaded BLAS).
-    mode : str
-        ``"task"`` (default): sequential per-tile kernels, or the
-        thread transport per ``workers``; ``"batched"``: the inline
-        transport (:func:`repro.runtime.batched.execute_batched`),
-        which runs each group as stacked 3-D operations in the core's
-        drain order — typically much faster for real factorizations;
-        ``"process"``: the process transport
-        (:func:`repro.runtime.procpool.execute_process`), kernels on
-        ``workers`` worker *processes* over a shared-memory tile pool.
-    numeric : str
-        Factor-kernel implementation for ``mode="batched"`` and
-        ``mode="process"`` (ignored otherwise): ``"numpy"``,
-        ``"lapack"``, or ``"auto"`` (LAPACK when the dtype supports
-        it).  See :func:`repro.runtime.batched.execute_batched`.
-    start_method : str or None
-        ``mode="process"`` only: the :mod:`multiprocessing` start
-        method (``"fork"``, ``"spawn"``, ``"forkserver"``; ``None``
-        picks ``fork`` where available).
-    pool : repro.runtime.procpool.ProcessPool or None
-        ``mode="process"`` only: reuse a persistent worker pool
-        instead of starting (and stopping) an ephemeral one — this is
-        how repeated factorizations amortize worker start-up.
-    batch : int or str
-        Group size of the thread and process transports: ``"auto"``
-        (default) targets ~1ms of estimated work per group, an int
-        >= 2 fixes the group size, ``"off"`` (or ``1``) dispatches
-        single tasks.  Compatible (same-kernel) ready tasks execute as
-        one stacked group — bit-exact with single-task dispatch on the
-        numpy path.  See :func:`repro.runtime.groups.resolve_batch`.
     on_task_done : callable or None
         Optional observer ``(task, done_count, total) -> None`` invoked
         after each kernel retires (progress bars, logging).  The thread
@@ -300,11 +257,8 @@ def execute_graph(
         Registry receiving per-kernel retirement counters and
         wall-time histograms plus scheduler-health series (in-flight
         task depth, time spent waiting on / holding the scheduler
-        lock — a direct measure of Python overhead).
-    collect_metrics : bool
-        Convenience: create a fresh registry when ``metrics`` is not
-        given.  The registry used is returned on the context's
-        ``metrics`` attribute either way.
+        lock — a direct measure of Python overhead); returned on the
+        context's ``metrics`` attribute.
     bus : EventBus or None
         Live event bus (:class:`repro.obs.stream.EventBus`) receiving
         streaming telemetry while the run progresses: ``run_start`` /
@@ -314,40 +268,27 @@ def execute_graph(
         retirement.  ``None`` or a disabled bus
         (:data:`~repro.obs.stream.NULL_BUS`) skips all publishing on
         the hot path.
-    options : ExecOptions or None
-        Bundle of the execution knobs (``mode``, ``workers``,
-        ``numeric``, ``start_method``, ``pool``) as one object — the
-        preferred spelling for new call sites.  The individual
-        keywords remain accepted; a keyword that *conflicts* with a
-        non-default value in the bundle raises rather than silently
-        winning (see :meth:`ExecOptions.resolve`).
 
     Returns
     -------
     ExecutionContext
     """
-    opts = ExecOptions.resolve(options, mode=mode, workers=workers,
-                               numeric=numeric, start_method=start_method,
-                               pool=pool, batch=batch)
-    mode, workers = opts.mode, opts.workers
-    if mode == "process":
+    opts = ExecOptions() if options is None else options
+    if not isinstance(opts, ExecOptions):
+        raise TypeError(f"options must be ExecOptions or None, got "
+                        f"{type(opts).__name__}")
+    observers = dict(ib=ib, on_task_done=on_task_done, tracer=tracer,
+                     metrics=metrics, bus=bus)
+    if opts.mode == "process":
         from .procpool import execute_process
-        return execute_process(graph, tiled, ib=ib, numeric=opts.numeric,
-                               workers=workers,
-                               start_method=opts.start_method,
-                               pool=opts.pool, batch=opts.batch,
-                               on_task_done=on_task_done,
-                               tracer=tracer, metrics=metrics,
-                               collect_metrics=collect_metrics, bus=bus)
-    if mode == "batched":
+        return execute_process(graph, tiled, opts, **observers)
+    if opts.mode == "batched":
         from .batched import execute_batched
-        return execute_batched(graph, tiled, ib=ib, numeric=opts.numeric,
-                               on_task_done=on_task_done, tracer=tracer,
-                               metrics=metrics,
-                               collect_metrics=collect_metrics, bus=bus)
-    workers = 1 if workers is None else max(1, workers)
+        return execute_batched(graph, tiled, opts, **observers)
+    workers = 1 if opts.workers is None else opts.workers
+    backend = resolve_backend(opts.backend, "task", tiled.array.dtype)
     plan, ctx, bus = _prepare(graph, tiled, backend, ib, tracer, metrics,
-                              collect_metrics, bus, workers)
+                              bus, workers)
     if workers == 1:
         _run_sequential(ctx, on_task_done, bus)
     elif len(ctx.graph):

@@ -15,9 +15,10 @@ Execution splits by kernel class:
 * **factor kernels** (GEQRT/TSQRT/TTQRT) run per slice with the
   per-tile backend's kernels — exactly the calls ungrouped dispatch
   makes, so grouping never changes their results bitwise.  The inline
-  transport (``stacked=``) instead factors a whole group in one
-  pool-level step with the stacked NumPy or the fixed-up per-slice
-  LAPACK kernels of :mod:`repro.kernels.batched`;
+  transport (``stacked=True``) instead factors a whole group in one
+  pool-level step with the backend's stacked kernels of
+  :mod:`repro.kernels.batched`: stacked NumPy for ``"reference"``,
+  fixed-up per-slice LAPACK for ``"lapack"``;
 * **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
   (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
   stacked apply (:func:`apply_group_pool`): the V tile and its ``T``
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES
-from ..kernels.backend import get_backend
+from ..kernels.backend import LAPACK, get_backend
 from ..kernels.batched import (
     BatchedTFactor,
     apply_stacked_batched,
@@ -48,7 +49,6 @@ from ..kernels.batched import (
     factor_stacked_lapack_pool,
     geqrt_batched,
     geqrt_lapack_pool,
-    lapack_batched_supported,
     unmqr_batched,
 )
 from ..kernels.costs import Kernel
@@ -58,24 +58,12 @@ from ..kernels.stacked import ts_support, tt_support
 from .groups import FACTOR_CODES, KIND
 
 __all__ = ["GroupExecutor", "apply_group_pool", "broadcast_tfactor",
-           "record_tfactors", "use_lapack_factors", "v_runs"]
+           "record_tfactors", "v_runs"]
 
 _GEQRT, _UNMQR, _TSQRT, _TSMQR, _TTQRT, _TTMQR = (
     KERNEL_CODES.index(k) for k in (
         Kernel.GEQRT, Kernel.UNMQR, Kernel.TSQRT, Kernel.TSMQR,
         Kernel.TTQRT, Kernel.TTMQR))
-
-
-def use_lapack_factors(numeric: str, dtype) -> bool:
-    """Whether ``numeric`` selects the LAPACK factor kernels for
-    ``dtype`` (validating it; ``"auto"`` picks LAPACK when supported)."""
-    if numeric not in ("auto", "numpy", "lapack"):
-        raise ValueError(
-            f"numeric must be 'auto', 'numpy' or 'lapack', got {numeric!r}")
-    supported = lapack_batched_supported(dtype)
-    if numeric == "lapack" and not supported:
-        raise ValueError(f"numeric='lapack' does not support dtype {dtype}")
-    return numeric == "lapack" or (numeric == "auto" and supported)
 
 
 class GroupExecutor:
@@ -93,23 +81,24 @@ class GroupExecutor:
     ib : int
         Inner blocking size.
     backend : str or KernelBackend
-        Per-tile kernel backend, ``"reference"`` or ``"lapack"``.
-    stacked : {None, "numpy", "lapack"}
-        Inline transport only: factor whole groups with the stacked
-        NumPy or the fixed-up LAPACK pool kernels, and stack every
-        apply, groups of one included.
+        Kernel library, ``"reference"`` or ``"lapack"`` (per-tile
+        kernels also any :class:`~repro.kernels.backend.KernelBackend`).
+    stacked : bool
+        Inline transport only: factor whole groups with the backend's
+        stacked pool kernels, and stack every apply, groups of one
+        included.
     """
 
     __slots__ = ("stack", "tstore", "q", "ib", "bk", "stacked",
                  "compact", "panels", "_tf_cache")
 
     def __init__(self, stack: np.ndarray, tstore: np.ndarray, q: int,
-                 ib: int, backend: str = "reference", stacked=None):
+                 ib: int, backend="reference", stacked: bool = False):
         self.stack, self.tstore = stack, tstore
         self.q, self.ib = q, ib
         self.bk = get_backend(backend)
         self.stacked = stacked
-        self.compact = stacked is None and self.bk.name == "lapack"
+        self.compact = not stacked and self.bk is LAPACK
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
         #: fslot -> BatchedTFactor of *views* into the T store.  A T
@@ -120,7 +109,7 @@ class GroupExecutor:
 
     @classmethod
     def on_pool(cls, pool, nfactor: int, ib: int, backend="reference",
-                stacked=None) -> "GroupExecutor":
+                stacked: bool = False) -> "GroupExecutor":
         """An executor over a private :class:`~repro.tiles.pool.TilePool`
         with a zeroed T store for ``nfactor`` factor tasks."""
         ex = cls(pool.stack, None, pool.q, ib, backend, stacked)
@@ -180,12 +169,12 @@ class GroupExecutor:
         has no such coordinate); ``fslots`` are the factor tasks' T
         slots, ``srcs`` the apply tasks' source slots.
         """
-        if code in FACTOR_CODES and self.stacked is not None:
+        if code in FACTOR_CODES and self.stacked:
             self._factor_group(code, np.asarray(rows, dtype=np.int64),
                                np.asarray(pivs, dtype=np.int64),
                                np.asarray(cols, dtype=np.int64),
                                np.asarray(fslots, dtype=np.int64))
-        elif code in FACTOR_CODES or (len(rows) == 1 and self.stacked is None):
+        elif code in FACTOR_CODES or (len(rows) == 1 and not self.stacked):
             for i in range(len(rows)):
                 self._run_task(code, rows[i], pivs[i], cols[i], js[i],
                                fslots[i], srcs[i])
@@ -233,7 +222,7 @@ class GroupExecutor:
         """
         stack, ib, q = self.stack, self.ib, self.q
         bslots = rows * q + cols
-        lapack = self.stacked == "lapack"
+        lapack = self.bk is LAPACK
         if code == _GEQRT:
             if lapack:
                 bt = geqrt_lapack_pool(stack, bslots, ib)

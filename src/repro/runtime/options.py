@@ -1,37 +1,43 @@
-"""Execution options: one bundle for the runtime knobs (S8 satellite).
+"""Execution options: the one declaration of every execution knob.
 
-``factor`` / ``tiled_qr`` / ``execute_graph`` historically grew five
-independent execution keywords — ``mode``, ``workers``, ``numeric``,
-``start_method``, ``pool`` — threaded through every layer by hand.
-:class:`ExecOptions` groups them into one frozen dataclass that can be
-built once (e.g. by the CLI) and passed anywhere an executor is
-invoked:
+:class:`ExecOptions` is the only place an execution knob is declared;
+everything else derives from its fields:
+
+* :func:`repro.tiled_qr` (``repro.api.factor`` is the same function)
+  takes each field as a keyword of the same name and builds one bundle
+  (:func:`exec_keywords`, :func:`pop_options`);
+* :func:`~repro.runtime.execute_graph`,
+  :func:`~repro.runtime.execute_batched`,
+  :func:`~repro.runtime.execute_process` and
+  :meth:`ProcessPool.run <repro.runtime.ProcessPool.run>` take only the
+  bundle;
+* the CLI's ``factor``, ``profile``, ``overhead`` and ``top``
+  subcommands generate one flag per field from the field's metadata
+  (its help text, choices and type; a field without metadata, such as
+  ``pool``, has no flag).
+
+The values, defaults and readers of each field are tabulated once, in
+the execution-options table of docs/api.md.
 
 >>> from repro.runtime import ExecOptions
->>> opts = ExecOptions(mode="batched", numeric="lapack")
->>> opts.mode
+>>> ExecOptions(mode="batched", backend="lapack").mode
 'batched'
-
-The legacy keywords remain accepted everywhere.  :meth:`ExecOptions.
-resolve` implements the merge rule: with no ``options`` the legacy
-keywords build one; with an ``options`` object, any legacy keyword
-still at its default is ignored, one that *agrees* with the bundle is
-redundant but harmless, and a conflicting non-default value raises —
-there is no silent precedence between the two spellings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import inspect
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
-__all__ = ["ExecOptions"]
+from ..kernels.backend import BACKENDS, LAPACK, REFERENCE, KernelBackend, \
+    get_backend
+from ..kernels.batched import lapack_batched_supported
+
+__all__ = ["ExecOptions", "exec_keywords", "pop_options", "resolve_backend"]
 
 #: execution modes understood by :func:`repro.runtime.execute_graph`
 _MODES = ("task", "batched", "process")
-
-#: numeric factor-kernel implementations (batched / process modes)
-_NUMERICS = ("auto", "numpy", "lapack")
 
 #: named micro-batching settings (ints >= 1 are also accepted)
 _BATCHES = ("auto", "off")
@@ -56,89 +62,99 @@ def _normalize_batch(value) -> "int | str":
 
 @dataclass(frozen=True)
 class ExecOptions:
-    """How to run a task graph: scheduler mode and its knobs.
+    """How to run a task graph: one frozen, validated bundle.
 
-    Parameters mirror the identically named keywords of
-    :func:`repro.runtime.execute_graph` (see there for full
-    semantics):
-
-    mode : str
-        ``"task"`` (sequential, or the thread transport), ``"batched"``
-        (the inline transport: stacked kernel groups) or
-        ``"process"`` (shared-memory worker processes).
-    workers : int or None
-        Worker count for task/process modes; ``None`` means
-        sequential (task mode) or one-per-core (process mode).
-    numeric : str
-        ``"auto"``, ``"numpy"`` or ``"lapack"`` — factor-kernel
-        implementation for batched/process modes.
-    start_method : str or None
-        :mod:`multiprocessing` start method for process mode.
-    pool : ProcessPool or None
-        Persistent worker pool to reuse in process mode.
-    batch : int or str
-        Group size of the process and thread transports:
-        ``"auto"`` (default) sizes groups to ~1ms of estimated work
-        per descriptor, an int >= 2 fixes the group size, ``"off"``
-        (or ``1``) dispatches single tasks.  Ignored by the batched
-        mode (unbounded groups) and the sequential executor.  See
-        :func:`repro.runtime.groups.resolve_batch`.
+    Each field's metadata holds its CLI flag's ``help``, ``choices``,
+    ``type`` or ``metavar``; see the execution-options table in
+    docs/api.md for values, defaults and which transport reads each.
     """
 
-    mode: str = "task"
-    workers: Optional[int] = None
-    numeric: str = "auto"
-    start_method: Optional[str] = None
+    mode: str = field(default="task", metadata={
+        "choices": _MODES,
+        "help": "task = per-tile kernels, sequential or on worker "
+                "threads; batched = stacked kernel groups in the calling "
+                "thread; process = worker processes over shared-memory "
+                "tiles"})
+    workers: Optional[int] = field(default=None, metadata={
+        "type": int,
+        "help": "worker threads (task mode; omit for sequential) or "
+                "worker processes (process mode; omit for one per core); "
+                "batched mode ignores it"})
+    backend: Any = field(default=None, metadata={
+        "choices": tuple(BACKENDS),
+        "help": "kernel library; omit for the per-mode default: "
+                "reference in task mode, LAPACK factor kernels for real "
+                "dtypes in batched and process mode"})
+    start_method: Optional[str] = field(default=None, metadata={
+        "choices": ("fork", "spawn", "forkserver"),
+        "help": "multiprocessing start method of process mode (omit for "
+                "fork where available)"})
     pool: Any = None
-    batch: Any = "auto"
+    batch: Any = field(default="auto", metadata={
+        "metavar": "auto|N|off",
+        "help": "group size of the thread and process transports: auto "
+                "targets ~1 ms of work per group, an int fixes it, off "
+                "(or 1) dispatches single tasks"})
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(
                 f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.numeric not in _NUMERICS:
-            raise ValueError(
-                f"numeric must be one of {_NUMERICS}, got {self.numeric!r}")
+        if self.backend is not None:
+            get_backend(self.backend)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "batch", _normalize_batch(self.batch))
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def resolve(cls, options: "ExecOptions | None" = None,
-                **legacy: Any) -> "ExecOptions":
-        """Merge an explicit bundle with legacy per-keyword arguments.
 
-        ``legacy`` holds the values of the old keywords as received by
-        the caller (``mode=``, ``workers=``, ...).  Rules:
+def resolve_backend(backend, mode: str, dtype) -> KernelBackend:
+    """The kernel library one run executes.
 
-        * ``options is None`` — the legacy keywords (plus defaults)
-          build the bundle; unchanged call sites behave exactly as
-          before.
-        * ``options`` given — legacy keywords still at their defaults
-          are ignored; a legacy keyword equal to the bundle's value is
-          accepted (harmless redundancy); a *conflicting* non-default
-          legacy value raises :class:`ValueError` rather than silently
-          picking a winner.
-        """
-        if options is None:
-            return cls(**legacy)
-        if not isinstance(options, cls):
-            raise TypeError(
-                f"options must be ExecOptions or None, got "
-                f"{type(options).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        for name, value in legacy.items():
-            if name not in defaults:
-                raise TypeError(f"unknown execution option {name!r}")
-            if name == "batch":
-                value = _normalize_batch(value)
-            if value == defaults[name]:
-                continue
-            bundled = getattr(options, name)
-            if value != bundled:
-                raise ValueError(
-                    f"conflicting execution options: {name}={value!r} "
-                    f"(keyword) vs {name}={bundled!r} (ExecOptions); "
-                    f"pass one or the other")
-        return options
+    ``backend=None`` picks per mode: the reference kernels in task
+    mode; in batched and process mode the LAPACK factor kernels when
+    ``dtype`` is real, else the reference ones.  Batched and process
+    mode run a registered backend only (the inline transport stacks
+    its kernels, process workers look theirs up by name), and LAPACK
+    there for real dtypes only; task mode also runs any
+    :class:`~repro.kernels.backend.KernelBackend`, e.g. a
+    :func:`~repro.kernels.validate.checked_backend`.
+    """
+    if backend is None:
+        if mode != "task" and lapack_batched_supported(dtype):
+            return LAPACK
+        return REFERENCE
+    bk = get_backend(backend)
+    if mode != "task":
+        if BACKENDS.get(bk.name) is not bk:
+            raise ValueError(
+                f"mode={mode!r} runs a registered backend "
+                f"{tuple(BACKENDS)}, not {bk.name!r}")
+        if bk is LAPACK and not lapack_batched_supported(dtype):
+            raise ValueError(
+                f"backend='lapack' in mode={mode!r} supports real dtypes "
+                f"only, got {dtype}")
+    return bk
+
+
+def pop_options(kwargs: dict) -> ExecOptions:
+    """Pop every :class:`ExecOptions` field out of ``kwargs`` into one
+    bundle; the other keywords stay in ``kwargs``."""
+    return ExecOptions(**{f.name: kwargs.pop(f.name)
+                          for f in fields(ExecOptions) if f.name in kwargs})
+
+
+def exec_keywords(fn):
+    """Declare the :class:`ExecOptions` fields in ``fn``'s signature.
+
+    ``fn`` takes them through its trailing ``**kwargs`` (and
+    :func:`pop_options`); this adds each field as a keyword-only
+    parameter with the field's default, so ``help()`` and
+    :func:`inspect.signature` show them.
+    """
+    sig = inspect.signature(fn)
+    *params, rest = sig.parameters.values()
+    knobs = [inspect.Parameter(f.name, inspect.Parameter.KEYWORD_ONLY,
+                               default=f.default)
+             for f in fields(ExecOptions)]
+    fn.__signature__ = sig.replace(parameters=[*params, *knobs, rest])
+    return fn

@@ -35,7 +35,7 @@ exact for every kernel (see :mod:`repro.tiles.pool`).  Results match
 the per-tile kernels of the same backend to rounding, bitwise on the
 numpy path with exactly tiled shapes.
 
-Reached via ``execute_graph(mode="process", workers=N)`` /
+Reached via ``execute_graph`` with ``ExecOptions(mode="process")`` /
 ``repro.api.factor(..., mode="process")`` / ``repro factor --mode
 process``; reuse a :class:`ProcessPool` across runs to amortize
 worker start-up (significant under the ``spawn`` start method).
@@ -43,6 +43,7 @@ worker start-up (significant under the ``spawn`` start method).
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue as queue_mod
 import time
@@ -52,6 +53,7 @@ from typing import Optional
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES
+from ..kernels.backend import LAPACK
 from ..kernels.geqrt import panel_starts
 from ..obs.metrics import MetricsRegistry
 from ..obs.stream import NULL_BUS, BusRelay
@@ -59,11 +61,11 @@ from ..obs.tracer import DistributedTracer, estimate_clock_sync
 from ..tiles.layout import TiledMatrix
 from ..tiles.shared_pool import SharedArray, SharedTilePool
 from .executor import ExecutionContext, _prepare
-from .group_executor import (GroupExecutor, record_tfactors,
-                             use_lapack_factors)
+from .group_executor import GroupExecutor, record_tfactors
 from .groups import SIZE_BUCKETS, FrontierCore, dedup_hits, resolve_batch
+from .options import ExecOptions, resolve_backend
 
-__all__ = ["ProcessPool", "execute_process"]
+__all__ = ["ProcessPool", "blas_threads", "execute_process"]
 
 _CODE_TO_NAME = tuple(k.value for k in KERNEL_CODES)
 
@@ -85,13 +87,66 @@ _POLL_S = 1.0
 #: growth on very large runs
 _SPAN_FLUSH = 4096
 
-#: environment knobs that pin per-worker BLAS threading.  Set around
-#: worker start-up so children initialize single-threaded BLAS pools
-#: (the parent's already-initialized BLAS is unaffected; fork children
-#: inherit the parent's thread count regardless — see
-#: docs/performance.md).
+#: environment knobs that size a BLAS thread pool when the library
+#: initializes.  Set around worker start-up, they reach only children
+#: that load BLAS afresh (spawn, forkserver); a fork child inherits the
+#: parent's initialized pools, so every worker also calls
+#: :func:`blas_threads` first (see docs/performance.md).
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+#: (set, get) thread-count symbols of the OpenBLAS builds numpy and
+#: scipy bundle: 64-bit-int scipy-openblas, 32-bit, plain OpenBLAS
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> list:
+    """``(set, get)`` thread-count functions of every OpenBLAS mapped
+    into this process.
+
+    The libraries are found in ``/proc/self/maps`` (none where it does
+    not exist) and opened with ``RTLD_NOLOAD``, so nothing that is not
+    already loaded gets loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREADS:
+            if hasattr(lib, setter):
+                found.append((getattr(lib, setter), getattr(lib, getter)))
+                break
+    return found
+
+
+def blas_threads(n: Optional[int] = None) -> list[int]:
+    """Set every loaded OpenBLAS to ``n`` threads (when given) and
+    return each one's thread count.
+
+    numpy and scipy each bundle their own OpenBLAS; the LAPACK tile
+    kernels call scipy's.  A worker calls this with ``n=1`` before
+    anything else: a fork child would otherwise keep the parent's
+    thread count in both, and two workers each running a multi-thread
+    BLAS pool on shared cores oversubscribe them.
+    """
+    libs = _loaded_openblas()
+    if n is not None:
+        for setter, _ in libs:
+            setter(n)
+    return [getter() for _, getter in libs]
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +266,9 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
     """Worker process loop: attach per run, execute groups, report.
 
     Must stay importable at module level for the ``spawn`` start
-    method.  Every exception is shipped to the parent as a formatted
-    traceback — a worker never dies on a task failure.
+    method.  It first pins every loaded OpenBLAS to one thread
+    (:func:`blas_threads`).  Every exception is shipped to the parent
+    as a formatted traceback — a worker never dies on a task failure.
 
     Work arrives as ``("groups", groups)`` messages (see
     :func:`_run_groups`).  When the run is traced (``cfg["trace"]``)
@@ -227,6 +283,7 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
     token, t)``): the parent's NTP-style handshake that aligns those
     stamps onto its timeline.
     """
+    blas_threads(1)
     state: _WorkerRun | None = None
     while True:
         # free_t marks the moment this worker went idle: any message
@@ -464,51 +521,48 @@ class ProcessPool:
         self,
         graph,
         tiled: TiledMatrix,
+        options: ExecOptions | None = None,
+        *,
         ib: int = 32,
-        numeric: str = "auto",
-        batch="auto",
         on_task_done=None,
         tracer=None,
         metrics: MetricsRegistry | None = None,
-        collect_metrics: bool = False,
         bus=None,
     ) -> ExecutionContext:
         """Execute a factorization DAG on the worker pool.
 
-        Parameters mirror
-        :func:`~repro.runtime.batched.execute_batched`; ``numeric``
-        picks the per-tile kernel backend the workers run
-        (``"numpy"`` → reference kernels, ``"lapack"`` → LAPACK tile
-        kernels, ``"auto"`` → LAPACK when the dtype supports it).
-        ``batch`` controls frontier micro-batching (``"auto"`` /
-        ``"off"`` / int group size — see
-        :func:`repro.runtime.groups.resolve_batch`): compatible ready
-        tasks ship as one group descriptor and execute through the
-        stacked kernels, amortizing the queue round-trip and
-        deserialization across the group.
-        Returns an :class:`~repro.runtime.executor.ExecutionContext`
-        whose T factors were copied out of shared memory, so
-        ``apply_q`` replay works exactly as for the other backends.
+        Parameters mirror :func:`~repro.runtime.execute_graph`.  Of
+        ``options`` the pool reads ``backend`` (the per-tile kernels
+        the workers run, :func:`~repro.runtime.options.
+        resolve_backend`) and ``batch`` (frontier micro-batching: see
+        :func:`repro.runtime.groups.resolve_batch`); its own worker
+        count and start method stand.  Compatible ready tasks ship as
+        one group descriptor and execute through the stacked kernels,
+        amortizing the queue round-trip and deserialization across
+        the group.  Returns an
+        :class:`~repro.runtime.executor.ExecutionContext` whose T
+        factors were copied out of shared memory, so ``apply_q``
+        replay works exactly as for the other backends.
         """
-        use_lapack = use_lapack_factors(numeric, tiled.array.dtype)
-        backend_name = "lapack" if use_lapack else "reference"
-        plan, ctx, bus = _prepare(graph, tiled, backend_name, ib, tracer,
-                                  metrics, collect_metrics, bus,
-                                  self.workers)
+        opts = ExecOptions() if options is None else options
+        bk = resolve_backend(opts.backend, "process", tiled.array.dtype)
+        compact = bk is LAPACK
+        plan, ctx, bus = _prepare(graph, tiled, bk, ib, tracer, metrics,
+                                  bus, self.workers)
         g, tracer, metrics, ib = ctx.graph, ctx.tracer, ctx.metrics, ctx.ib
         panel_starts(tiled.nb, ib)  # validate ib >= 1 before dispatch
         n = len(g)
         if metrics is not None:
             metrics.counter(f"procpool.start_method.{self.start_method}"
                             ).inc()
-            metrics.counter("procpool.numeric." + (
-                "lapack" if use_lapack else "numpy")).inc()
+            metrics.counter(f"procpool.backend.{bk.name}").inc()
         if n == 0:
             return ctx
         self._ensure_started()
 
         weights = g.index().weights
-        batch_size = resolve_batch(batch, tiled.nb, float(weights.mean()),
+        batch_size = resolve_batch(opts.batch, tiled.nb,
+                                   float(weights.mean()),
                                    workers=self.workers)
         if metrics is not None:
             metrics.gauge("procpool.batch.size", keep_samples=False).set(
@@ -519,7 +573,7 @@ class ProcessPool:
 
         pool = SharedTilePool(tiled)
         tstore = SharedArray(GroupExecutor.tstore_shape(
-            da.nfactor, tiled.nb, ib, compact=use_lapack), tiled.array.dtype)
+            da.nfactor, tiled.nb, ib, compact=compact), tiled.array.dtype)
         try:
             # The relay keeps pointing at this bus after the run
             # returns: mp.Queue feeder threads give no cross-queue
@@ -536,7 +590,7 @@ class ProcessPool:
             base_done = self._relay.pumped("task_done")
             base_spans = self._relay.pumped("task_spans")
             base_dropped = self._relay.dropped
-            cfg = {"ib": ib, "q": tiled.q, "backend": backend_name,
+            cfg = {"ib": ib, "q": tiled.q, "backend": bk.name,
                    "publish": bus is not None, "trace": dtracer is not None}
             for inq in self._inqs:
                 inq.put(("run", pool.handle(), tstore.handle(), cfg))
@@ -609,7 +663,7 @@ class ProcessPool:
                 bus.publish("run_done", count=n, value=bus.now())
             # one copy of the T store out of shared memory before the
             # unlink; the context's T factors are views into it
-            record_tfactors(ctx, da, np.array(tstore.array), use_lapack)
+            record_tfactors(ctx, da, np.array(tstore.array), compact)
             pool.scatter()
         finally:
             pool.close()
@@ -809,31 +863,28 @@ class ProcessPool:
 def execute_process(
     graph,
     tiled: TiledMatrix,
+    options: ExecOptions | None = None,
+    *,
     ib: int = 32,
-    numeric: str = "auto",
-    workers: Optional[int] = None,
-    start_method: Optional[str] = None,
-    pool: Optional[ProcessPool] = None,
-    batch="auto",
     on_task_done=None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    collect_metrics: bool = False,
     bus=None,
 ) -> ExecutionContext:
     """Run a factorization DAG on worker processes (one-shot helper).
 
-    Usually reached via ``execute_graph(..., mode="process")``.
-    Creates an ephemeral :class:`ProcessPool` (``workers``,
-    ``start_method``) unless an existing ``pool`` is passed — reuse a
-    pool when factoring repeatedly, especially under ``spawn``.
-    ``batch`` controls micro-batched dispatch (``"auto"``/``"off"``/N;
-    see :func:`repro.runtime.groups.resolve_batch`).
+    Usually reached via ``execute_graph`` with
+    ``ExecOptions(mode="process")``.  Runs on ``options.pool`` when
+    given, else on an ephemeral :class:`ProcessPool` of
+    ``options.workers`` workers started with ``options.start_method``
+    — reuse a pool when factoring repeatedly, especially under
+    ``spawn``.
     """
-    kw = dict(ib=ib, numeric=numeric, batch=batch, on_task_done=on_task_done,
-              tracer=tracer, metrics=metrics,
-              collect_metrics=collect_metrics, bus=bus)
-    if pool is not None:
-        return pool.run(graph, tiled, **kw)
-    with ProcessPool(workers=workers, start_method=start_method) as p:
-        return p.run(graph, tiled, **kw)
+    opts = ExecOptions() if options is None else options
+    kw = dict(ib=ib, on_task_done=on_task_done, tracer=tracer,
+              metrics=metrics, bus=bus)
+    if opts.pool is not None:
+        return opts.pool.run(graph, tiled, opts, **kw)
+    with ProcessPool(workers=opts.workers,
+                     start_method=opts.start_method) as p:
+        return p.run(graph, tiled, opts, **kw)

@@ -144,11 +144,15 @@ class TestDistributedGraph:
 
 class TestSimulateDistributed:
     def test_single_node_matches_bounded(self):
+        """One node reproduces simulate_bounded's start and finish
+        arrays byte for byte (worker ids follow another convention)."""
         g = build_dag(greedy(8, 3), "TT")
         lay = DistributedLayout(p=8, nodes=1)
-        a = simulate_distributed(g, lay, workers_per_node=4)
-        b = simulate_bounded(g, 4)
-        assert a.makespan == b.makespan
+        for P in (1, 3, 8, 48):
+            a = simulate_distributed(g, lay, workers_per_node=P)
+            b = simulate_bounded(g, P)
+            assert a.start.tobytes() == b.start.tobytes()
+            assert a.finish.tobytes() == b.finish.tobytes()
 
     def test_owner_computes_placement(self):
         g = build_dag(greedy(8, 2), "TT")

@@ -13,11 +13,22 @@ def graph():
     return build_dag(greedy(8, 3), "TT")
 
 
+def assert_same_schedule(a, b, workers=True):
+    """Byte-identical start and finish (and worker) arrays."""
+    assert a.start.tobytes() == b.start.tobytes()
+    assert a.finish.tobytes() == b.finish.tobytes()
+    if workers:
+        assert a.worker.tobytes() == b.worker.tobytes()
+
+
 class TestNoFailures:
     def test_matches_bounded(self, graph):
-        a = simulate_with_failures(graph, 4, [])
-        b = simulate_bounded(graph, 4)
-        assert a.makespan == b.makespan
+        """Without failures the model is simulate_bounded: same
+        retirement of equal-time completions, same idle order."""
+        for g in (graph, build_dag(greedy(15, 6), "TT")):
+            for P in (1, 3, 8, 48):
+                assert_same_schedule(simulate_with_failures(g, P, []),
+                                     simulate_bounded(g, P))
 
 
 class TestWithFailures:

@@ -16,9 +16,13 @@ def graph():
 
 class TestHeterogeneous:
     def test_uniform_speeds_match_bounded(self, graph):
-        het = simulate_heterogeneous(graph, [1.0] * 4)
-        hom = simulate_bounded(graph, 4)
-        assert het.makespan == hom.makespan
+        """Uniform speeds reproduce simulate_bounded's start and finish
+        arrays byte for byte (worker ids follow another convention)."""
+        for P in (1, 3, 8, 48):
+            het = simulate_heterogeneous(graph, [1.0] * P)
+            hom = simulate_bounded(graph, P)
+            assert het.start.tobytes() == hom.start.tobytes()
+            assert het.finish.tobytes() == hom.finish.tobytes()
 
     def test_faster_machine_not_slower(self, graph):
         slow = simulate_heterogeneous(graph, [1.0, 1.0])

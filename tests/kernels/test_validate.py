@@ -6,7 +6,7 @@ import pytest
 from repro.dag import build_dag
 from repro.kernels.validate import (assert_lower_part_unchanged,
                                     assert_upper_triangular, checked_backend)
-from repro.runtime import execute_graph
+from repro.runtime import ExecOptions, execute_graph
 from repro.schemes import greedy, flat_tree
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
@@ -47,7 +47,8 @@ class TestCheckedBackend:
         a = random_matrix(rng, 40, 24)
         tiled = TiledMatrix(a.copy(), 8)
         g = build_dag(greedy(tiled.p, tiled.q), "TT")
-        execute_graph(g, tiled, backend=checked_backend(base), ib=4)
+        execute_graph(g, tiled, ExecOptions(backend=checked_backend(base)),
+                      ib=4)
         r = np.triu(tiled.array[:24])
         _, r_np = np.linalg.qr(a)
         assert np.allclose(np.abs(r), np.abs(r_np), atol=1e-11)
@@ -56,7 +57,8 @@ class TestCheckedBackend:
         a = random_matrix(rng, 32, 16)
         tiled = TiledMatrix(a.copy(), 8)
         g = build_dag(flat_tree(tiled.p, tiled.q), "TS")
-        execute_graph(g, tiled, backend=checked_backend("reference"), ib=4)
+        execute_graph(g, tiled,
+                      ExecOptions(backend=checked_backend("reference")), ib=4)
 
     def test_name(self):
         assert checked_backend("lapack").name == "checked(lapack)"

@@ -346,14 +346,15 @@ class TestAnalyzeTraceFile:
 
     def _run_with_bus(self):
         from repro.obs import EventBus, LiveState
+        from repro.runtime import ExecOptions
         from repro.runtime.executor import execute_graph
         from repro.tiles.layout import TiledMatrix
         pl = plan(4, 4, "greedy")
         a = np.random.default_rng(0).standard_normal((4 * 16, 4 * 16))
         bus = EventBus()
         LiveState(total=len(pl.graph.tasks), nb=16).connect(bus)
-        execute_graph(pl, TiledMatrix(a, 16), ib=16, mode="batched",
-                      bus=bus)
+        execute_graph(pl, TiledMatrix(a, 16), ExecOptions(mode="batched"),
+                      ib=16, bus=bus)
         return pl, bus.snapshot()
 
     def test_jsonl_round_trip(self, tmp_path):

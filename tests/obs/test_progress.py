@@ -8,6 +8,7 @@ import pytest
 from repro.api import plan
 from repro.obs import (EventBus, LiveState, ProgressRenderer, kernel_totals)
 from repro.obs.progress import render_bar
+from repro.runtime import ExecOptions
 from repro.runtime.executor import execute_graph
 from repro.tiles.layout import TiledMatrix
 
@@ -124,8 +125,8 @@ class TestEtaConvergence:
         r = ProgressRenderer(state, replay, clock=bus.now,
                              stream=io.StringIO(), tty=False,
                              totals=kernel_totals(pl))
-        execute_graph(pl, TiledMatrix(a, 32), ib=32, mode="batched",
-                      bus=bus)
+        execute_graph(pl, TiledMatrix(a, 32), ExecOptions(mode="batched"),
+                      ib=32, bus=bus)
         r.render_once(force=True)
         est = r.last_estimate
         assert est is not None and est.done == est.total

@@ -9,6 +9,7 @@ import pytest
 from repro.api import plan
 from repro.obs import (EVENT_KINDS, NULL_BUS, BusRelay, Event, EventBus,
                        LiveState, NullBus)
+from repro.runtime import ExecOptions
 from repro.runtime.executor import execute_graph
 from repro.tiles.layout import TiledMatrix
 
@@ -261,7 +262,8 @@ class TestExecutorPublishing:
         p, q = self.GRID
         pl = plan(p, q, "greedy")
         a = np.random.default_rng(1).standard_normal((p * 32, q * 32))
-        execute_graph(pl, TiledMatrix(a, 32), ib=32, bus=bus, **kw)
+        execute_graph(pl, TiledMatrix(a, 32), ExecOptions(**kw), ib=32,
+                      bus=bus)
         return pl, bus.snapshot()
 
     def test_sequential_stream(self):

@@ -1,6 +1,6 @@
 """Batched backend end-to-end equivalence + the priority executor.
 
-The acceptance bar from ISSUE 5: ``execute_graph(mode="batched")``
+The acceptance bar: ``execute_graph`` with ``ExecOptions(mode="batched")``
 reconstructs ``Q @ R`` within ``1e-10`` relative error of the reference
 backend on every scheme family, square and tall grids, ragged edges,
 and all inner blocking sizes.
@@ -11,7 +11,8 @@ import pytest
 
 from repro.api import factor, plan
 from repro.dag.tasks import Kernel
-from repro.runtime import execute_graph
+from repro.obs import MetricsRegistry
+from repro.runtime import ExecOptions, execute_graph
 from repro.runtime.executor import _clamp_ib
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
@@ -25,9 +26,11 @@ def rel_err(x, y, a):
     return np.linalg.norm(x - y) / max(np.linalg.norm(a), 1e-300)
 
 
-def assert_equivalent(a, nb=NB, ib=4, **kw):
+def assert_equivalent(a, nb=NB, ib=4, backend=None, **kw):
+    """Batched run (``backend`` for its stacked kernels) against the
+    sequential reference kernels."""
     f_ref = factor(a, nb=nb, ib=ib, **kw)
-    f_bat = factor(a, nb=nb, ib=ib, mode="batched", **kw)
+    f_bat = factor(a, nb=nb, ib=ib, mode="batched", backend=backend, **kw)
     assert rel_err(f_bat.r(), f_ref.r(), a) < 1e-10
     assert f_bat.residual(a) < 1e-10
     assert f_bat.orthogonality() < 1e-10
@@ -80,8 +83,8 @@ class TestBatchedObservability:
         tiled = TiledMatrix(work, NB)
         pl = plan(6, 3, "greedy")
         tracer = Tracer()
-        ctx = execute_graph(pl, tiled, ib=4, mode="batched", tracer=tracer,
-                            collect_metrics=True, **kw)
+        ctx = execute_graph(pl, tiled, ExecOptions(mode="batched"), ib=4,
+                            tracer=tracer, metrics=MetricsRegistry(), **kw)
         return pl, tracer, ctx
 
     def test_group_spans_and_metrics(self, rng):
@@ -120,8 +123,8 @@ class TestPriorityExecutor:
     def _factor_threaded(self, rng, graph_or_plan, a):
         work = a.copy()
         tiled = TiledMatrix(work, NB)
-        ctx = execute_graph(graph_or_plan, tiled, ib=4, workers=4,
-                            collect_metrics=True)
+        ctx = execute_graph(graph_or_plan, tiled, ExecOptions(workers=4),
+                            ib=4, metrics=MetricsRegistry())
         return work, ctx.metrics
 
     def test_priority_correct_and_counts_inversions(self, rng):
@@ -161,8 +164,8 @@ class TestIbClamp:
         work = a.copy()
         tiled = TiledMatrix(work, NB)
         pl = plan(6, 3, "greedy")
-        ctx = execute_graph(pl, tiled, ib=100, mode=mode,
-                            collect_metrics=True)
+        ctx = execute_graph(pl, tiled, ExecOptions(mode=mode), ib=100,
+                            metrics=MetricsRegistry())
         assert ctx.ib == NB
         assert ctx.metrics.counter("executor.ib_clamped").value == 1
         f_ref = factor(a, nb=NB, ib=NB, scheme="greedy")
@@ -170,61 +173,62 @@ class TestIbClamp:
 
 
 class TestNumericPaths:
-    """The batched backend's factor-kernel selection (numpy vs LAPACK)."""
+    """The inline transport's stacked factor kernels per backend:
+    stacked NumPy (reference) or fixed-up per-slice LAPACK."""
 
     @pytest.mark.parametrize("shape", [(64, 64), (70, 33), (50, 17)])
     @pytest.mark.parametrize("family", ["TT", "TS"])
     def test_numpy_lapack_agree(self, rng, shape, family):
         a = np.asarray(random_matrix(rng, *shape, np.float64))
         f_np = factor(a, nb=NB, ib=4, scheme="greedy", family=family,
-                      mode="batched", numeric="numpy")
+                      mode="batched", backend="reference")
         f_la = factor(a, nb=NB, ib=4, scheme="greedy", family=family,
-                      mode="batched", numeric="lapack")
+                      mode="batched", backend="lapack")
         assert rel_err(f_la.r(), f_np.r(), a) < 1e-10
         assert f_la.residual(a) < 1e-10
         assert f_la.orthogonality() < 1e-10
 
-    @pytest.mark.parametrize("numeric", ["numpy", "lapack"])
-    def test_explicit_numeric_matches_reference(self, rng, numeric):
+    @pytest.mark.parametrize("backend", ["reference", "lapack"])
+    def test_explicit_numeric_matches_reference(self, rng, backend):
         a = np.asarray(random_matrix(rng, 70, 33, np.float64))
-        assert_equivalent(a, scheme="greedy", numeric=numeric)
+        assert_equivalent(a, scheme="greedy", backend=backend)
 
     def test_lapack_rejects_complex(self, rng):
         a = np.asarray(random_matrix(rng, 32, 16, np.complex128))
         with pytest.raises(ValueError, match="lapack"):
             factor(a, nb=NB, ib=4, scheme="greedy", mode="batched",
-                   numeric="lapack")
+                   backend="lapack")
 
     def test_auto_on_complex_uses_numpy(self, rng):
         a = np.asarray(random_matrix(rng, 48, 24, np.complex128))
         work = a.copy()
         tiled = TiledMatrix(work, NB)
         pl = plan(6, 3, "greedy")
-        ctx = execute_graph(pl, tiled, ib=4, mode="batched",
-                            collect_metrics=True)
-        assert ctx.metrics.counter("batched.numeric.numpy").value == 1
-        assert ctx.metrics.counter("batched.numeric.lapack").value == 0
+        ctx = execute_graph(pl, tiled, ExecOptions(mode="batched"), ib=4,
+                            metrics=MetricsRegistry())
+        assert ctx.metrics.counter("batched.backend.reference").value == 1
+        assert ctx.metrics.counter("batched.backend.lapack").value == 0
 
     def test_auto_on_real_uses_lapack(self, rng):
         a = np.asarray(random_matrix(rng, 48, 24, np.float64))
         tiled = TiledMatrix(a.copy(), NB)
         pl = plan(6, 3, "greedy")
-        ctx = execute_graph(pl, tiled, ib=4, mode="batched",
-                            collect_metrics=True)
-        assert ctx.metrics.counter("batched.numeric.lapack").value == 1
+        ctx = execute_graph(pl, tiled, ExecOptions(mode="batched"), ib=4,
+                            metrics=MetricsRegistry())
+        assert ctx.metrics.counter("batched.backend.lapack").value == 1
 
-    def test_bad_numeric_rejected(self, rng):
+    def test_bad_backend_rejected(self, rng):
         a = np.asarray(random_matrix(rng, 32, 16, np.float64))
-        with pytest.raises(ValueError, match="numeric"):
+        with pytest.raises(ValueError, match="backend"):
             factor(a, nb=NB, ib=4, scheme="greedy", mode="batched",
-                   numeric="fused")
+                   backend="fused")
 
     def test_lapack_preserves_tt_cohabitation(self, rng):
         """TTQRT's LAPACK path must not clobber the GEQRT vectors that
         share the zeroed tile's strictly lower triangle."""
         a = np.asarray(random_matrix(rng, 8 * NB, 4 * NB, np.float64))
         f = factor(a, nb=NB, ib=4, scheme="binary-tree", family="TT",
-                   mode="batched", numeric="lapack")
+                   mode="batched", backend="lapack")
         # apply_q replays those vectors; residual catches any damage
         assert f.residual(a) < 1e-10
         assert f.orthogonality() < 1e-10

@@ -184,7 +184,7 @@ class TestBitExactEquivalence:
     def test_process_auto_matches_off(self, rng, pool, shape):
         a = random_matrix(rng, *shape, np.float64)
         kw = dict(nb=NB, ib=4, mode="process", pool=pool,
-                  numeric="numpy")
+                  backend="reference")
         f0 = factor(a, batch="off", **kw)
         f1 = factor(a, batch="auto", **kw)
         assert np.array_equal(f0.r(), f1.r())
@@ -193,7 +193,7 @@ class TestBitExactEquivalence:
     def test_batch_one_is_the_degenerate_unbatched_path(self, rng, pool):
         a = random_matrix(rng, 70, 33, np.float64)
         kw = dict(nb=NB, ib=4, mode="process", pool=pool,
-                  numeric="numpy")
+                  backend="reference")
         f0 = factor(a, batch="off", **kw)
         f1 = factor(a, batch=1, **kw)
         assert np.array_equal(f0.r(), f1.r())
@@ -202,7 +202,7 @@ class TestBitExactEquivalence:
     def test_spawn_matches_fork(self, rng):
         a = random_matrix(rng, 64, 64, np.float64)
         kw = dict(nb=NB, ib=4, mode="process", workers=2,
-                  numeric="numpy", batch="auto")
+                  backend="reference", batch="auto")
         f_f = factor(a, start_method="fork", **kw)
         f_s = factor(a, start_method="spawn", **kw)
         assert np.array_equal(f_f.r(), f_s.r())
@@ -284,8 +284,8 @@ class TestDispatchMechanics:
             with pytest.raises(RuntimeError,
                                match="injected apply failure"):
                 factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       numeric="numpy", batch=8)
+                       backend="reference", batch=8)
             monkeypatch.undo()
             f = factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       numeric="lapack", batch=8)
+                       backend="lapack", batch=8)
             assert f.residual(a) < 1e-12

@@ -5,18 +5,18 @@ import pytest
 
 from repro.dag import build_dag
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.runtime import execute_graph
+from repro.runtime import ExecOptions, execute_graph
 from repro.schemes import greedy, flat_tree
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
 
 
-def factor(a, nb, workers, backend="reference", family="TT", ib=4, **kwargs):
+def factor(a, nb, workers, backend="reference", family="TT", ib=4,
+           batch="auto", **observers):
     tiled = TiledMatrix(a.copy(), nb)
     g = build_dag(greedy(tiled.p, tiled.q), family)
-    ctx = execute_graph(g, tiled, backend=backend, ib=ib, workers=workers,
-                        **kwargs)
-    return ctx
+    opts = ExecOptions(workers=workers, backend=backend, batch=batch)
+    return execute_graph(g, tiled, opts, ib=ib, **observers)
 
 
 class TestSequentialVsThreaded:
@@ -103,14 +103,14 @@ class TestErrorPropagation:
         g = build_dag(greedy(2, 1), "TT")
         # sabotage: make ib invalid so the kernel raises
         with pytest.raises(Exception):
-            execute_graph(g, tiled, ib=0, workers=2)
+            execute_graph(g, tiled, ExecOptions(workers=2), ib=0)
 
     def test_sequential_kernel_error(self, rng):
         a = random_matrix(rng, 16, 8)
         tiled = TiledMatrix(a, 8)
         g = build_dag(greedy(2, 1), "TT")
         with pytest.raises(Exception):
-            execute_graph(g, tiled, ib=0, workers=None)
+            execute_graph(g, tiled, ib=0)
 
 
 class TestProgressObserver:
@@ -130,7 +130,7 @@ class TestProgressObserver:
         tiled = TiledMatrix(a, 8)
         g = build_dag(greedy(tiled.p, tiled.q), "TT")
         seen = []
-        execute_graph(g, tiled, ib=4, workers=4,
+        execute_graph(g, tiled, ExecOptions(workers=4), ib=4,
                       on_task_done=lambda t, i, n: seen.append(i))
         assert sorted(seen) == list(range(1, len(g.tasks) + 1))
 
@@ -145,7 +145,7 @@ class TestProgressObserver:
             raise RuntimeError("observer blew up")
 
         with pytest.raises(RuntimeError, match="observer blew up"):
-            execute_graph(g, tiled, ib=4, workers=4,
+            execute_graph(g, tiled, ExecOptions(workers=4), ib=4,
                           on_task_done=bad_observer)
 
     def test_raising_observer_midway(self, rng):
@@ -160,7 +160,8 @@ class TestProgressObserver:
                 raise ValueError("boom at 5")
 
         with pytest.raises(ValueError, match="boom at 5"):
-            execute_graph(g, tiled, ib=4, workers=2, on_task_done=flaky)
+            execute_graph(g, tiled, ExecOptions(workers=2), ib=4,
+                          on_task_done=flaky)
         assert 5 in calls
 
 
@@ -204,7 +205,7 @@ class TestTracing:
 class TestMetrics:
     def test_collect_metrics_threaded(self, rng):
         a = random_matrix(rng, 32, 16)
-        ctx = factor(a, 8, 4, collect_metrics=True)
+        ctx = factor(a, 8, 4, metrics=MetricsRegistry())
         m = ctx.metrics
         assert m is not None
         n = len(ctx.graph.tasks)
@@ -228,7 +229,7 @@ class TestMetrics:
 
     def test_sequential_metrics(self, rng):
         a = random_matrix(rng, 24, 16)
-        ctx = factor(a, 8, None, collect_metrics=True)
+        ctx = factor(a, 8, None, metrics=MetricsRegistry())
         m = ctx.metrics
         retired = sum(m.get(name).value for name in m.names()
                       if name.startswith("tasks.retired."))

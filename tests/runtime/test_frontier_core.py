@@ -15,7 +15,7 @@ from repro.api import plan
 from repro.dag.tasks import KERNEL_CODES
 from repro.obs.metrics import MetricsRegistry
 from repro.problems import build_cholesky_dag, build_lu_dag
-from repro.runtime import FrontierCore, drain_groups, execute_graph
+from repro.runtime import ExecOptions, FrontierCore, drain_groups, execute_graph
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
 
@@ -125,7 +125,8 @@ class TestThreadTransportPriority:
         a = np.asarray(random_matrix(rng, 96, 48, np.float64))
         work, seq = a.copy(), a.copy()
         ctx = execute_graph(plan(12, 6, "greedy"), TiledMatrix(work, NB),
-                            ib=4, workers=4, collect_metrics=True)
+                            ExecOptions(workers=4), ib=4,
+                            metrics=MetricsRegistry())
         execute_graph(plan(12, 6, "greedy").graph, TiledMatrix(seq, NB),
                       ib=4)
         assert np.array_equal(work, seq)

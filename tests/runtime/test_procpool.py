@@ -1,6 +1,6 @@
 """Process-backend end-to-end equivalence + pool mechanics.
 
-The acceptance bar from ISSUE 7: ``execute_graph(mode="process")``
+The acceptance bar: ``execute_graph`` with ``ExecOptions(mode="process")``
 reconstructs ``Q @ R`` within ``~1e-12 * ||A||`` of the reference
 backend across the equivalence grid (schemes x families x ragged
 shapes x inner blockings), under both the fork and spawn start
@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.api import factor, plan
-from repro.runtime import ProcessPool, execute_graph, execute_process
+from repro.obs import MetricsRegistry
+from repro.runtime import ExecOptions, ProcessPool, execute_process, procpool
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
 
@@ -39,18 +40,17 @@ def rel_err(x, y, a):
     return np.linalg.norm(x - y) / max(np.linalg.norm(a), 1e-300)
 
 
-def assert_equivalent(a, pool, nb=NB, ib=4, numeric="auto", **kw):
+def assert_equivalent(a, pool, nb=NB, ib=4, backend="lapack", **kw):
     """Process run vs the task-mode run of the *same kernel backend*.
 
-    The LAPACK tile kernels pick different (equally valid) Householder
-    signs than the reference kernels, so R is compared against the
-    reference of matching convention; the Q @ R residual and
-    orthogonality bounds hold regardless.
+    Each backend keeps its own R row signs (docs/api.md), so R is
+    compared against the task-mode run of the same backend; the Q @ R
+    residual and orthogonality bounds hold regardless.  The default
+    is what process mode runs by default on real matrices.
     """
-    ref_backend = "reference" if numeric == "numpy" else "lapack"
-    f_ref = factor(a, nb=nb, ib=ib, backend=ref_backend, **kw)
+    f_ref = factor(a, nb=nb, ib=ib, backend=backend, **kw)
     f_pro = factor(a, nb=nb, ib=ib, mode="process", pool=pool,
-                   numeric=numeric, **kw)
+                   backend=backend, **kw)
     assert rel_err(f_pro.r(), f_ref.r(), a) < 1e-12
     assert f_pro.residual(a) < 1e-12
     assert f_pro.orthogonality() < 1e-12
@@ -74,11 +74,18 @@ class TestProcessFactorization:
         a = random_matrix(rng, 70, 33, np.float64)
         assert_equivalent(a, pool, ib=ib, scheme="greedy")
 
-    @pytest.mark.parametrize("numeric", ["numpy", "lapack"])
-    def test_numeric_paths(self, rng, pool, numeric):
+    @pytest.mark.parametrize("backend", ["reference", "lapack"])
+    def test_numeric_paths(self, rng, pool, backend):
         a = random_matrix(rng, 70, 33, np.float64)
         assert_equivalent(a, pool, scheme="fibonacci", family="TS",
-                          numeric=numeric)
+                          backend=backend)
+
+    def test_default_backend_is_lapack_on_real(self, rng, pool):
+        a = random_matrix(rng, 48, 24, np.float64)
+        reg = MetricsRegistry()
+        f = factor(a, nb=NB, ib=4, mode="process", pool=pool, metrics=reg)
+        assert f.context.backend.name == "lapack"
+        assert reg.counter("procpool.backend.lapack").value == 1
 
     def test_numpy_numeric_is_bit_exact(self, rng, pool):
         """On an exactly tiled matrix the rolling frontier must not
@@ -90,7 +97,7 @@ class TestProcessFactorization:
         a = random_matrix(rng, 64, 32, np.float64)
         f_ref = factor(a, nb=NB, ib=4)
         f_pro = factor(a, nb=NB, ib=4, mode="process", pool=pool,
-                       numeric="numpy")
+                       backend="reference")
         assert np.array_equal(f_pro.r(), f_ref.r())
 
     def test_complex_dtype(self, rng, pool):
@@ -138,7 +145,7 @@ class TestPoolMechanics:
         pl = plan(3, 2, "greedy", "TT")
         a = random_matrix(rng, 3 * NB, 2 * NB, np.float64)
         tiled = TiledMatrix(a.copy(), NB)
-        ctx = execute_process(pl.graph, tiled, ib=4, workers=2)
+        ctx = execute_process(pl.graph, tiled, ExecOptions(workers=2), ib=4)
         r_ref = factor(a, nb=NB, ib=4, backend="lapack").r()
         np.testing.assert_allclose(np.triu(tiled.array[:2 * NB]), r_ref,
                                    atol=1e-12 * np.linalg.norm(a))
@@ -154,20 +161,48 @@ class TestPoolMechanics:
         with pytest.raises(ValueError, match="workers"):
             ProcessPool(workers=0)
 
-    def test_bad_numeric(self, rng, pool):
+    def test_bad_backend(self, rng, pool):
         a = random_matrix(rng, 16, 16, np.float64)
-        with pytest.raises(ValueError, match="numeric"):
-            factor(a, nb=NB, mode="process", pool=pool, numeric="fortran")
+        with pytest.raises(ValueError, match="backend"):
+            factor(a, nb=NB, mode="process", pool=pool, backend="fortran")
 
     def test_lapack_rejects_complex(self, rng, pool):
         a = random_matrix(rng, 16, 16, np.complex128)
         with pytest.raises(ValueError, match="lapack"):
-            factor(a, nb=NB, mode="process", pool=pool, numeric="lapack")
+            factor(a, nb=NB, mode="process", pool=pool, backend="lapack")
 
     def test_bad_mode_message_names_process(self, rng):
         a = random_matrix(rng, 16, 16, np.float64)
         with pytest.raises(ValueError, match="process"):
             factor(a, nb=NB, mode="quantum")
+
+
+class TestBlasThreads:
+    def test_fork_worker_runs_one_blas_thread(self, monkeypatch):
+        """A fork child inherits the parent's initialized OpenBLAS
+        pools (numpy's copy and scipy's), which the thread variables
+        set around worker start-up cannot resize: the worker itself
+        must set each copy to one thread."""
+        before = procpool.blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        try:
+            if procpool.blas_threads(2) != [2] * len(before):
+                pytest.skip("OpenBLAS cannot run two threads here")
+
+            def report(state, widx, groups, free_t, done_q, publisher):
+                done_q.put(("blas", widx, procpool.blas_threads()))
+
+            # fork children run the parent's patched module
+            monkeypatch.setattr(procpool, "_run_groups", report)
+            with ProcessPool(workers=1, start_method="fork") as p:
+                p._ensure_started()
+                p._inqs[0].put(("groups", ()))
+                msg = p._done_q.get(timeout=30)
+        finally:
+            for (setter, _), n in zip(procpool._loaded_openblas(), before):
+                setter(n)
+        assert msg == ("blas", 0, [1] * len(before))
 
 
 class TestFailurePropagation:
@@ -191,13 +226,13 @@ class TestFailurePropagation:
             with pytest.raises(RuntimeError,
                                match="injected kernel failure"):
                 factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       numeric="numpy")
+                       backend="reference")
             monkeypatch.undo()  # later forks see the healthy backend
             # the failed run detached cleanly; the same pool still works
             # (fork workers keep the broken inherited module, so factor
-            # through a *fresh* attach with the lapack numeric instead)
+            # through a *fresh* attach with the lapack backend instead)
             f = factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       numeric="lapack")
+                       backend="lapack")
             assert f.residual(a) < 1e-12
 
     def test_on_task_done_exception_aborts(self, rng, pool):

@@ -1,9 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.runtime import ExecOptions
 
 
 class TestCp:
@@ -336,6 +340,50 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["fly"])
+
+
+class TestExecFlags:
+    """The execution flags come from ExecOptions's fields: one set for
+    every subcommand that executes, with the fields' choices and help,
+    and the fields' defaults except for these overrides."""
+
+    OVERRIDES = {"factor": {}, "profile": {"workers": 4},
+                 "overhead": {"mode": "process", "workers": 4},
+                 "top": {"workers": 4}}
+
+    def _flags(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a for a in sub.choices[command]._actions
+                if a.dest in {f.name for f in fields(ExecOptions)}}
+
+    def test_same_flags_choices_and_defaults(self):
+        for command, overrides in self.OVERRIDES.items():
+            flags = self._flags(command)
+            assert sorted(flags) == sorted(
+                f.name for f in fields(ExecOptions) if f.metadata), command
+            for f in fields(ExecOptions):
+                if not f.metadata:
+                    continue
+                act = flags[f.name]
+                assert act.option_strings == [
+                    "--" + f.name.replace("_", "-")]
+                assert act.default == overrides.get(f.name, f.default), (
+                    command, f.name)
+                assert act.choices == f.metadata.get("choices")
+                assert act.help == f.metadata["help"]
+
+    def test_simulation_workers_is_a_processor_count(self):
+        for command in ("trace", "sim", "analyze"):
+            sub = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            dests = {a.dest for a in sub.choices[command]._actions}
+            assert "workers" in dests and "backend" not in dests
+
+    def test_flags_build_the_bundle(self, capsys):
+        assert main(["factor", "--random", "40x16", "--nb", "8",
+                     "--mode", "batched", "--backend", "reference"]) == 0
+        assert "batched/reference" in capsys.readouterr().out
 
 
 class TestProgress:
