@@ -17,7 +17,6 @@ the hierarchical trees of Demmel et al. [8] and Hadri et al. [11].
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.costs import Kernel
 from ..schemes.elimination import EliminationList
-from ..sim.simulate import SimResult, bottom_levels
+from ..sim.simulate import SimResult, _list_schedule, _resolve, bottom_levels
 
 __all__ = [
     "DistributedLayout",
@@ -116,65 +115,36 @@ def simulate_distributed(
     row for stacked kernels, the factored/updated row otherwise), on
     one of that node's ``workers_per_node`` workers; cross-node stacked
     kernels additionally pay ``tile_comm_cost`` for fetching the remote
-    tile.  This is the machine the paper's §5 MPI outlook describes,
-    so elimination trees can be ranked under it directly.
+    tile (the weights of :func:`distributed_graph`).  Each node has its
+    own ready queue; priorities are the bottom levels without
+    transfers.  This is the machine the paper's §5 MPI outlook
+    describes, so elimination trees can be ranked under it directly.
+
+    Parameters
+    ----------
+    graph : TaskGraph or Plan
     """
     if workers_per_node < 1:
         raise ValueError(
             f"need at least one worker per node, got {workers_per_node}")
-    n = len(graph.tasks)
-    prio = -bottom_levels(graph)
-    stacked = (Kernel.TSQRT, Kernel.TTQRT, Kernel.TSMQR, Kernel.TTMQR)
-
-    def duration(t) -> float:
-        w = t.weight
-        if t.kernel in stacked and layout.crosses(t.row, t.piv):
-            w += tile_comm_cost
-        return w
-
-    home = [layout.owner(t.row) for t in graph.tasks]
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    worker = np.full(n, -1, dtype=np.int64)
-    indeg = np.array([len(t.deps) for t in graph.tasks], dtype=np.int64)
-    succ = graph.successors()
-
-    # per-node ready queues and idle pools
-    ready: list[list[tuple[float, int]]] = [[] for _ in range(layout.nodes)]
-    for t in graph.tasks:
-        if indeg[t.tid] == 0:
-            heapq.heappush(ready[home[t.tid]], (prio[t.tid], t.tid))
-    idle = [list(range(workers_per_node)) for _ in range(layout.nodes)]
-    running: list[tuple[float, int, int, int]] = []  # (fin, tid, node, w)
-    now = 0.0
-    done = 0
-    while done < n:
-        for node in range(layout.nodes):
-            while ready[node] and idle[node]:
-                _, tid = heapq.heappop(ready[node])
-                w = idle[node].pop()
-                start[tid] = now
-                finish[tid] = now + duration(graph.tasks[tid])
-                worker[tid] = node * workers_per_node + w
-                heapq.heappush(running, (finish[tid], tid, node, w))
-        if not running:
-            raise RuntimeError("deadlock: nothing running, work remains")
-        now, tid, node, w = heapq.heappop(running)
-        batch = [(tid, node, w)]
-        while running and running[0][0] == now:
-            _, t2, n2, w2 = heapq.heappop(running)
-            batch.append((t2, n2, w2))
-        for t2, n2, w2 in batch:
-            done += 1
-            idle[n2].append(w2)
-            for s in succ[t2]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready[home[s]], (prio[s], s))
-    return SimResult(graph=graph, start=start, finish=finish,
-                     makespan=float(finish.max()) if n else 0.0,
+    g, idx = _resolve(graph)
+    pools = [list(range(node * workers_per_node,
+                        (node + 1) * workers_per_node))
+             for node in range(layout.nodes)]
+    start, finish, worker = _list_schedule(
+        idx, -bottom_levels(graph), pools,
+        weights=distributed_graph(g, layout, tile_comm_cost).weights,
+        home=_owners(layout, g.rows))
+    return SimResult(graph=g, start=start, finish=finish,
+                     makespan=float(finish.max()) if idx.n else 0.0,
                      processors=layout.nodes * workers_per_node,
                      worker=worker)
+
+
+def _owners(layout: DistributedLayout, rows: np.ndarray) -> np.ndarray:
+    """The node owning each of ``rows``."""
+    table = [layout.owner(r) for r in range(int(rows.max(initial=-1)) + 1)]
+    return np.array(table, dtype=np.int64)[rows]
 
 
 def distributed_graph(
@@ -191,11 +161,8 @@ def distributed_graph(
     simulators, giving distributed-aware critical paths.
     """
     stacked = np.flatnonzero(np.isin(graph.codes, _STACKED_CODES))
-    rows, pivs = graph.rows[stacked], graph.pivs[stacked]
-    owner = np.array([layout.owner(r) for r in range(
-        int(max(rows.max(initial=-1), pivs.max(initial=-1))) + 1)],
-        dtype=np.int64)
-    cross = stacked[owner[rows] != owner[pivs]]
+    cross = stacked[_owners(layout, graph.rows[stacked])
+                    != _owners(layout, graph.pivs[stacked])]
     w = graph.weights.copy()
     w[cross] += tile_comm_cost
     return graph.with_weights(w, name=f"{graph.name}@{layout.nodes}nodes")

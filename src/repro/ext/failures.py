@@ -13,13 +13,12 @@ makespan each elimination tree loses per failure.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dag.tasks import TaskGraph
-from ..sim.simulate import SimResult, _resolve, bottom_levels
+from ..sim.simulate import SimResult, _list_schedule, _resolve, bottom_levels
 
 __all__ = ["Failure", "simulate_with_failures"]
 
@@ -45,10 +44,11 @@ def simulate_with_failures(
     :func:`~repro.sim.simulate.simulate_bounded`'s, start, finish and
     worker alike: every event of one instant retires (failures first,
     then completions in task order) before any dispatch, and idle
-    workers are taken lowest index first.
+    workers are taken in the same order.
 
     Parameters
     ----------
+    graph : TaskGraph or Plan
     processors : int
         Initial worker count; at least one worker must survive.
     failures : list of Failure
@@ -72,66 +72,15 @@ def simulate_with_failures(
         raise ValueError("at least one worker must survive")
 
     g, idx = _resolve(graph)
-    n = idx.n
-    prio = -bottom_levels(graph)
-    w = idx.weights
-    succ_ptr, succ_adj = idx.succ_ptr, idx.succ_adj
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    worker = np.full(n, -1, dtype=np.int64)
-    indeg = idx.indegree
-
-    ready = [(prio[tid], tid) for tid in np.flatnonzero(indeg == 0).tolist()]
-    heapq.heapify(ready)
-    alive = set(range(processors)) - {wk for wk, t in death.items() if t <= 0}
-    # popped from the end: lowest worker first, as in simulate_bounded
-    idle = sorted(alive, reverse=True)
-    current: dict[int, int] = {}  # worker -> in-flight task
-
-    # event heap of (time, kind, key, worker): kind 0 = failure (key =
-    # worker), kind 1 = completion (key = tid), so one instant retires
-    # its failures first, then its completions in tid order
-    events: list[tuple[float, int, int, int]] = []
-    for wk, t in death.items():
+    # a worker dead from t <= 0 never joins; the others die on time
+    deaths: dict[float, list[int]] = {}
+    for wk, t in sorted(death.items()):
         if t > 0:
-            heapq.heappush(events, (t, 0, wk, wk))
-
-    now = 0.0
-    done = 0
-    while done < n:
-        while ready and idle:
-            _, tid = heapq.heappop(ready)
-            wk = idle.pop()
-            current[wk] = tid
-            start[tid] = now
-            heapq.heappush(events, (now + w[tid], 1, tid, wk))
-        if not events:
-            raise RuntimeError("deadlock: no events pending, work remains")
-        # every event of the next instant before dispatching again
-        now = events[0][0]
-        while events and events[0][0] == now:
-            _, kind, tid, wk = heapq.heappop(events)
-            if kind == 0:  # failure: re-queue the lost task
-                if wk in alive:
-                    alive.discard(wk)
-                    if wk in idle:
-                        idle.remove(wk)
-                    lost = current.pop(wk, None)
-                    if lost is not None:
-                        heapq.heappush(ready, (prio[lost], lost))
-                continue
-            # a completion the worker's failure already cancelled
-            if current.get(wk) != tid or wk not in alive:
-                continue
-            del current[wk]
-            finish[tid] = now
-            worker[tid] = wk
-            idle.append(wk)
-            done += 1
-            for s in succ_adj[succ_ptr[tid]:succ_ptr[tid + 1]].tolist():
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (prio[s], s))
+            deaths.setdefault(t, []).append(wk)
+    idle = [wk for wk in range(processors - 1, -1, -1)
+            if death.get(wk, np.inf) > 0]
+    start, finish, worker = _list_schedule(idx, -bottom_levels(graph), [idle],
+                                           deaths=deaths)
     return SimResult(graph=g, start=start, finish=finish,
-                     makespan=float(finish.max()) if n else 0.0,
+                     makespan=float(finish.max()) if idx.n else 0.0,
                      processors=processors, worker=worker)

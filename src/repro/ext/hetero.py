@@ -4,20 +4,18 @@
 performance despite variations in processor speeds, or even resource
 failures" — this module provides the simulation instrument: a bounded
 list scheduler where each worker has its own speed (a task of weight
-``w`` takes ``w / speed`` on that worker).  A degenerate speed of 0
-models a failed core.  The ablation benchmark
+``w`` takes ``w / speed`` on that worker); dropping a worker from the
+list models a failed core.  The ablation benchmark
 ``benchmarks/bench_ablation_hetero.py`` uses it to compare how
 gracefully the elimination trees tolerate slow cores.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..dag.tasks import TaskGraph
-from ..sim.simulate import SimResult, bottom_levels
+from ..sim.simulate import SimResult, _list_schedule, _priority, _resolve
 
 __all__ = ["simulate_heterogeneous"]
 
@@ -30,64 +28,30 @@ def simulate_heterogeneous(
     """List scheduling on workers with per-worker speeds.
 
     Ready tasks are dispatched in priority order; among idle workers the
-    fastest is chosen (a standard heterogeneous-list heuristic).
+    fastest is chosen (a standard heterogeneous-list heuristic), the
+    lowest index among equally fast ones.
 
     Parameters
     ----------
+    graph : TaskGraph or Plan
     speeds : list of float
         One positive speed per worker (1.0 = nominal; 0 disallowed —
         drop the worker from the list to model a failure).
+    priority : str
+        A policy name from :data:`repro.sim.priorities.PRIORITIES`.
     """
     if not speeds:
         raise ValueError("need at least one worker")
     if any(s <= 0 for s in speeds):
         raise ValueError("speeds must be positive; drop failed workers instead")
-    n = len(graph.tasks)
-    if priority == "critical-path":
-        prio = -bottom_levels(graph)
-    elif priority == "fifo":
-        prio = np.arange(n, dtype=float)
-    else:
-        raise ValueError(f"unknown priority {priority!r}")
-
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    worker = np.full(n, -1, dtype=np.int64)
-    indeg = np.array([len(t.deps) for t in graph.tasks], dtype=np.int64)
-    succ = graph.successors()
-
-    ready: list[tuple[float, int]] = [
-        (prio[t.tid], t.tid) for t in graph.tasks if indeg[t.tid] == 0
-    ]
-    heapq.heapify(ready)
-    # idle workers sorted fastest-first: heap of (-speed, worker)
-    idle = [(-s, w) for w, s in enumerate(speeds)]
-    heapq.heapify(idle)
-    running: list[tuple[float, int, int]] = []
-    now = 0.0
-    done = 0
-    while done < n:
-        while ready and idle:
-            _, tid = heapq.heappop(ready)
-            negs, w = heapq.heappop(idle)
-            start[tid] = now
-            finish[tid] = now + graph.tasks[tid].weight / (-negs)
-            worker[tid] = w
-            heapq.heappush(running, (finish[tid], tid, w))
-        if not running:
-            raise RuntimeError("deadlock: no running tasks but work remains")
-        now, tid, w = heapq.heappop(running)
-        batch = [(tid, w)]
-        while running and running[0][0] == now:
-            _, t2, w2 = heapq.heappop(running)
-            batch.append((t2, w2))
-        for t2, w2 in batch:
-            done += 1
-            heapq.heappush(idle, (-speeds[w2], w2))
-            for s in succ[t2]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (prio[s], s))
-    return SimResult(graph=graph, start=start, finish=finish,
-                     makespan=float(finish.max()) if n else 0.0,
-                     processors=len(speeds), worker=worker)
+    g, idx = _resolve(graph)
+    # the core's workers are numbered fastest first, so its lowest idle
+    # id is the fastest idle worker
+    by_speed = sorted(range(len(speeds)), key=lambda w: (-speeds[w], w))
+    start, finish, worker = _list_schedule(
+        idx, _priority(graph, idx.n, priority), [list(range(len(speeds)))],
+        speed=[speeds[w] for w in by_speed], lowest_first=True)
+    return SimResult(graph=g, start=start, finish=finish,
+                     makespan=float(finish.max()) if idx.n else 0.0,
+                     processors=len(speeds),
+                     worker=np.array(by_speed, dtype=np.int64)[worker])

@@ -80,6 +80,15 @@ _PREFETCH = 2
 #: seconds between liveness checks while waiting for completions
 _POLL_S = 1.0
 
+#: clock-sync pings per worker: at least ``_SYNC_PINGS`` on a worker's
+#: first sync (half on a re-sync), then more until the fastest round
+#: trip bounds the offset within ``_SYNC_RESIDUAL_S``, at most
+#: ``_SYNC_PINGS_MAX`` in all, so a few slow replies on a loaded host
+#: do not set the residual
+_SYNC_PINGS = 8
+_SYNC_PINGS_MAX = 64
+_SYNC_RESIDUAL_S = 1e-3
+
 #: traced tasks a worker buffers before shipping one batched
 #: ``task_spans`` record — the merge only happens after the run's
 #: drain barrier, so a whole typical run rides in the endrun flush
@@ -481,24 +490,28 @@ class ProcessPool:
             return msg
 
     def _sync_clocks(self, dtracer: DistributedTracer,
-                     metrics: MetricsRegistry | None,
-                     pings: int = 8) -> None:
+                     metrics: MetricsRegistry | None) -> None:
         """NTP-style clock handshake with every worker.
 
         Each ping records ``(t_send, t_worker, t_recv)`` on the
         parent's ``perf_counter``; the minimum-RTT sample bounds the
-        worker's clock offset to within half that round-trip.  Runs at
-        the start of every traced run, so a persistent pool re-syncs
-        periodically and the drift since the previous estimate is
-        reported alongside the offset.
+        worker's clock offset to within half that round-trip.  Pinging
+        goes on past the first ``_SYNC_PINGS`` until that bound is
+        under ``_SYNC_RESIDUAL_S`` (or ``_SYNC_PINGS_MAX`` pings went
+        out).  Runs at the start of every traced run, so a persistent
+        pool re-syncs periodically and the drift since the previous
+        estimate is reported alongside the offset.
         """
         for w, inq in enumerate(self._inqs):
             samples: list[tuple[float, float, float]] = []
             # first sync of a worker takes the full ping budget; later
             # re-syncs only refresh drift, so half the pings suffice
-            n_pings = pings if w not in self._clock_prev \
-                else max(3, pings // 2)
-            for tok in range(n_pings):
+            n_pings = _SYNC_PINGS if w not in self._clock_prev \
+                else _SYNC_PINGS // 2
+            best_rtt = float("inf")
+            for tok in range(_SYNC_PINGS_MAX):
+                if tok >= n_pings and best_rtt / 2 < _SYNC_RESIDUAL_S:
+                    break
                 t_send = time.perf_counter()
                 inq.put(("sync", tok))
                 deadline = time.monotonic() + 30.0
@@ -506,7 +519,9 @@ class ProcessPool:
                     msg = self._recv(deadline, f"clock sync of worker {w}")
                     if msg[:3] == ("sync_ack", w, tok):
                         break
-                samples.append((t_send, msg[3], time.perf_counter()))
+                t_recv = time.perf_counter()
+                samples.append((t_send, msg[3], t_recv))
+                best_rtt = min(best_rtt, t_recv - t_send)
             sync = estimate_clock_sync(w, samples,
                                        prev=self._clock_prev.get(w))
             self._clock_prev[w] = sync

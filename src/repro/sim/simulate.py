@@ -9,12 +9,13 @@ paper's Tables 3-5) and a bounded processor count with list scheduling
 The hot loops run on the graph's :class:`~repro.dag.index.GraphIndex`
 — CSR predecessor/successor arrays and a topological level
 decomposition — rather than per-task Python object walks.  The
-unbounded pass is one ``np.maximum.reduceat`` per level; the bounded
-list scheduler keeps its event loop (it is inherently sequential) but
-reads weights, in-degrees and successor segments from flat arrays.
-Results are bit-for-bit identical to the original per-task
-implementations, which are kept here (``_reference_*``) as the test
-oracle.
+unbounded pass is one ``np.maximum.reduceat`` per level.  Bounded
+simulation is inherently sequential: :func:`_list_schedule` is its one
+event loop, and :func:`simulate_bounded` and the worker models of
+:mod:`repro.ext` (per-worker speeds, fail-stop workers, per-node
+ready queues) only set it up.  Results are bit-for-bit identical to
+the original per-task implementations, which live on as the test
+oracles in ``tests/sim/reference.py``.
 
 Every entry point accepts either a :class:`~repro.dag.tasks.TaskGraph`
 or a :class:`~repro.planner.Plan` (whose prebuilt index is reused).
@@ -23,6 +24,7 @@ or a :class:`~repro.planner.Plan` (whose prebuilt index is reused).
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +132,150 @@ def bottom_levels(graph) -> np.ndarray:
     return bl
 
 
+def _priority(graph, n: int, priority: str | np.ndarray) -> np.ndarray:
+    """A policy name's priority vector, or an explicit vector checked."""
+    if isinstance(priority, str):
+        from .priorities import priority_vector  # local: avoids cycle
+
+        return priority_vector(graph, priority)
+    prio = np.asarray(priority, dtype=float)
+    if prio.shape != (n,):
+        raise ValueError(
+            f"priority vector has shape {prio.shape}, expected ({n},)")
+    return prio
+
+
+def _ints(a: np.ndarray) -> array:
+    """``a`` as a C array of int64, indexed without numpy scalars."""
+    return array("q", np.asarray(a, dtype=np.int64).tobytes())
+
+
+def _list_schedule(
+    idx: GraphIndex,
+    prio: np.ndarray,
+    pools: list[list[int]],
+    *,
+    weights: np.ndarray | None = None,
+    speed: list[float] | None = None,
+    home: np.ndarray | None = None,
+    lowest_first: bool = False,
+    deaths: dict[float, list[int]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The list-scheduling loop every bounded simulator runs on.
+
+    Whenever a worker is idle and its ready queue holds a task, the
+    task of lowest ``(priority, tid)`` starts on it; a task of weight
+    ``w`` takes ``w / speed`` on its worker.  The tasks that finish at
+    one instant retire together, in tid order, before anything is
+    dispatched again.  The ready queues hold each task's rank in one
+    ``(priority, tid)`` sort, so they compare plain ints, and running
+    tasks wait in per-finish-time buckets under a heap of distinct
+    times.
+
+    Parameters
+    ----------
+    idx : GraphIndex
+    prio : ndarray
+        Per-task priority, lower dispatches first.
+    pools : list of list of int
+        The idle workers of each ready queue.  A pool is a stack taken
+        from the end, so the worker freed last runs next; with
+        ``lowest_first`` it is a min-heap, so the lowest idle worker id
+        runs next.
+    weights : ndarray, optional
+        Per-task weights in place of ``idx.weights``.
+    speed : list of float, optional
+        Per-worker speed, indexed by worker id (default 1.0).
+    home : ndarray of int, optional
+        Each task's ready queue, an index into ``pools`` (default:
+        every task in the one queue).
+    deaths : dict, optional
+        Fail-stop times, ``{time: [worker, ...]}``.  At ``time`` the
+        workers leave their pools before that instant's completions
+        retire, and a task running on one is queued again.
+
+    Returns
+    -------
+    start, finish, worker : ndarray
+        Each task's last dispatch: its start, finish and worker.
+    """
+    n = idx.n
+    order = np.argsort(prio, kind="stable")  # ties stay in tid order
+    rank_a = np.empty(n, dtype=np.int64)
+    rank_a[order] = np.arange(n)
+    indeg_a = idx.indegree
+    src = np.flatnonzero(indeg_a == 0)
+    if home is None:
+        ready = [np.sort(rank_a[src]).tolist()]  # sorted: a valid heap
+        rq_of = ready * n
+    else:
+        ready = [np.sort(rank_a[src[home[src] == q]]).tolist()
+                 for q in range(len(pools))]
+        rq_of = [ready[h] for h in home.tolist()]
+    # compact C arrays, not lists: no Python object per element
+    tid_of, rank = _ints(order), _ints(rank_a)
+    succ_ptr, succ_adj = _ints(idx.succ_ptr), _ints(idx.succ_adj)
+    indeg = indeg_a.tolist()
+    w = idx.weights if weights is None else np.asarray(weights, float)
+    dur = array("d", w.tobytes())
+    wpool = {wk: pool for pool in pools for wk in pool}
+    if speed is None:
+        speed = [1.0] * (max(wpool, default=-1) + 1)
+    take, put = ((heapq.heappop, heapq.heappush) if lowest_first
+                 else (list.pop, list.append))
+    deaths = dict(deaths or {})
+    start = [0.0] * n
+    worker = [-1] * n
+    buckets: dict[float, list[int]] = {t: [] for t in deaths}
+    times = sorted(buckets)  # the distinct event times, a heap
+    queues = list(zip(ready, pools))
+    now = 0.0
+    done = 0
+    while done < n:
+        for rq, pool in queues:
+            while rq and pool:
+                tid = tid_of[heapq.heappop(rq)]
+                wk = take(pool)
+                f = now + dur[tid] / speed[wk]
+                start[tid] = now
+                worker[tid] = wk
+                b = buckets.get(f)
+                if b is None:
+                    buckets[f] = [tid]
+                    heapq.heappush(times, f)
+                else:
+                    b.append(tid)
+        if not times:
+            raise RuntimeError("deadlock: no running tasks but work remains")
+        now = heapq.heappop(times)
+        for wk in deaths.pop(now, ()):
+            pool = wpool[wk]
+            if wk in pool:  # idle: it never runs again
+                pool.remove(wk)
+                continue
+            # busy: its task is lost and queued again
+            t = next(t for b in buckets.values() for t in b
+                     if worker[t] == wk)
+            buckets[start[t] + dur[t] / speed[wk]].remove(t)
+            heapq.heappush(rq_of[t], rank[t])
+        batch = buckets.pop(now)
+        batch.sort()
+        done += len(batch)
+        for tid in batch:
+            wk = worker[tid]
+            put(wpool[wk], wk)
+            for s in succ_adj[succ_ptr[tid]:succ_ptr[tid + 1]]:
+                d = indeg[s] - 1
+                indeg[s] = d
+                if not d:
+                    heapq.heappush(rq_of[s], rank[s])
+    start_a = np.array(start, dtype=np.float64)
+    worker_a = np.array(worker, dtype=np.int64)
+    # the same IEEE operations the loop made, one array at a time
+    finish = start_a + w / np.asarray(speed, dtype=np.float64)[worker_a]
+    return start_a, finish, worker_a
+
+
 def simulate_bounded(
     graph,
     processors: int,
@@ -139,7 +285,8 @@ def simulate_bounded(
 
     Ready tasks are dispatched to idle workers in priority order; this
     models PLASMA's dynamic scheduler with a greedy non-preemptive
-    policy.
+    policy.  The lowest worker starts first; after that, the worker
+    freed last takes the next task (:func:`_list_schedule`).
 
     Parameters
     ----------
@@ -155,60 +302,12 @@ def simulate_bounded(
     if processors < 1:
         raise ValueError(f"need at least one processor, got {processors}")
     g, idx = _resolve(graph)
-    n = idx.n
-    if isinstance(priority, str):
-        from .priorities import priority_vector  # local: avoids cycle
-
-        prio = priority_vector(graph, priority)
-    else:
-        prio = np.asarray(priority, dtype=float)
-        if prio.shape != (n,):
-            raise ValueError(
-                f"priority vector has shape {prio.shape}, expected ({n},)")
-
-    w = idx.weights
-    succ_ptr, succ_adj = idx.succ_ptr, idx.succ_adj
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    worker = np.full(n, -1, dtype=np.int64)
-    indeg = idx.indegree
-
-    ready: list[tuple[float, int]] = []  # (priority, tid)
-    for tid in np.flatnonzero(indeg == 0).tolist():
-        heapq.heappush(ready, (prio[tid], tid))
-
-    # (finish_time, tid, worker) completion events; idle worker pool
-    running: list[tuple[float, int, int]] = []
-    idle = list(range(processors - 1, -1, -1))
-    now = 0.0
-    done = 0
-    while done < n:
-        # dispatch as many ready tasks as there are idle workers
-        while ready and idle:
-            _, tid = heapq.heappop(ready)
-            wk = idle.pop()
-            start[tid] = now
-            finish[tid] = now + w[tid]
-            worker[tid] = wk
-            heapq.heappush(running, (finish[tid], tid, wk))
-        if not running:
-            raise RuntimeError("deadlock: no running tasks but work remains")
-        # advance to the next completion (batch equal finish times)
-        now, tid, wk = heapq.heappop(running)
-        completions = [(tid, wk)]
-        while running and running[0][0] == now:
-            _, tid2, w2 = heapq.heappop(running)
-            completions.append((tid2, w2))
-        for tid2, w2 in completions:
-            done += 1
-            idle.append(w2)
-            for s in succ_adj[succ_ptr[tid2]:succ_ptr[tid2 + 1]].tolist():
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (prio[s], s))
-    makespan = float(finish.max()) if n else 0.0
+    start, finish, worker = _list_schedule(
+        idx, _priority(graph, idx.n, priority),
+        [list(range(processors - 1, -1, -1))])
     return SimResult(graph=g, start=start, finish=finish,
-                     makespan=makespan, processors=processors, worker=worker)
+                     makespan=float(finish.max()) if idx.n else 0.0,
+                     processors=processors, worker=worker)
 
 
 def zero_out_table(graph: TaskGraph, finish: np.ndarray) -> np.ndarray:
@@ -221,94 +320,3 @@ def zero_out_table(graph: TaskGraph, finish: np.ndarray) -> np.ndarray:
     for (i, k), tid in graph.zero_task.items():
         table[i, k] = finish[tid]
     return table
-
-
-# ----------------------------------------------------------------------
-# reference implementations — the original per-task-object loops, kept
-# as the oracle for the byte-identical tests of the vectorized paths
-# ----------------------------------------------------------------------
-
-def _reference_unbounded(graph: TaskGraph) -> SimResult:
-    n = len(graph.tasks)
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    for t in graph.tasks:
-        s = 0.0
-        for d in t.deps:
-            f = finish[d]
-            if f > s:
-                s = f
-        start[t.tid] = s
-        finish[t.tid] = s + t.weight
-    makespan = float(finish.max()) if n else 0.0
-    return SimResult(graph=graph, start=start, finish=finish,
-                     makespan=makespan)
-
-
-def _reference_bottom_levels(graph: TaskGraph) -> np.ndarray:
-    n = len(graph.tasks)
-    bl = np.zeros(n)
-    succ = graph.successors()
-    for t in reversed(graph.tasks):
-        m = 0.0
-        for s in succ[t.tid]:
-            if bl[s] > m:
-                m = bl[s]
-        bl[t.tid] = m + t.weight
-    return bl
-
-
-def _reference_bounded(
-    graph: TaskGraph,
-    processors: int,
-    priority: str | np.ndarray = "critical-path",
-) -> SimResult:
-    if processors < 1:
-        raise ValueError(f"need at least one processor, got {processors}")
-    n = len(graph.tasks)
-    if isinstance(priority, str):
-        from .priorities import priority_vector
-
-        prio = priority_vector(graph, priority)
-    else:
-        prio = np.asarray(priority, dtype=float)
-    start = np.zeros(n)
-    finish = np.zeros(n)
-    worker = np.full(n, -1, dtype=np.int64)
-    indeg = np.zeros(n, dtype=np.int64)
-    succ = graph.successors()
-    for t in graph.tasks:
-        indeg[t.tid] = len(t.deps)
-    ready: list[tuple[float, int]] = []
-    for t in graph.tasks:
-        if indeg[t.tid] == 0:
-            heapq.heappush(ready, (prio[t.tid], t.tid))
-    running: list[tuple[float, int, int]] = []
-    idle = list(range(processors - 1, -1, -1))
-    now = 0.0
-    done = 0
-    while done < n:
-        while ready and idle:
-            _, tid = heapq.heappop(ready)
-            w = idle.pop()
-            start[tid] = now
-            finish[tid] = now + graph.tasks[tid].weight
-            worker[tid] = w
-            heapq.heappush(running, (finish[tid], tid, w))
-        if not running:
-            raise RuntimeError("deadlock: no running tasks but work remains")
-        now, tid, w = heapq.heappop(running)
-        completions = [(tid, w)]
-        while running and running[0][0] == now:
-            _, tid2, w2 = heapq.heappop(running)
-            completions.append((tid2, w2))
-        for tid2, w2 in completions:
-            done += 1
-            idle.append(w2)
-            for s in succ[tid2]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (prio[s], s))
-    makespan = float(finish.max()) if n else 0.0
-    return SimResult(graph=graph, start=start, finish=finish,
-                     makespan=makespan, processors=processors, worker=worker)

@@ -12,6 +12,8 @@ import pytest
 import repro.api as api
 from repro.dag import Task, TaskGraph, build_dag
 from repro.dag.tasks import KERNEL_CODES
+from repro.ext import (DistributedLayout, Failure, simulate_distributed,
+                       simulate_heterogeneous, simulate_with_failures)
 from repro.kernels.costs import Kernel
 from repro.obs.analyze import analyze_sim
 from repro.runtime import ProcessPool
@@ -68,6 +70,16 @@ class TestNoTaskObjects:
             rep = analyze_sim(res)
             assert rep.tasks == len(pl)
             assert rep.critical_path.steps
+        assert made == []
+
+    @pytest.mark.parametrize("sim", [
+        lambda g: simulate_heterogeneous(g, [1.0, 0.5, 2.0]),
+        lambda g: simulate_with_failures(g, 3, [Failure(1, 9.0)]),
+        lambda g: simulate_distributed(g, DistributedLayout(9, 3), 2, 1.5),
+    ], ids=["heterogeneous", "failures", "distributed"])
+    def test_ext_simulators(self, made, sim):
+        res = sim(api.plan(9, 4, "greedy", "TS", cache=False).graph)
+        assert (res.worker >= 0).all()
         assert made == []
 
     @pytest.mark.parametrize("path", FACTOR_PATHS)

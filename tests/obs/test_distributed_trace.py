@@ -9,6 +9,7 @@ zero-task / spawn-vs-fork edge cases.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +353,26 @@ class TestProcessEndToEnd:
         names = metrics.names()
         assert "procpool.clock.residual_us.w0" in names
         assert "procpool.clock.offset_us.w1" in names
+
+    def test_sync_outlasts_slow_replies(self, rng, pool, monkeypatch):
+        """The first eight sync replies arrive 2.5 ms late, as on a
+        loaded host: the handshake pings on until a fast round trip
+        bounds the residual under 1 ms."""
+        recv, late = pool._recv, [8]
+
+        def slow_recv(deadline, what):
+            msg = recv(deadline, what)
+            if msg[0] == "sync_ack" and late[0]:
+                late[0] -= 1
+                time.sleep(2.5e-3)
+            return msg
+
+        monkeypatch.setattr(pool, "_recv", slow_recv)
+        tracer = DistributedTracer()
+        factor(random_matrix(rng, 64, 32, np.float64), nb=NB, ib=4,
+               mode="process", pool=pool, tracer=tracer)
+        assert late == [0]
+        assert 0.0 < tracer.max_residual < 1e-3
 
     def test_overhead_report_from_live_run(self, rng, pool):
         tracer = DistributedTracer()

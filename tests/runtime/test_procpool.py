@@ -12,7 +12,6 @@ itself the pool-reuse test: dozens of factorizations through one set
 of worker processes.
 """
 
-import multiprocessing as mp
 import time
 
 import numpy as np

@@ -12,13 +12,12 @@ import pytest
 from repro.dag.build import build_dag
 from repro.kernels.costs import Kernel, KernelFamily
 from repro.schemes.registry import get_scheme
-from repro.sim.simulate import (
-    _reference_bottom_levels,
-    _reference_bounded,
-    _reference_unbounded,
-    bottom_levels,
-    simulate_bounded,
-    simulate_unbounded,
+from repro.sim.simulate import (bottom_levels, simulate_bounded,
+                                 simulate_unbounded)
+from tests.sim.reference import (
+    reference_bottom_levels,
+    reference_bounded,
+    reference_unbounded,
 )
 
 # Table 3 (15 x 6 TT), Table 4a (15 x 3), Table 4b samples, Table 5
@@ -49,7 +48,7 @@ def _graph(scheme, p, q, family, params):
 class TestByteIdentical:
     def test_unbounded(self, scheme, p, q, family, params):
         g = _graph(scheme, p, q, family, params)
-        ref = _reference_unbounded(g)
+        ref = reference_unbounded(g)
         got = simulate_unbounded(g)
         assert np.array_equal(got.start, ref.start)
         assert np.array_equal(got.finish, ref.finish)
@@ -57,13 +56,13 @@ class TestByteIdentical:
 
     def test_bottom_levels(self, scheme, p, q, family, params):
         g = _graph(scheme, p, q, family, params)
-        assert np.array_equal(bottom_levels(g), _reference_bottom_levels(g))
+        assert np.array_equal(bottom_levels(g), reference_bottom_levels(g))
 
     @pytest.mark.parametrize("processors", [1, 3, 8])
     def test_bounded(self, scheme, p, q, family, params, processors):
         g = _graph(scheme, p, q, family, params)
         for priority in ("critical-path", "fifo"):
-            ref = _reference_bounded(g, processors, priority=priority)
+            ref = reference_bounded(g, processors, priority=priority)
             got = simulate_bounded(g, processors, priority=priority)
             assert np.array_equal(got.start, ref.start)
             assert np.array_equal(got.finish, ref.finish)
@@ -74,7 +73,7 @@ class TestRescaledWeights:
     def test_unbounded_with_costs(self):
         g = _graph("greedy", 12, 5, "TT", {})
         g = g.rescale({k: float(i + 1) * 0.37 for i, k in enumerate(Kernel)})
-        ref = _reference_unbounded(g)
+        ref = reference_unbounded(g)
         got = simulate_unbounded(g)
         assert np.array_equal(got.start, ref.start)
         assert np.array_equal(got.finish, ref.finish)
@@ -82,7 +81,7 @@ class TestRescaledWeights:
     def test_bounded_with_costs(self):
         g = _graph("fibonacci", 12, 5, "TT", {})
         g = g.rescale({k: float(i + 1) * 0.37 for i, k in enumerate(Kernel)})
-        ref = _reference_bounded(g, 4)
+        ref = reference_bounded(g, 4)
         got = simulate_bounded(g, 4)
         assert np.array_equal(got.start, ref.start)
         assert np.array_equal(got.worker, ref.worker)
