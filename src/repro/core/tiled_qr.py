@@ -55,8 +55,7 @@ class TiledQRFactorization:
     def r(self, full: bool = False) -> np.ndarray:
         """The ``R`` factor: ``n x n`` upper triangular (or ``m x n``)."""
         work = self.context.tiled.array
-        r = np.triu(work[: self.m, : self.n])
-        return r if full else r[: self.n, :]
+        return np.triu(work[: self.m if full else self.n, : self.n])
 
     def qh_matmul(self, c: np.ndarray) -> np.ndarray:
         """Return ``Q^H @ c`` for an ``(m, k)`` or ``(m,)`` array."""

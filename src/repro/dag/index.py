@@ -11,12 +11,14 @@ segments instead of a per-task Python loop.
 
 The index is immutable by convention: it is built from a fully
 constructed graph (``TaskGraph.index()`` memoizes it) and shared by
-every simulation over that graph.
+every simulation over that graph.  Its :attr:`GraphIndex.memo` holds
+the weight-dependent passes the simulators derive from it once (the
+ASAP schedule, the bottom levels), as read-only arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,6 +79,9 @@ class GraphIndex:
         level (``rev_seg_ptr`` bounds the groups), with their successor
         segments gathered contiguously — the reverse-pass mirror of the
         forward arrays, used by ``bottom_levels``.
+    memo : dict
+        Passes over this index memoized by :mod:`repro.sim.simulate`
+        (read-only arrays); :meth:`with_weights` starts a fresh one.
     """
 
     n: int
@@ -94,6 +99,8 @@ class GraphIndex:
     rev_seg_ptr: np.ndarray
     rev_succ_ptr: np.ndarray
     rev_succ_adj: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def indegree(self) -> np.ndarray:

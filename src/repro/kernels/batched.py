@@ -134,11 +134,11 @@ _MASK_CACHE: dict = {}
 
 
 def _strict_lower_mask(rows: int, cols: int) -> np.ndarray:
-    """Cached strictly-lower-triangular float mask (``rows x cols``)."""
+    """Cached strictly-lower-triangular boolean mask (``rows x cols``)."""
     key = (rows, cols)
     m = _MASK_CACHE.get(key)
     if m is None:
-        m = np.tril(np.ones((rows, cols)), -1)
+        m = np.tril(np.ones((rows, cols), dtype=bool), -1)
         _MASK_CACHE[key] = m
     return m
 
@@ -233,7 +233,10 @@ def unmqr_batched(
     order = range(len(panels)) if adjoint else range(len(panels) - 1, -1, -1)
     for idx in order:
         j0, jb = panels[idx]
-        vmat = v[:, j0:, j0 : j0 + jb] * _strict_lower_mask(m - j0, jb)
+        # select, not multiply: keeps V's dtype (single precision stays
+        # single) and zeroes exactly like the per-tile kernel's np.tril
+        vmat = np.where(_strict_lower_mask(m - j0, jb),
+                        v[:, j0:, j0 : j0 + jb], 0)
         d = np.arange(jb)
         vmat[:, d, d] = 1.0
         tblk = t.blocks[idx]

@@ -38,7 +38,8 @@ from ..kernels.costs import KERNEL_WEIGHTS, Kernel, KernelFamily
 from ..problems import Problem, QRProblem, get_problem
 from ..schemes.elimination import Elimination, EliminationList
 from ..schemes.registry import canonical_scheme_spec, get_scheme
-from ..sim.simulate import SimResult, simulate_bounded, simulate_unbounded
+from ..sim.simulate import (SimResult, bottom_levels, simulate_bounded,
+                            simulate_unbounded)
 from . import cache as _cache
 from ..core._npz import pack_meta, unpack_meta
 
@@ -127,11 +128,7 @@ class Plan:
     costs: Optional[dict[Kernel, float]] = None
     key: Optional[str] = None
     built_seconds: float = 0.0
-    _unbounded: Optional[SimResult] = field(
-        default=None, repr=False, compare=False)
     _schedules: dict = field(default_factory=dict, repr=False, compare=False)
-    _bottom_levels: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False)
     _level_groups: Optional[list] = field(
         default=None, repr=False, compare=False)
     _dispatch_arrays: Optional[object] = field(
@@ -147,10 +144,13 @@ class Plan:
         return len(self.graph)
 
     def unbounded(self) -> SimResult:
-        """Memoized unbounded-processor (ASAP) simulation."""
-        if self._unbounded is None:
-            self._unbounded = simulate_unbounded(self)
-        return self._unbounded
+        """Memoized unbounded-processor (ASAP) simulation (its arrays
+        are the graph index's memo,
+        :func:`~repro.sim.simulate.simulate_unbounded`)."""
+        res = self._schedules.get(None)
+        if res is None:
+            res = self._schedules[None] = simulate_unbounded(self)
+        return res
 
     def critical_path(self) -> float:
         """Critical path length in the plan's time units."""
@@ -181,15 +181,13 @@ class Plan:
         return simulate_bounded(self, processors, priority)
 
     def bottom_levels(self) -> np.ndarray:
-        """Memoized per-task bottom levels (critical-path priority).
+        """Per-task bottom levels (critical-path priority), memoized
+        on the graph index and read-only.
 
         The frontier core's priority keys and the bounded simulator's;
         see :func:`repro.sim.simulate.bottom_levels`.
         """
-        if self._bottom_levels is None:
-            from ..sim.simulate import bottom_levels
-            self._bottom_levels = bottom_levels(self)
-        return self._bottom_levels
+        return bottom_levels(self)
 
     def level_groups(self) -> list:
         """Memoized drain order of the frontier core: the groups the

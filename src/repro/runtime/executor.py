@@ -31,7 +31,19 @@ for the paper's 48-core C runtime; see DESIGN.md §2).
 Every run returns an :class:`ExecutionContext` holding the ``T``
 factors the factor kernels produced, so the Q factor can later be
 applied to arbitrary right-hand sides by replaying the panel tasks
-(:meth:`ExecutionContext.apply_q`).
+(:meth:`ExecutionContext.apply_q`).  The replay follows the frontier
+core's drain order restricted to the panel kernels (the Plan's
+memoized ``level_groups()``, or ``drain_groups`` of a bare graph, run
+once per context), ``Q^H`` forward and ``Q`` backward.  With the
+reference kernels, each group whose tiles are all full runs as one
+stacked kernel call on the gathered row blocks of a right-hand side
+at most :data:`REPLAY_STACK_TILES` tiles wide; LAPACK's compact ``T``,
+custom backends, ragged tiles, wider right-hand sides and
+:meth:`~ExecutionContext.apply_q_right` run per tile in the same
+order.  Either way the bytes equal a per-task replay in emission
+order: a group's members are independent, the DAG orders every two
+panel tasks sharing a row block, and the stacked kernels run the
+per-tile matmul chain on each slice.
 """
 
 from __future__ import annotations
@@ -45,19 +57,30 @@ from typing import Any, Optional
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, Task, TaskGraph
-from ..kernels.backend import KernelBackend
+from ..kernels.backend import REFERENCE, KernelBackend
+from ..kernels.batched import (BatchedTFactor, apply_stacked_batched,
+                               unmqr_batched)
 from ..kernels.costs import Kernel
+from ..kernels.stacked import ts_support, tt_support
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .group_executor import GroupExecutor, record_tfactors
-from .groups import FACTOR_CODES, FrontierCore, resolve_batch, unwrap_graph
+from .groups import (FACTOR_CODES, KIND, FrontierCore, drain_groups,
+                     resolve_batch, unwrap_graph)
 from .options import ExecOptions, resolve_backend
 
-__all__ = ["ExecutionContext", "ExecOptions", "execute_graph"]
+__all__ = ["ExecutionContext", "ExecOptions", "REPLAY_STACK_TILES",
+           "execute_graph"]
 
 logger = logging.getLogger(__name__)
+
+#: ``apply_q`` stacks a panel group only for right-hand sides at most
+#: this many tiles wide: wider blocks gather more than the saved
+#: per-call overhead (docs/performance.md, "Least squares: replaying Q
+#: in drain groups")
+REPLAY_STACK_TILES = 2
 
 
 def _clamp_ib(ib: int, nb: int, metrics: MetricsRegistry | None) -> int:
@@ -93,6 +116,11 @@ class ExecutionContext:
     tfactors: dict[tuple[int, int, str], Any] = field(default_factory=dict)
     tracer: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
+    #: the Plan the run was given (``None`` for a bare TaskGraph); its
+    #: memoized drain order orders the Q replay
+    plan: Optional[Any] = None
+    _panel_groups: Optional[list] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def run_task(self, code: int, row: int, piv: int, col: int,
@@ -127,8 +155,8 @@ class ExecutionContext:
         the right, in place.
 
         ``c`` must have ``m`` columns.  ``C @ Q`` replays the panel
-        tasks in emission order (``Q = Q_1 Q_2 ...``), ``C @ Q^H`` in
-        reverse with adjoints.
+        groups in drain order (``Q = Q_1 Q_2 ...``), ``C @ Q^H`` in
+        reverse with adjoints, one per-tile call per panel task.
         """
         if c.shape[1] != self.tiled.m:
             raise ValueError(
@@ -139,49 +167,126 @@ class ExecutionContext:
         """Apply ``Q`` or ``Q^H`` of the factorization to ``c`` in place.
 
         ``c`` must have ``m`` rows (padded rows included if the
-        factorization padded).  The panel tasks are replayed in
-        emission order for ``Q^H`` (the factorization direction) and in
-        reverse order with un-adjointed reflectors for ``Q``; any
-        linearization of the DAG yields the same product because
-        concurrent transformations touch disjoint row blocks.
+        factorization padded).  The panel tasks are replayed group by
+        group in the frontier core's drain order (:meth:`panel_groups`)
+        for ``Q^H`` (the factorization direction), and in reverse group
+        order with un-adjointed reflectors for ``Q``.  A group whose
+        tiles are all full runs as one stacked kernel call on the
+        gathered row blocks of ``c`` when the context replays with the
+        reference kernels (panel-block T factors) and ``c`` is at most
+        :data:`REPLAY_STACK_TILES` tiles wide; every other group runs
+        per tile on views.  The result is byte-identical to replaying
+        the panel tasks one by one in emission order: members of a
+        group are mutually independent, the DAG orders every two panel
+        tasks that share a row block, and the stacked kernels run the
+        per-tile matmul chain on each slice.
         """
         if c.shape[0] != self.tiled.m:
             raise ValueError(
                 f"c has {c.shape[0]} rows, factorization has {self.tiled.m}")
         return self._replay(c, adjoint, "L")
 
+    def panel_groups(self) -> list["_PanelGroup"]:
+        """The factor (GEQRT/TSQRT/TTQRT) groups of the drain order.
+
+        The plan's memoized ``Plan.level_groups()`` restricted to the
+        panel kernels, or, for a context built from a bare TaskGraph,
+        :func:`~repro.runtime.groups.drain_groups` run once; memoized
+        on the context with each group's tile coordinates.
+        """
+        if self._panel_groups is None:
+            plan, g, tiled = self.plan, self.graph, self.tiled
+            groups = (plan.level_groups() if plan is not None
+                      and hasattr(plan, "level_groups") else drain_groups(g))
+            full_p, full_q = tiled.m // tiled.nb, tiled.n // tiled.nb
+            out = []
+            for code, tids in groups:
+                if code not in FACTOR_CODES:
+                    continue
+                rows, pivs, cols = (g.rows[tids].astype(np.int64),
+                                    g.pivs[tids].astype(np.int64),
+                                    g.cols[tids].astype(np.int64))
+                out.append(_PanelGroup(
+                    code, rows, pivs, cols,
+                    full=bool(rows.max() < full_p and pivs.max() < full_p
+                              and cols.max() < full_q)))
+            self._panel_groups = out
+        return self._panel_groups
+
     def _replay(self, c: np.ndarray, adjoint: bool, side: str) -> np.ndarray:
-        """Replay the panel tasks' transformations on ``c`` (row blocks
+        """Replay the panel groups' transformations on ``c`` (row blocks
         of ``c`` for ``side="L"``, column blocks for ``"R"``)."""
         nb, m = self.tiled.nb, self.tiled.m
         bk, tiles, tf = self.backend, self.tiled, self.tfactors
+        stack = (side == "L" and bk is REFERENCE
+                 and c.shape[1] <= REPLAY_STACK_TILES * nb)
 
         def block(i: int) -> np.ndarray:
             rows = slice(i * nb, min((i + 1) * nb, m))
             return c[rows, :] if side == "L" else c[:, rows]
 
-        g = self.graph
-        panel = np.flatnonzero(np.isin(g.codes, list(FACTOR_CODES)))
-        # Q^H from the left and Q from the right run in emission order
+        groups = self.panel_groups()
+        # Q^H from the left and Q from the right run in drain order
         if adjoint != (side == "L"):
-            panel = panel[::-1]
-        for code, row, piv, col in zip(g.codes[panel].tolist(),
-                                       g.rows[panel].tolist(),
-                                       g.pivs[panel].tolist(),
-                                       g.cols[panel].tolist()):
-            kernel = KERNEL_CODES[code]
-            if kernel is Kernel.GEQRT:
-                bk.unmqr(tiles.tile(row, col), tf[(row, col, "ge")],
-                         block(row), adjoint=adjoint, side=side)
-            elif kernel is Kernel.TSQRT:
-                bk.tsmqr(tiles.tile(row, col), tf[(row, col, "ts")],
-                         block(piv), block(row), adjoint=adjoint,
-                         side=side)
-            else:
-                bk.ttmqr(tiles.tile(row, col), tf[(row, col, "tt")],
-                         block(piv), block(row), adjoint=adjoint,
-                         side=side)
+            groups = groups[::-1]
+        for grp in groups:
+            if stack and grp.full:
+                self._apply_stacked(grp, c, adjoint)
+                continue
+            kind = KIND[grp.code]
+            for row, piv, col in zip(grp.rows.tolist(), grp.pivs.tolist(),
+                                     grp.cols.tolist()):
+                if kind == "ge":
+                    bk.unmqr(tiles.tile(row, col), tf[(row, col, kind)],
+                             block(row), adjoint=adjoint, side=side)
+                elif kind == "ts":
+                    bk.tsmqr(tiles.tile(row, col), tf[(row, col, kind)],
+                             block(piv), block(row), adjoint=adjoint,
+                             side=side)
+                else:
+                    bk.ttmqr(tiles.tile(row, col), tf[(row, col, kind)],
+                             block(piv), block(row), adjoint=adjoint,
+                             side=side)
         return c
+
+    def _apply_stacked(self, grp: "_PanelGroup", c: np.ndarray,
+                       adjoint: bool) -> None:
+        """One full-tile panel group as one stacked left-side apply on
+        the gathered row blocks of ``c``."""
+        tiled, nb = self.tiled, self.tiled.nb
+        kind, rows, cols = KIND[grp.code], grp.rows, grp.cols
+        pf, qf = tiled.m // nb, tiled.n // nb
+        # splitting axes is always a view: (tile row, row, tile col, col)
+        v = tiled.array[:pf * nb, :qf * nb].reshape(pf, nb, qf, nb)[
+            rows, :, cols]
+        ts = [self.tfactors[(r, k, kind)]
+              for r, k in zip(rows.tolist(), cols.tolist())]
+        t = BatchedTFactor(ib=ts[0].ib)
+        t.blocks = [np.array(blks) for blks in zip(*(x.blocks for x in ts))]
+        c3 = c[:pf * nb].reshape(pf, nb, c.shape[1])
+        bot = c3[rows]
+        if kind == "ge":
+            unmqr_batched(v, t, bot, adjoint=adjoint)
+        else:
+            top = c3[grp.pivs]
+            apply_stacked_batched(v, t, top, bot,
+                                  tt_support if kind == "tt" else ts_support,
+                                  adjoint=adjoint, mask=kind == "tt")
+            c3[grp.pivs] = top
+        c3[rows] = bot
+
+
+@dataclass(frozen=True)
+class _PanelGroup:
+    """One drain group of panel tasks: kernel code, aligned tile
+    coordinates (``pivs`` is ``-1`` for GEQRT) and whether every tile
+    it touches is a full ``nb x nb`` tile."""
+
+    code: int
+    rows: np.ndarray
+    pivs: np.ndarray
+    cols: np.ndarray
+    full: bool
 
 
 def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
@@ -199,7 +304,7 @@ def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
         bus = None
     ctx = ExecutionContext(tiled=tiled, graph=g, backend=backend,
                            ib=_clamp_ib(ib, tiled.nb, metrics),
-                           tracer=tracer, metrics=metrics)
+                           tracer=tracer, metrics=metrics, plan=plan)
     if metrics is not None:
         metrics.counter("scheduler.tasks_total").inc(len(g))
         metrics.gauge("scheduler.workers", keep_samples=False).set(workers)

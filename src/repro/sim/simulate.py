@@ -19,6 +19,10 @@ oracles in ``tests/sim/reference.py``.
 
 Every entry point accepts either a :class:`~repro.dag.tasks.TaskGraph`
 or a :class:`~repro.planner.Plan` (whose prebuilt index is reused).
+The ASAP schedule and the bottom levels are computed once per graph
+index (:attr:`~repro.dag.index.GraphIndex.memo`) and handed out
+read-only, so the analytics, the critical-path priority and the Plan
+share one pass each.
 """
 
 from __future__ import annotations
@@ -78,18 +82,13 @@ class SimResult:
         return zero_out_table(self.graph, self.finish)
 
 
-def simulate_unbounded(graph) -> SimResult:
-    """ASAP schedule with unbounded processors.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Every task starts the instant its last dependency finishes, so the
-    makespan equals the critical path length of the DAG.  One
-    ``reduceat`` pass per topological level over the graph index.
 
-    Parameters
-    ----------
-    graph : TaskGraph or Plan
-    """
-    g, idx = _resolve(graph)
+def _asap(idx: GraphIndex) -> tuple[np.ndarray, np.ndarray]:
+    """ASAP start and finish times: one ``reduceat`` per level."""
     n = idx.n
     w = idx.weights
     start = np.zeros(n)
@@ -108,17 +107,11 @@ def simulate_unbounded(graph) -> SimResult:
         np.maximum(s, 0.0, out=s)
         start[seg] = s
         finish[seg] = s + w[seg]
-    makespan = float(finish.max()) if n else 0.0
-    return SimResult(graph=g, start=start, finish=finish, makespan=makespan)
+    return start, finish
 
 
-def bottom_levels(graph) -> np.ndarray:
-    """Length of the longest weighted path from each task to a sink.
-
-    The classical critical-path priority for list scheduling: a task
-    with a larger bottom level is more urgent.
-    """
-    _, idx = _resolve(graph)
+def _bottom_levels(idx: GraphIndex) -> np.ndarray:
+    """Bottom levels: one ``reduceat`` per level, sinks first."""
     w = idx.weights
     bl = w.copy()  # sinks: bottom level is the task's own weight
     nodes, sp = idx.rev_nodes, idx.rev_seg_ptr
@@ -129,6 +122,44 @@ def bottom_levels(graph) -> np.ndarray:
                                 idx.rev_succ_ptr[sp[si]:sp[si + 1]] - a)
         np.maximum(m, 0.0, out=m)
         bl[seg] = m + w[seg]
+    return bl
+
+
+def simulate_unbounded(graph) -> SimResult:
+    """ASAP schedule with unbounded processors.
+
+    Every task starts the instant its last dependency finishes, so the
+    makespan equals the critical path length of the DAG.  One
+    ``reduceat`` pass per topological level over the graph index,
+    memoized on the index: every call on the same graph shares the
+    read-only ``start`` and ``finish`` arrays.  (The memo holds arrays
+    only, never the result: a result refers to its graph, and the
+    cycle would keep dropped graphs alive until a full collection.)
+
+    Parameters
+    ----------
+    graph : TaskGraph or Plan
+    """
+    g, idx = _resolve(graph)
+    times = idx.memo.get("asap")
+    if times is None:
+        times = idx.memo["asap"] = tuple(_read_only(a) for a in _asap(idx))
+    start, finish = times
+    return SimResult(graph=g, start=start, finish=finish,
+                     makespan=float(finish.max()) if idx.n else 0.0)
+
+
+def bottom_levels(graph) -> np.ndarray:
+    """Length of the longest weighted path from each task to a sink.
+
+    The classical critical-path priority for list scheduling: a task
+    with a larger bottom level is more urgent.  Memoized on the graph
+    index; the returned array is read-only.
+    """
+    _, idx = _resolve(graph)
+    bl = idx.memo.get("bottom_levels")
+    if bl is None:
+        bl = idx.memo["bottom_levels"] = _read_only(_bottom_levels(idx))
     return bl
 
 

@@ -34,15 +34,18 @@ class TestSequentialVsThreaded:
     @pytest.mark.parametrize("family", ["TT", "TS"])
     def test_bit_exact_on_exact_tiling(self, rng, workers, batch, family):
         """The thread transport runs the reference kernels on padded
-        slots and stacks applies; on an exactly tiled real matrix every
-        bit of the factored array (R and the stored reflectors) and of
-        Q^H c matches the sequential reference."""
-        a = random_matrix(rng, 48, 24)
-        seq = factor(a, 8, None, family=family)
-        par = factor(a, 8, workers, family=family, batch=batch)
-        assert np.array_equal(par.tiled.array, seq.tiled.array)
-        c = random_matrix(rng, 48, 3)
-        assert np.array_equal(par.apply_q(c.copy()), seq.apply_q(c.copy()))
+        slots and stacks applies; on an exactly tiled matrix of every
+        dtype, single precision included (the stacked apply keeps V's
+        dtype), every bit of the factored array (R and the stored
+        reflectors) and of Q^H c matches the sequential reference."""
+        for dtype in (np.float64, np.complex128, np.float32, np.complex64):
+            a = random_matrix(rng, 48, 24, dtype)
+            seq = factor(a, 8, None, family=family)
+            par = factor(a, 8, workers, family=family, batch=batch)
+            assert np.array_equal(par.tiled.array, seq.tiled.array), dtype
+            c = random_matrix(rng, 48, 3, dtype)
+            assert np.array_equal(par.apply_q(c.copy()),
+                                  seq.apply_q(c.copy())), dtype
 
     def test_stress_more_threads_than_cores(self, rng):
         """Eight workers with a tiny switch interval: a lost in-degree
