@@ -542,6 +542,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .api import plan
+    from .kernels.costs import Kernel
     from .obs.chrome_trace import write_chrome_trace
     from .obs.metrics import MetricsRegistry
     from .obs.tracer import DistributedTracer, Tracer
@@ -567,7 +568,7 @@ def _cmd_profile(args) -> int:
         from .obs import EventBus, LiveState, Sampler
 
         # --events wants every event of the run in the ring at the
-        # end; 4x tasks covers start/done plus group/frontier records
+        # end; 4x tasks covers every group's start/done/frontier events
         ntasks = len(pl.graph)
         bus = EventBus(capacity=max(4096, 4 * ntasks))
         state = LiveState(total=ntasks, nb=nb).connect(bus)
@@ -591,23 +592,23 @@ def _cmd_profile(args) -> int:
             print(line)
 
     sim = None
-    if opts.mode == "batched":
-        # one span per stacked group; per-task weights would be
-        # meaningless, so skip the simulated overlay
-        sim = None
-    elif not args.no_sim:
-        # Simulate the same DAG with the *measured* mean kernel times as
-        # weights, so the simulated lanes share the measured time axis.
+    if not args.no_sim:
+        # Simulate the same DAG with the *measured* per-task kernel
+        # times as weights — each kernel's group seconds over its
+        # retired tasks — so the simulated lanes share the measured
+        # time axis.
         weights = {}
-        for t in pl.graph.tasks:
-            h = metrics.get(f"kernel.seconds.{t.kernel.value}")
-            weights[t.kernel] = h.mean if h is not None and h.count else 0.0
+        for k in Kernel:
+            secs = metrics.get(f"kernel.seconds.{k.value}")
+            done = metrics.get(f"tasks.retired.{k.value}")
+            weights[k] = (secs.sum / done.value if secs is not None
+                          and done is not None and done.value else 0.0)
         sim = pl.rescaled(weights).schedule(_lanes(opts))
 
     print(f"profiled {args.scheme} ({args.family}, "
           f"{_kernels(opts, a.dtype)}) on a {m} x {n} matrix, nb={nb}, "
           f"workers={opts.workers}")
-    print(f"  tasks            {len(tracer)}")
+    print(f"  tasks            {sum(s.count for s in tracer.spans)}")
     print(f"  makespan         {tracer.makespan() * 1e3:.2f} ms")
     print(f"  worker busy      {tracer.busy_fraction() * 100:.1f} %")
     if sim is not None:

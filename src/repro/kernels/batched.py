@@ -48,8 +48,6 @@ __all__ = [
     "ttmqr_batched",
     "factor_stacked_batched",
     "apply_stacked_batched",
-    "geqrt_lapack_batched",
-    "factor_stacked_lapack_batched",
     "lapack_batched_supported",
     "geqrt_lapack_pool",
     "factor_stacked_lapack_pool",
@@ -388,10 +386,12 @@ def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True) -> None:
 # keep a per-column Python loop whose interpreter constants dominate on
 # small tiles.  LAPACK's ``?geqrt``/``?tpqrt`` do the same panel
 # factorization in compiled code (~100 us per 64 x 64 tile vs ~2.5 ms
-# for the column loop), so the batched executor can call them slice by
-# slice and still hand back a :class:`BatchedTFactor` with exactly the
-# layout the stacked applies expect (``?geqrt``/``?tpqrt`` store ``T``
-# as side-by-side ``(ib, jb)`` panel blocks).
+# for the column loop), so the inline transport calls them slice by
+# slice, in place on the tile pool's slots (the per-slice loop needs no
+# contiguous gathered operand, unlike the stacked NumPy kernels), and
+# still hands back a :class:`BatchedTFactor` with exactly the layout
+# the stacked applies expect (``?geqrt``/``?tpqrt`` store ``T`` as
+# side-by-side ``(ib, jb)`` panel blocks).
 #
 # One convention difference needs patching: LAPACK's ``?larfg``
 # early-outs with ``tau = 0`` (identity) when a column's tail is
@@ -417,122 +417,11 @@ def lapack_batched_supported(dtype) -> bool:
     return True
 
 
-def _fix_zero_tail_geqrt(a: np.ndarray, tstack: np.ndarray,
-                         ib: int, k: int) -> None:
-    """Rewrite LAPACK's zero-tail ``tau = 0`` columns to the reference
-    ``H = -I`` convention, in place (see the section comment above)."""
-    for j0, jb in panel_starts(k, ib):
-        cols = j0 + np.arange(jb)
-        taud = tstack[:, np.arange(jb), cols]
-        diag = a[:, cols, cols]
-        hits = (taud == 0.0) & (diag != 0.0)
-        if not hits.any():
-            continue
-        for jj in np.nonzero(hits.any(axis=0))[0]:
-            j = j0 + int(jj)
-            idx = np.nonzero(hits[:, jj])[0]
-            if jj:
-                # T[:jj, j] = -tau * T[:jj, :jj] @ (V[:, :jj]^H e_jj);
-                # the inner product collapses to stored V row j.
-                g = a[idx, j, j0:j]
-                tsub = tstack[idx, :jj, j0:j]
-                tstack[idx, :jj, j] = -2.0 * np.matmul(
-                    tsub, g[:, :, None])[:, :, 0]
-            tstack[idx, jj, j] = 2.0
-            a[idx, j, j:] *= -1.0
-
-
-def geqrt_lapack_batched(a: np.ndarray, ib: int) -> BatchedTFactor:
-    """Per-slice LAPACK ``?geqrt`` over a ``(batch, mb, nb)`` stack.
-
-    Same in-place contract and return type as :func:`geqrt_batched`,
-    and the same numerical convention (zero-tail columns are fixed up
-    to the reference reflector), so the two are interchangeable.
-    """
-    from scipy.linalg import get_lapack_funcs
-
-    nbatch, m, n = a.shape
-    k = min(m, n)
-    nbq = max(1, min(ib, k))
-    (geqrt,) = get_lapack_funcs(("geqrt",), (a,))
-    tstack = np.empty((nbatch, nbq, k), dtype=a.dtype)
-    for i in range(nbatch):
-        out, tl, info = geqrt(nbq, a[i])
-        if info != 0:  # pragma: no cover - only on invalid arguments
-            raise RuntimeError(f"?geqrt failed with info={info}")
-        a[i] = out
-        tstack[i] = tl
-    _fix_zero_tail_geqrt(a, tstack, nbq, k)
-    t = BatchedTFactor(ib=nbq)
-    for j0, jb in panel_starts(k, nbq):
-        t.blocks.append(tstack[:, :jb, j0:j0 + jb])
-    return t
-
-
-def factor_stacked_lapack_batched(
-    r: np.ndarray,
-    b: np.ndarray,
-    ib: int,
-    triangular: bool,
-) -> BatchedTFactor:
-    """Per-slice LAPACK ``?tpqrt`` over stacked ``[R; B]`` pairs.
-
-    Drop-in for :func:`factor_stacked_batched` with ``ts_support``
-    (``triangular=False``, pentagon height ``L = 0``) or ``tt_support``
-    (``triangular=True``, ``L = mb``).  As in the per-tile kernel, the
-    strictly lower triangle of each TT bottom slice (the co-resident
-    GEQRT vectors) is preserved — ``?tpqrt`` never references it.
-    """
-    from scipy.linalg import get_lapack_funcs
-
-    nbatch, _, n = r.shape
-    mb = b.shape[1]
-    l = min(mb, n) if triangular else 0
-    nbq = max(1, min(ib, n))
-    (tpqrt,) = get_lapack_funcs(("tpqrt",), (r, b))
-    tstack = np.empty((nbatch, nbq, n), dtype=r.dtype)
-    for i in range(nbatch):
-        a_out, b_out, tl, info = tpqrt(l, nbq, r[i, :n, :], b[i])
-        if info != 0:  # pragma: no cover - only on invalid arguments
-            raise RuntimeError(f"?tpqrt failed with info={info}")
-        r[i, :n, :] = a_out
-        b[i] = b_out
-        tstack[i] = tl
-    # Zero-tail fix-up: v_j = [e_j; 0] is orthogonal to every earlier
-    # reflector's top e-vector *and* bottom support, so the T column is
-    # just tau on the diagonal.
-    for j0, jb in panel_starts(n, nbq):
-        cols = j0 + np.arange(jb)
-        taud = tstack[:, np.arange(jb), cols]
-        diag = r[:, cols, cols]
-        hits = (taud == 0.0) & (diag != 0.0)
-        if not hits.any():
-            continue
-        for jj in np.nonzero(hits.any(axis=0))[0]:
-            j = j0 + int(jj)
-            idx = np.nonzero(hits[:, jj])[0]
-            tstack[idx, :, j] = 0.0
-            tstack[idx, jj, j] = 2.0
-            r[idx, j, j:] *= -1.0
-    t = BatchedTFactor(ib=nbq)
-    for j0, jb in panel_starts(n, nbq):
-        t.blocks.append(tstack[:, :jb, j0:j0 + jb])
-    return t
-
-
-# -- pool-direct variants ---------------------------------------------------
-#
-# The batched executor normally gathers a group's tiles into a fresh
-# ``(batch, nb, nb)`` stack (``pool.take``) and scatters the results
-# back (``pool.put``).  The stacked NumPy kernels need that — their 3-D
-# ``np.matmul`` calls want one contiguous operand — but the per-slice
-# LAPACK loop does not: it can factor each tile where it lives in the
-# pool, saving two full copies of every factor group's tiles.
-
-
 def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
                               tstack: np.ndarray, ib: int, k: int) -> None:
-    """Pool-indexed variant of :func:`_fix_zero_tail_geqrt`."""
+    """Rewrite LAPACK's zero-tail ``tau = 0`` columns of the pool
+    slots ``slots`` to the reference ``H = -I`` convention, in place
+    (see the section comment above)."""
     for j0, jb in _panels(k, ib):
         cols = j0 + np.arange(jb)
         taud = tstack[:, np.arange(jb), cols]
@@ -545,6 +434,8 @@ def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
             idx = np.nonzero(hits[:, jj])[0]
             sl = slots[idx]
             if jj:
+                # T[:jj, j] = -tau * T[:jj, :jj] @ (V[:, :jj]^H e_jj);
+                # the inner product collapses to stored V row j.
                 g = stack[sl, j, j0:j]
                 tsub = tstack[idx, :jj, j0:j]
                 tstack[idx, :jj, j] = -2.0 * np.matmul(
@@ -555,11 +446,13 @@ def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
 
 def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
                       ib: int) -> BatchedTFactor:
-    """:func:`geqrt_lapack_batched` operating in place on pool slots.
+    """Per-slice LAPACK ``?geqrt``, in place on pool slots.
 
     ``stack`` is a :class:`~repro.tiles.pool.TilePool`'s backing array;
-    ``slots[i]`` names the tile of batch element ``i``.  No gather or
-    scatter copies are made.
+    ``slots[i]`` names the tile of batch element ``i``.  Same return
+    type and numerical convention as :func:`geqrt_batched` (zero-tail
+    columns are fixed up to the reference reflector), so the two are
+    interchangeable.  No gather or scatter copies are made.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -585,7 +478,15 @@ def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
 def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
                                bslots: np.ndarray, ib: int,
                                triangular: bool) -> BatchedTFactor:
-    """:func:`factor_stacked_lapack_batched` operating on pool slots."""
+    """Per-slice LAPACK ``?tpqrt`` over ``[R; B]`` pairs of pool slots.
+
+    Drop-in for :func:`factor_stacked_batched` with ``ts_support``
+    (``triangular=False``, pentagon height ``L = 0``) or ``tt_support``
+    (``triangular=True``, ``L = nb``), in place on the slots ``rslots``
+    (``R``) and ``bslots`` (``B``).  As in the per-tile kernel, the
+    strictly lower triangle of each TT bottom tile (the co-resident
+    GEQRT vectors) is preserved — ``?tpqrt`` never references it.
+    """
     from scipy.linalg import get_lapack_funcs
 
     nb = stack.shape[1]
@@ -602,6 +503,9 @@ def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
         stack[rs] = a_out
         stack[bs] = b_out
         tstack[i] = tl
+    # Zero-tail fix-up: v_j = [e_j; 0] is orthogonal to every earlier
+    # reflector's top e-vector *and* bottom support, so the T column is
+    # just tau on the diagonal.
     for j0, jb in _panels(nb, nbq):
         cols = j0 + np.arange(jb)
         taud = tstack[:, np.arange(jb), cols]

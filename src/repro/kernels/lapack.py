@@ -66,9 +66,14 @@ def lapack_geqrt(a: np.ndarray, ib: int) -> LapackT:
 
 def lapack_unmqr(v: np.ndarray, t: LapackT, c: np.ndarray,
                  adjoint: bool = True, side: str = "L") -> None:
-    """Apply the GEQRT factor stored in ``v``/``t`` to ``c`` in place."""
+    """Apply the GEQRT factor stored in ``v``/``t`` to ``c`` in place.
+
+    ``?gemqrt`` takes the ``k = t.t.shape[1]`` reflector columns of
+    ``v`` only: a ragged tile shorter than it is wide holds fewer
+    reflectors than columns.
+    """
     (gemqrt,) = get_lapack_funcs(("gemqrt",), (v, c))
-    out, info = gemqrt(_fc(v), t.t, _fc(c),
+    out, info = gemqrt(_fc(v[:, :t.t.shape[1]]), t.t, _fc(c),
                        side=side.encode(), trans=_trans(v, adjoint))
     if info != 0:
         raise RuntimeError(f"?gemqrt failed with info={info}")

@@ -422,13 +422,16 @@ def critical_path_tasks(result: SimResult) -> CriticalPath:
 # analyzers, one per schedule source
 # ----------------------------------------------------------------------
 
-def _kernel_pivot(names: list[str], durations: list[float]) -> list[KernelStats]:
-    """Aggregate ``(kernel name, duration)`` pairs in canonical order."""
+def _kernel_pivot(names: list[str], durations: list[float],
+                  counts: list[int]) -> list[KernelStats]:
+    """Aggregate ``(kernel name, duration, task count)`` records in
+    canonical order: a group record adds its window once and its
+    member count to the kernel's tasks."""
     total_by: dict[str, float] = {}
     count_by: dict[str, int] = {}
-    for name, d in zip(names, durations):
+    for name, d, c in zip(names, durations, counts):
         total_by[name] = total_by.get(name, 0.0) + d
-        count_by[name] = count_by.get(name, 0) + 1
+        count_by[name] = count_by.get(name, 0) + c
     return _kernel_stats(total_by, count_by)
 
 
@@ -461,9 +464,12 @@ def _kernel_stats(total_by: dict[str, float],
 
 
 def _lane_stats(workers: np.ndarray, durations: np.ndarray,
-                makespan: float, n_lanes: int) -> list[LaneStats]:
+                makespan: float, n_lanes: int,
+                tasks: Optional[np.ndarray] = None) -> list[LaneStats]:
+    """Per-lane busy/idle books; ``tasks`` weights each record by the
+    tasks it covers (one each when omitted)."""
     busy = np.bincount(workers, weights=durations, minlength=n_lanes)
-    counts = np.bincount(workers, minlength=n_lanes)
+    counts = np.bincount(workers, weights=tasks, minlength=n_lanes)
     return [LaneStats(lane=k, tasks=int(counts[k]), busy=float(busy[k]),
                       idle=float(makespan - busy[k]),
                       utilization=float(busy[k] / makespan) if makespan
@@ -561,9 +567,12 @@ def _wait_summary(waits: np.ndarray) -> Optional[dict]:
 def analyze_tracer(tracer: Tracer, label: str = "measured") -> ScheduleReport:
     """Analytics of a measured span capture (times in seconds).
 
-    Per-worker busy time is the sum of kernel durations; idle is
-    everything else inside the capture's makespan window.  Span
-    submit→start delays summarize into :attr:`ScheduleReport.queue_wait`
+    Each span is one group of ``count`` tasks: its window counts once
+    towards busy time and its members towards the task counts, so
+    ``tasks`` is the number of tasks, not of spans.  Per-worker busy
+    time is the sum of kernel durations; idle is everything else
+    inside the capture's makespan window.  Span submit→start delays,
+    one per member, summarize into :attr:`ScheduleReport.queue_wait`
     — the measured counterpart of slack (how long ready work actually
     sat in the queue).  The DAG is not reconstructed, so critical path
     / slack / bounds are ``None`` — diff against a simulated report
@@ -574,16 +583,18 @@ def analyze_tracer(tracer: Tracer, label: str = "measured") -> ScheduleReport:
     n_lanes = tracer.worker_count if spans else 0
     durations = np.array([s.duration for s in spans], dtype=np.float64)
     workers = np.array([s.worker for s in spans], dtype=np.int64)
+    counts = np.array([s.count for s in spans], dtype=np.int64)
     total_busy = float(durations.sum()) if spans else 0.0
-    lanes = (_lane_stats(workers, durations, makespan, n_lanes)
+    lanes = (_lane_stats(workers, durations, makespan, n_lanes, counts)
              if spans else [])
     utilization = (total_busy / (n_lanes * makespan)
                    if n_lanes and makespan > 0 else None)
-    kernels = _kernel_pivot([s.kernel for s in spans], durations.tolist())
-    waits = np.array([max(0.0, s.queue_delay) for s in spans],
-                     dtype=np.float64)
+    kernels = _kernel_pivot([s.kernel for s in spans], durations.tolist(),
+                            counts.tolist())
+    waits = np.repeat([max(0.0, s.queue_delay) for s in spans], counts)
     return ScheduleReport(source="measured", label=label, makespan=makespan,
-                          processors=n_lanes or None, tasks=len(spans),
+                          processors=n_lanes or None,
+                          tasks=int(counts.sum()),
                           total_busy=total_busy, utilization=utilization,
                           lanes=lanes, kernels=kernels,
                           queue_wait=_wait_summary(waits))
@@ -674,7 +685,8 @@ def _degenerate_phases(tracer: Tracer) -> list[TaskPhases]:
             tid=s.tid, name=s.name, kernel=s.kernel, worker=s.worker,
             ready=sub, dispatch=s.start, recv=s.start, start=s.start,
             finish=s.finish, publish=s.finish, retire=s.finish,
-            count=s.count, aborted=s.aborted, measured=False))
+            count=s.count, aborted=s.aborted, measured=False,
+            tids=s.tids))
     return out
 
 
@@ -734,24 +746,24 @@ def overhead_report(tracer: Tracer, graph=None,
     if graph is not None and phases:
         g = getattr(graph, "graph", graph)
         idx = graph.index if hasattr(graph, "graph") else g.index()
-        by_tid = {p.tid: p for p in phases}
+        # each member task -> its group's record
+        by_tid = {t: p for p in phases for t in p.tids}
         pp, pa = idx.pred_ptr, idx.pred_adj
-        # follow the latest-retiring predecessor back from the last
-        # retirement: the dependency chain that gated the finish
-        cur = max(phases, key=lambda p: p.retire).tid
+        # follow the latest-retiring predecessor group back from the
+        # last retirement: the dependency chain that gated the finish
+        cur = max(phases, key=lambda p: p.retire)
         chain_lat = chain_comp = 0.0
         seen = set()
-        while cur not in seen:
-            seen.add(cur)
-            p = by_tid.get(cur)
-            if p is not None:
-                chain_lat += p.latency
-                chain_comp += p.computing
-            preds = [int(t) for t in pa[pp[cur]:pp[cur + 1]]
-                     if int(t) in by_tid]
+        while cur.tid not in seen:
+            seen.add(cur.tid)
+            chain_lat += cur.latency
+            chain_comp += cur.computing
+            preds = [by_tid[t] for m in cur.tids
+                     for t in pa[pp[m]:pp[m + 1]].tolist() if t in by_tid]
+            preds = [p for p in preds if p is not cur]
             if not preds:
                 break
-            cur = max(preds, key=lambda t: by_tid[t].retire)
+            cur = max(preds, key=lambda p: p.retire)
         if chain_lat > 0:
             cp_share = 1.0 - chain_comp / chain_lat
 
@@ -893,6 +905,9 @@ def analyze_chrome_trace(source: Union[str, dict]) -> list[ScheduleReport]:
             continue
         ts = np.array([float(e["ts"]) for e in xs]) / 1e6
         dur = np.array([float(e.get("dur", 0.0)) for e in xs]) / 1e6
+        # a group span covers args.count tasks
+        counts = np.array([int(e.get("args", {}).get("count", 1))
+                           for e in xs], dtype=np.int64)
         tids = sorted({int(e.get("tid", 0)) for e in xs})
         lane_of = {t: i for i, t in enumerate(tids)}
         workers = np.array([lane_of[int(e.get("tid", 0))] for e in xs],
@@ -902,13 +917,14 @@ def analyze_chrome_trace(source: Union[str, dict]) -> list[ScheduleReport]:
         kernels = _kernel_pivot(
             [e.get("args", {}).get("kernel") or e["name"].split("(")[0]
              for e in xs],
-            dur.tolist())
-        lanes = _lane_stats(workers, dur, makespan, len(tids))
+            dur.tolist(), counts.tolist())
+        lanes = _lane_stats(workers, dur, makespan, len(tids), counts)
         utilization = (total_busy / (len(tids) * makespan)
                        if tids and makespan > 0 else None)
         reports.append(ScheduleReport(
             source="trace", label=label, makespan=makespan,
-            processors=len(tids), tasks=len(xs), total_busy=total_busy,
+            processors=len(tids), tasks=int(counts.sum()),
+            total_busy=total_busy,
             utilization=utilization, lanes=lanes, kernels=kernels,
             problem=problem))
     return reports
@@ -917,10 +933,10 @@ def analyze_chrome_trace(source: Union[str, dict]) -> list[ScheduleReport]:
 def analyze_events(events, label: str = "events") -> ScheduleReport:
     """Analytics of an event-bus capture (JSONL log or live snapshot).
 
-    Rebuilds a measured-style report from ``task_done`` /
-    ``group_done`` events alone: each carries its kernel, duration
-    (``value``, seconds), retired-task ``count`` (>1 for batched
-    groups), and worker index.  Start times are recovered as
+    Rebuilds a measured-style report from ``group_done`` events (and
+    the ``task_done`` events of older logs) alone: each carries its
+    kernel, duration (``value``, seconds), retired-task ``count`` (the
+    group size), and worker index.  Start times are recovered as
     ``t - value`` — the publish stamp is taken at finish — so the
     makespan window and per-lane busy/idle books agree with the
     tracer's view of the same run to within publish latency.
@@ -940,19 +956,8 @@ def analyze_events(events, label: str = "events") -> ScheduleReport:
     total_busy = float(dur.sum())
     ntasks = int(counts.sum())
 
-    total_by: dict[str, float] = {}
-    count_by: dict[str, int] = {}
-    for e, d, c in zip(done, dur.tolist(), counts.tolist()):
-        k = e.kernel or "?"
-        total_by[k] = total_by.get(k, 0.0) + d
-        count_by[k] = count_by.get(k, 0) + c
-    order = [k for k in KERNEL_ORDER if k in total_by] + sorted(
-        k for k in total_by if k not in KERNEL_ORDER)
-    kernels = [KernelStats(kernel=k, count=count_by[k], total=total_by[k],
-                           mean=total_by[k] / count_by[k],
-                           share=total_by[k] / total_busy if total_busy
-                                 else 0.0)
-               for k in order]
+    kernels = _kernel_pivot([e.kernel or "?" for e in done], dur.tolist(),
+                            counts.tolist())
 
     lanes: list[LaneStats] = []
     utilization = None
@@ -962,7 +967,8 @@ def analyze_events(events, label: str = "events") -> ScheduleReport:
         mask = np.array([e.worker >= 0 for e in done])
         workers = np.array([lane_of[e.worker] for e in done
                             if e.worker >= 0], dtype=np.int64)
-        lanes = _lane_stats(workers, dur[mask], makespan, len(wids))
+        lanes = _lane_stats(workers, dur[mask], makespan, len(wids),
+                            counts[mask])
         if makespan > 0:
             utilization = total_busy / (len(wids) * makespan)
     return ScheduleReport(source="trace", label=label, makespan=makespan,

@@ -82,11 +82,12 @@ def _meta(pid: int, process_name: str, n_lanes: int,
 
 def tracer_to_events(tracer: Tracer, pid: int = 1,
                      process_name: str = "measured") -> list[dict]:
-    """Complete-events for every span of a real capture (ts/dur in us)."""
+    """Complete-events for every span of a real capture (ts/dur in us);
+    ``args.count`` is the number of tasks a group span covers."""
     events = _meta(pid, process_name, tracer.worker_count, "worker")
     for s in tracer.spans:
-        args = {"kernel": s.kernel, "tid": s.tid, "row": s.row,
-                "piv": s.piv, "col": s.col, "j": s.j,
+        args = {"kernel": s.kernel, "tid": s.tid, "count": s.count,
+                "row": s.row, "piv": s.piv, "col": s.col, "j": s.j,
                 "queue_delay_us": s.queue_delay * 1e6}
         events.append({
             "name": s.name,
@@ -109,14 +110,15 @@ def distributed_to_events(tracer, pid: int = 1,
 
     ``tracer`` is a :class:`~repro.obs.tracer.DistributedTracer` whose
     :meth:`finalize` already merged parent and worker halves into
-    :class:`~repro.obs.tracer.TaskPhases` records.  Lane 0 is the
-    parent scheduler (one ``dispatch`` slice per task covering
-    ``dispatch → recv``); lane ``1 + w`` is worker process ``w``, with
-    the kernel slice bracketed by ``deserialize`` and ``publish``
-    slivers (category ``overhead`` — analyzers skip them so kernels
-    count once).  A flow arrow per task (``id = tid``) links the
-    dispatch slice to the kernel slice, so Perfetto renders the
-    causal hand-off across the process boundary.
+    :class:`~repro.obs.tracer.TaskPhases` records, one per group.
+    Lane 0 is the parent scheduler (one ``dispatch`` slice per group
+    covering ``dispatch → recv``); lane ``1 + w`` is worker process
+    ``w``, with the kernel slice bracketed by ``deserialize`` and
+    ``publish`` slivers (category ``overhead`` — analyzers skip them
+    so kernels count once).  A flow arrow per group (``id`` = its
+    first member's tid) links the dispatch slice to the kernel slice,
+    so Perfetto renders the causal hand-off across the process
+    boundary.
     """
     phases = list(tracer.phases)
     lanes = sorted({p.worker for p in phases})
@@ -131,8 +133,8 @@ def distributed_to_events(tracer, pid: int = 1,
                        "args": {"name": f"worker {w}"}})
     for p in phases:
         lane = lane_of[p.worker]
-        base = {"kernel": p.kernel, "tid": p.tid, "worker": p.worker,
-                "aborted": p.aborted}
+        base = {"kernel": p.kernel, "tid": p.tid, "count": p.count,
+                "worker": p.worker, "aborted": p.aborted}
         args = dict(base)
         events.append({
             "name": p.name, "cat": "dispatch", "ph": "X",

@@ -18,7 +18,7 @@ Two wire formats alongside the existing Chrome-trace export:
   transparently when the path ends in ``.gz``.  The JSONL log is the
   machine-readable sibling of the Chrome trace: ``repro analyze
   --from-trace events.jsonl`` rebuilds a schedule report from the
-  ``task_done`` events alone.
+  ``group_done`` events (``task_done`` in older logs) alone.
 """
 
 from __future__ import annotations

@@ -61,14 +61,16 @@ __all__ = [
     "EVENT_KINDS",
 ]
 
-#: the event vocabulary both executors publish
+#: the event vocabulary: the executors publish run, group and
+#: frontier events; ``task_start``/``task_done`` stay readable in
+#: older logs
 EVENT_KINDS = (
     "run_start",    #: total= task count, count= workers
     "run_done",     #: value= wall seconds
     "task_start",   #: tid, kernel, worker
     "task_done",    #: tid, kernel, worker, value= kernel seconds
-    "group_start",  #: kernel, count= group size (inline transport)
-    "group_done",   #: kernel, count, value= group seconds
+    "group_start",  #: tid= first member, kernel, worker, count= size
+    "group_done",   #: tid, kernel, worker, count, value= group seconds
     "frontier",     #: value= ready-queue depth after a retirement
 )
 
@@ -490,10 +492,9 @@ class BusRelay:
       :class:`Event`-shaped).
     * :meth:`pumped` — per-kind counts of everything the pump has
       delivered, letting the parent *drain* the relay at a run
-      boundary: wait until the count of ``task_done`` (and
-      ``task_spans``) records caught up with the completions it saw on
-      its own queue, so ``run_done`` is only published after every
-      worker event of the run landed in the bus.
+      boundary: wait until the count of ``task_spans`` entries caught
+      up with the completions it saw on its own queue, so the tracer
+      is only finalized once every worker record of the run landed.
     """
 
     _SENTINEL = ("__stop__", None)
@@ -557,9 +558,9 @@ class BusRelay:
                         sink(fv)
                     except Exception:
                         pass  # a broken sink must not kill the pump
-                # batched records carry one list of tids per batch;
-                # count tasks, not records, so the drain barrier can
-                # compare against retired-task counts
+                # batched records carry one list entry per span; count
+                # entries, not records, so the drain barrier can
+                # compare against the retired groups
                 tid = fv.get("tid") if isinstance(fv, dict) else None
                 n = len(tid) if isinstance(tid, (list, tuple)) else 1
                 self._pumped[kind] = self._pumped.get(kind, 0) + n

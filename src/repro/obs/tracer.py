@@ -1,12 +1,14 @@
 """Span-based tracing of real kernel executions (S17, S23).
 
-A :class:`Tracer` records one :class:`Span` per retired task of the
-threaded (or sequential) executor: which kernel ran on which tile
-coordinates, on which worker thread, and the three wall-clock
-timestamps of its life cycle — *submit* (handed to the pool), *start*
-(kernel entry), *finish* (kernel return).  All timestamps come from
-:func:`time.perf_counter` and are stored relative to the tracer's
-epoch, so a capture starts near ``t = 0``.
+A :class:`Tracer` records one :class:`Span` per retired group of
+tasks — a group of one in the sequential executor, a stacked group in
+the transports: which kernel ran on which tile coordinates, for which
+member tasks, on which worker, and the three wall-clock timestamps of
+its life cycle — *submit* (ready), *start* (kernel entry), *finish*
+(kernel return).  All timestamps come from :func:`time.perf_counter`
+and are stored relative to the tracer's epoch, so a capture starts
+near ``t = 0``.  The runtimes record through one
+:class:`~repro.runtime.lifecycle.Lifecycle`.
 
 The recorder is a single lock-protected append; the executor's hot
 path pays nothing when tracing is off because it is handed
@@ -20,9 +22,9 @@ scheduler's dispatch/retire stamps with worker-side child spans
 :class:`~repro.obs.stream.BusRelay`, aligned onto the parent's
 ``perf_counter`` timeline by an NTP-style clock handshake
 (:func:`estimate_clock_sync`, one :class:`ClockSync` per worker).
-Every retired task becomes one :class:`TaskPhases` record — six
-telescoping phases whose sum equals the task's wall-clock latency *by
-construction* — plus a regular :class:`Span`, so everything that
+Every retired group becomes one :class:`TaskPhases` record — six
+telescoping phases whose sum equals the group's wall-clock latency
+*by construction* — plus a regular :class:`Span`, so everything that
 consumes a plain tracer (``analyze_tracer``, Chrome export, overlay
 diffs) keeps working unchanged.
 """
@@ -34,6 +36,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+from ..dag.tasks import KERNEL_CODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dag.tasks import Task
@@ -53,32 +57,37 @@ __all__ = [
 
 @dataclass(slots=True)
 class Span:
-    """One executed task: identity, placement, and wall-clock times.
+    """One executed group of tasks: identity, placement, wall-clock times.
 
     Attributes
     ----------
     tid : int
-        Task id (index into the graph's task list).
+        Id of the group's first member (index into the graph's task
+        list).
     name : str
-        Human label, e.g. ``"TSMQR(3,1,1,2)"``.
+        Human label: the task's, e.g. ``"TSMQR(3,1,1,2)"``, for a
+        group of one, ``"TSMQR[x12]"`` for a group of twelve.
     kernel : str
         Kernel class name (``GEQRT`` ... ``TTMQR``).
     row, piv, col, j : int or None
-        Tile coordinates of the task (``piv``/``j`` are ``None`` for
-        kernels that do not use them).
+        Tile coordinates of the first member (``piv``/``j`` are
+        ``None`` for kernels that do not use them).
     worker : int
-        Dense worker index (0-based; the order threads first touched
-        the tracer).  0 for sequential runs.
+        Worker index (0-based).  0 for sequential runs.
     submit, start, finish : float
-        Seconds since the tracer's epoch.
+        Seconds since the tracer's epoch.  ``start``/``finish`` bound
+        the group's measured kernel window; ``submit`` is the mean of
+        the members' ready stamps, so ``queue_delay * count`` is their
+        summed queue wait.
     count : int
-        Tasks the span covers (1 except for the inline transport's
-        group spans, where it is the group size — per-task means
-        normalize by it).
+        Tasks the span covers (the group size) — per-task figures
+        normalize by it.
     aborted : bool
-        The task was in flight when its run aborted (worker death or a
-        propagated error); ``finish`` is the abort time, not a kernel
+        The group was in flight when its run aborted (worker death or
+        a propagated error); ``finish`` is the abort time, not a kernel
         return.
+    tids : tuple of int
+        The member task ids.
     """
 
     tid: int
@@ -94,6 +103,7 @@ class Span:
     finish: float
     count: int = 1
     aborted: bool = False
+    tids: tuple = ()
 
     @property
     def duration(self) -> float:
@@ -106,13 +116,27 @@ class Span:
         return self.start - self.submit
 
 
+def group_identity(graph, tids) -> tuple:
+    """``(tid, name, kernel, row, piv, col, j)`` of the group ``tids``
+    of ``graph``, read from its columns: the first member's id and
+    tile coordinates, its label for a group of one and
+    ``"KERNEL[xK]"`` for a group of ``K``."""
+    t = int(tids[0])
+    kernel = KERNEL_CODES[graph.codes[t]].value
+    piv, j = int(graph.pivs[t]), int(graph.js[t])
+    name = graph.label(t) if len(tids) == 1 else f"{kernel}[x{len(tids)}]"
+    return (t, name, kernel, int(graph.rows[t]), None if piv < 0 else piv,
+            int(graph.cols[t]), None if j < 0 else j)
+
+
 @dataclass
 class Tracer:
-    """Thread-safe recorder of per-task :class:`Span` objects.
+    """Thread-safe recorder of :class:`Span` objects.
 
-    Workers call :meth:`now` (lock-free) for timestamps and
-    :meth:`record` (one short lock) once per retired task.  The span
-    buffer is append-only; read it via :attr:`spans` after the run.
+    The runtimes call :meth:`record_group` (one short lock) once per
+    retired group; :meth:`record` records a single :class:`Task`.
+    The span buffer is append-only; read it via :attr:`spans` after
+    the run.
     """
 
     enabled: bool = True
@@ -138,17 +162,31 @@ class Tracer:
 
     def record(self, task: "Task", submit: float, start: float,
                finish: float, worker: int | None = None,
-               count: int = 1, aborted: bool = False) -> Span:
+               aborted: bool = False) -> Span:
         """Append the span of one retired ``task``; returns it.
 
-        ``count`` marks group spans covering several tasks (batched
-        backend); ``aborted`` closes a span whose task never finished.
+        ``aborted`` closes a span whose task never finished.
         """
         w = self.worker_index() if worker is None else worker
         span = Span(tid=task.tid, name=str(task), kernel=task.kernel.value,
                     row=task.row, piv=task.piv, col=task.col, j=task.j,
                     worker=w, submit=submit, start=start, finish=finish,
-                    count=count, aborted=aborted)
+                    aborted=aborted, tids=(task.tid,))
+        with self._lock:
+            self.spans.append(span)
+        return span
+
+    def record_group(self, graph, tids, submit: float, start: float,
+                     finish: float, worker: int = 0,
+                     aborted: bool = False) -> Span:
+        """Append the span of the group ``tids`` of ``graph``; returns it.
+
+        Labelled from the graph columns (:func:`group_identity`), so no
+        :class:`Task` object is built.
+        """
+        span = Span(*group_identity(graph, tids), worker=worker,
+                    submit=submit, start=start, finish=finish,
+                    count=len(tids), aborted=aborted, tids=tuple(tids))
         with self._lock:
             self.spans.append(span)
         return span
@@ -199,7 +237,11 @@ class NullTracer(Tracer):
         return 0
 
     def record(self, task, submit, start, finish, worker=None,
-               count=1, aborted=False):
+               aborted=False):
+        return None
+
+    def record_group(self, graph, tids, submit, start, finish, worker=0,
+                     aborted=False):
         return None
 
 
@@ -211,23 +253,26 @@ NULL_TRACER = NullTracer()
 # distributed tracing: lifecycle phases, clock alignment (S23)
 # ----------------------------------------------------------------------
 
-#: the task lifecycle phases, in timeline order.  Each is the interval
+#: a missing worker idle stamp: transit then counts from dispatch
+_NO_STAMP = float("-inf")
+
+#: the lifecycle phases, in timeline order.  Each is the interval
 #: between two adjacent boundaries of a :class:`TaskPhases` record, so
-#: their sum telescopes to the task's wall-clock latency exactly.
+#: their sum telescopes to the group's wall-clock latency exactly.
 PHASES = ("queued", "dispatched", "deserialized", "computing",
           "published", "retired")
 
 
 @dataclass(slots=True)
 class TaskPhases:
-    """Lifecycle boundaries of one task, on the parent's timeline.
+    """Lifecycle boundaries of one group of tasks, on the parent's timeline.
 
     Seven monotone timestamps (seconds since the tracer epoch) split a
-    task's life into the six :data:`PHASES`:
+    group's life into the six :data:`PHASES`:
 
     ======================  ==========================================
     ``queued``              ``ready → dispatch`` — sat in the parent's
-                            priority heap / prefetch budget
+                            ready frontier / prefetch budget
     ``dispatched``          ``dispatch → recv`` — descriptor pickling +
                             queue transfer + worker wake-up
     ``deserialized``        ``recv → start`` — worker-side unpack and
@@ -239,8 +284,9 @@ class TaskPhases:
                             back + parent bookkeeping
     ======================  ==========================================
 
-    Worker-side boundaries (``recv``/``start``/``finish``/``publish``)
-    are clock-aligned via the worker's :class:`ClockSync` and clamped
+    ``ready`` is the mean of the members' ready stamps.  Worker-side
+    boundaries (``recv``/``start``/``finish``/``publish``) are
+    clock-aligned via the worker's :class:`ClockSync` and clamped
     monotone, so any alignment residual is absorbed into the adjacent
     phase rather than producing negative durations — the telescoping
     identity ``sum(phases) == latency`` holds exactly.
@@ -249,24 +295,21 @@ class TaskPhases:
     batched) the degenerate mapping is ``ready = dispatch = submit``,
     ``recv = start``, ``publish = finish = retire``: everything lands
     in ``queued`` and ``computing``, which keeps reports comparable
-    across all three modes.
+    across all modes.
 
-    Tasks dispatched as part of a micro-batch (``--batch``, S24) share
-    one descriptor: transit, deserialize, publish and retirement were
-    each paid once for the whole group, so every member is charged a
-    ``1/K`` slice of those windows while its ``computing`` phase is an
-    even split of the group's kernel window.  The wait for *earlier
-    members of the same group* is attributed to ``queued`` —
-    scheduling delay, not IPC — so the four IPC phases report the
-    amortized per-task cost honestly and per-phase sums over a group
-    equal the group's true one-time costs.
+    The process transport ships several groups to a worker in one
+    work message, paid for once: the message's first group carries
+    its descriptor transit and its last group the completion publish
+    and the retirement, each whole; a later group's wait for the
+    earlier ones is ``queued`` — scheduling delay, not IPC.  So the
+    per-phase sums over a run equal the true per-message costs.
 
     Two overlap rules keep the IPC phases honest on a saturated box:
     descriptor transit counts only from the later of the dispatch
     stamp and the worker's idle stamp (a descriptor prefetched while
     the worker was still computing waited deliberately), and the
     publish-to-retire gap excludes time the worker spent computing
-    subsequent descriptors (the parent's completion processing was
+    subsequent messages (the parent's completion processing was
     displaced by useful work, and that wait already shows up as the
     successors' ``queued`` delay).  Both overlaps are scheduling, not
     IPC; ``retired`` reports only transit + wake-up + bookkeeping.
@@ -288,6 +331,8 @@ class TaskPhases:
     #: worker-side boundaries actually measured (False = parent-only
     #: fallback: the span record was dropped or the worker died)
     measured: bool = True
+    #: the member task ids (``tid`` is the first)
+    tids: tuple = ()
 
     # ------------------------------------------------------------------
     @property
@@ -316,7 +361,7 @@ class TaskPhases:
 
     @property
     def latency(self) -> float:
-        """Wall-clock life of the task: ``retire - ready``."""
+        """Wall-clock life of the group: ``retire - ready``."""
         return self.retire - self.ready
 
     @property
@@ -405,8 +450,8 @@ class DistributedTracer(Tracer):
     1. :meth:`set_clock` after each run's sync handshake (one
        :class:`ClockSync` per worker, re-estimated every run so drift
        on a persistent pool stays bounded);
-    2. during the run, :meth:`record_parent` per retirement (parent
-       stamps) while the relay's span sink feeds
+    2. during the run, :meth:`record_parent` per retired group
+       (parent stamps) while the relay's span sink feeds
        :meth:`add_worker_span` (worker stamps, worker clock);
     3. :meth:`finalize` after the relay drained — the run's parent and
        worker halves are snapshotted onto a backlog and the pending
@@ -471,52 +516,38 @@ class DistributedTracer(Tracer):
     def add_worker_span(self, fields: dict) -> None:
         """Relay span sink: worker-side stamps (worker clock).
 
-        Accepts one task (scalar fields) or a worker's batched record
-        (list-valued ``tid``/``recv``/``start``/``finish``/``publish``
-        of equal length).  Micro-batched records additionally carry
-        ``grecv``/``gpub``/``gsize`` — the group's shared receive and
-        publish stamps plus its size — which the merge uses to
-        amortize the once-per-group parent-side costs; when absent the
-        task is treated as its own group of one.  Called from the
-        relay pump thread; malformed records are dropped rather than
-        killing the pump.
+        One record per executed group, keyed by its first member's
+        ``tid``: the kernel window ``start``/``finish``, and the
+        stamps of the work message that carried it — its receipt
+        ``recv``, its completion ``publish`` and the worker's idle
+        stamp ``free`` before it (optional).  Accepts scalar fields or
+        a worker's batched record (every field a list of equal
+        length).  Called from the relay pump thread; malformed records
+        are dropped rather than killing the pump.
         """
         try:
             w = int(fields["worker"])
-            tids = fields["tid"]
-            if isinstance(tids, (list, tuple)):
-                n = len(tids)
-                grecv = fields.get("grecv", fields["recv"])
-                gpub = fields.get("gpub", fields["publish"])
-                gsize = fields.get("gsize", [1] * n)
-                gfree = fields.get("gfree", [0.0] * n)
-                recs = list(zip(tids, fields["recv"], fields["start"],
-                                fields["finish"], fields["publish"],
-                                grecv, gpub, gsize, gfree))
+            cols = [fields[k] for k in ("tid", "start", "finish", "recv",
+                                        "publish")]
+            if isinstance(cols[0], (list, tuple)):
+                free = fields.get("free", [_NO_STAMP] * len(cols[0]))
+                recs = list(zip(*cols, free))
             else:
-                recs = [(tids, fields["recv"], fields["start"],
-                         fields["finish"], fields["publish"],
-                         fields.get("grecv", fields["recv"]),
-                         fields.get("gpub", fields["publish"]),
-                         fields.get("gsize", 1),
-                         fields.get("gfree", 0.0))]
+                recs = [(*cols, fields.get("free", _NO_STAMP))]
         except (KeyError, TypeError):
             return
         with self._lock:
-            for (tid, recv, start, finish, publish,
-                 grecv, gpub, gs, gfree) in recs:
+            for tid, *stamps in recs:
                 try:
-                    self._wspans[int(tid)] = (
-                        w, float(recv), float(start), float(finish),
-                        float(publish), float(grecv), float(gpub),
-                        int(gs), float(gfree))
+                    self._wspans[int(tid)] = (w, *map(float, stamps))
                 except (TypeError, ValueError):
                     continue
 
-    def record_parent(self, task: "Task", ready: float, dispatch: float,
+    def record_parent(self, graph, tids, ready: float, dispatch: float,
                       retire: float, worker: int, dt: float = 0.0,
                       aborted: bool = False) -> None:
-        """Parent-side half of one task: scheduler stamps (epoch-relative).
+        """Parent-side half of the group ``tids`` of ``graph``:
+        scheduler stamps (epoch-relative).
 
         ``dt`` is the worker-reported kernel seconds, used only as the
         fallback when the worker span record never arrives.
@@ -525,8 +556,8 @@ class DistributedTracer(Tracer):
         dict store, atomic under the GIL), and :meth:`finalize` swaps
         the map out under the lock before reading it.
         """
-        self._parent[task.tid] = (task, ready, dispatch, retire,
-                                  worker, dt, aborted)
+        self._parent[int(tids[0])] = (graph, tuple(tids), ready, dispatch,
+                                      retire, worker, dt, aborted)
 
     # ------------------------------------------------------------------
     def finalize(self) -> int:
@@ -564,80 +595,81 @@ class DistributedTracer(Tracer):
 
     def _merge_run(self, parent: dict, wspans: dict,
                    offsets: dict) -> int:
-        new_phases: list[TaskPhases] = []
-        new_spans: list[Span] = []
-        # per-worker busy windows (one per descriptor, parent clock,
-        # sorted): the deserialize->publish span of every group the
-        # worker executed.  Execution is sequential per worker, so the
-        # windows never overlap.  Used below to keep completion-notice
-        # latency honest on a saturated box.
+        # the groups of each work message, in execution order, and
+        # per-worker busy windows (one per message, parent clock,
+        # sorted): receipt to completion publish.  Execution is
+        # sequential per worker, so the windows never overlap.  Used
+        # below to keep completion-notice latency honest on a
+        # saturated box.
+        messages: dict[tuple, list] = {}
+        for tid, (w, start, finish, recv, pub, _) in wspans.items():
+            messages.setdefault((w, recv, pub), []).append(
+                (start, finish, tid))
+        prev_finish: dict[int, Optional[float]] = {}
+        last = set()
         busy: dict[int, list[tuple[float, float]]] = {}
-        _seen: set = set()
-        for ws in wspans.values():
-            if len(ws) < 9:
-                continue
-            key = (ws[0], ws[5], ws[6])
-            if key in _seen:
-                continue
-            _seen.add(key)
-            off = offsets.get(ws[0], self.epoch)
-            busy.setdefault(ws[0], []).append((ws[5] - off, ws[6] - off))
+        for (w, recv, pub), grps in messages.items():
+            grps.sort()
+            last.add(grps[-1][2])
+            for i, (_, _, tid) in enumerate(grps):
+                prev_finish[tid] = grps[i - 1][1] if i else None
+            off = offsets.get(w, self.epoch)
+            busy.setdefault(w, []).append((recv - off, pub - off))
         busy_starts: dict[int, list[float]] = {}
         for w, win in busy.items():
             win.sort()
             busy_starts[w] = [lo for lo, _ in win]
+        new_phases: list[TaskPhases] = []
+        new_spans: list[Span] = []
         for tid in sorted(parent):
-            task, ready, dispatch, retire, worker, dt, aborted = parent[tid]
+            (graph, tids, ready, dispatch, retire, worker, dt,
+             aborted) = parent[tid]
             ws = wspans.get(tid)
             if ws is not None and not aborted:
-                widx, recv, start, finish, publish = ws[:5]
-                if len(ws) >= 9:
-                    grecv, gpub, gsize, gfree = ws[5:9]
-                else:
-                    grecv, gpub, gsize, gfree = recv, publish, 1, 0.0
+                widx, start, finish, recv, publish, free = ws
                 off = offsets.get(widx, self.epoch)
-                recv -= off
                 start -= off
                 finish -= off
-                publish -= off
-                if len(ws) >= 9:
-                    # group-aware attribution: the descriptor transit
-                    # (dispatch -> group recv) and the retirement
-                    # (group publish -> retire) were each paid once
-                    # per descriptor, so charge this member a 1/K
-                    # slice of each.  Transit counts only from the
-                    # later of the dispatch stamp and the worker's
-                    # idle stamp: a descriptor prefetched while the
-                    # worker was still computing waited deliberately,
-                    # and that overlap — like the wait for earlier
-                    # members of the same group — is scheduling delay
-                    # (``queued``), not IPC work.
-                    grecv -= off
-                    gpub -= off
-                    gfree -= off
-                    transit = max(0.0, grecv - max(dispatch, gfree))
-                    dispatch = recv - transit / gsize
+                prev = prev_finish[tid]
+                if prev is None:
+                    # the message's first group pays its transit,
+                    # counted only from the later of the dispatch stamp
+                    # and the worker's idle stamp: a descriptor
+                    # prefetched while the worker was still computing
+                    # waited deliberately, and that overlap is
+                    # scheduling delay (``queued``), not IPC work
+                    recv -= off
+                    dispatch = recv - max(0.0, recv - max(dispatch,
+                                                          free - off))
+                else:
+                    # a later group waited on the earlier ones: queued
+                    recv = dispatch = prev - off
+                if tid in last:
+                    publish -= off
                     # Same rule on the way back: a completion notice
                     # that sat while its worker computed subsequent
-                    # prefetched descriptors was overlapped with
-                    # useful work (on a saturated box the parent
-                    # could not have run anyway), and that wait
-                    # already surfaces as the successors' queueing
-                    # delay — charging it to ``retired`` too would
-                    # double-count it as IPC.  Subtract the worker's
-                    # busy windows from the publish->retire gap and
-                    # charge only the uncovered remainder (transit +
-                    # parent wake-up + completion processing).
-                    defer = max(0.0, retire - gpub)
+                    # prefetched messages was overlapped with useful
+                    # work (on a saturated box the parent could not
+                    # have run anyway), and that wait already surfaces
+                    # as the successors' queueing delay — charging it
+                    # to ``retired`` too would double-count it as IPC.
+                    # Subtract the worker's busy windows from the
+                    # publish->retire gap and charge only the uncovered
+                    # remainder (transit + parent wake-up + completion
+                    # processing).
+                    defer = max(0.0, retire - publish)
                     win = busy.get(widx)
                     if defer > 0.0 and win:
-                        i = bisect.bisect_left(busy_starts[widx], gpub)
+                        i = bisect.bisect_left(busy_starts[widx], publish)
                         while i < len(win) and win[i][0] < retire:
                             lo, hi = win[i]
-                            defer -= (min(hi, retire) - max(lo, gpub))
+                            defer -= (min(hi, retire) - max(lo, publish))
                             i += 1
                         defer = max(0.0, defer)
-                    retire = publish + defer / gsize
+                    retire = publish + defer
+                else:
+                    # the message's last group carries its completion
+                    publish = retire = finish
                 measured = True
             elif aborted:
                 recv = start = finish = publish = retire
@@ -654,18 +686,17 @@ class DistributedTracer(Tracer):
             for i in range(1, 7):
                 if b[i] < b[i - 1]:
                     b[i] = b[i - 1]
-            name = str(task)
-            kernel = task.kernel.value
+            t0, name, kernel, row, piv, col, j = group_identity(graph, tids)
             new_phases.append(TaskPhases(
-                tid=tid, name=name, kernel=kernel,
+                tid=t0, name=name, kernel=kernel,
                 worker=worker, ready=b[0], dispatch=b[1], recv=b[2],
                 start=b[3], finish=b[4], publish=b[5], retire=b[6],
-                aborted=aborted, measured=measured))
+                count=len(tids), aborted=aborted, measured=measured,
+                tids=tids))
             new_spans.append(Span(
-                tid=tid, name=name, kernel=kernel,
-                row=task.row, piv=task.piv, col=task.col, j=task.j,
-                worker=worker, submit=b[1], start=b[3], finish=b[4],
-                aborted=aborted))
+                tid=t0, name=name, kernel=kernel, row=row, piv=piv,
+                col=col, j=j, worker=worker, submit=b[1], start=b[3],
+                finish=b[4], count=len(tids), aborted=aborted, tids=tids))
         self._phases.extend(new_phases)
         self._spans_store.extend(new_spans)
         return len(new_phases)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 
-from ..dag.tasks import KERNEL_CODES
 from ..kernels.backend import REFERENCE
 from ..obs.metrics import MetricsRegistry
 from ..tiles.layout import TiledMatrix
@@ -67,22 +66,17 @@ def execute_batched(
     :class:`~repro.planner.Plan` (whose memoized drain order is
     reused).  Of ``options`` only ``backend`` applies: it picks the
     stacked factor kernels (:func:`~repro.runtime.options.
-    resolve_backend`).  ``bus`` receives ``run_start``/``run_done``
-    and ``group_start``/``group_done`` per group — ``count`` is the
-    group size, ``value`` the group seconds.
+    resolve_backend`).
     """
     opts = ExecOptions() if options is None else options
     bk = resolve_backend(opts.backend, "batched", tiled.array.dtype)
     # the T store is in panel layout: Q replays with the reference kernels
-    plan, ctx, bus = _prepare(graph, tiled, REFERENCE, ib, tracer,
-                              metrics, bus, 1)
-    g, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
-    observed = tracer is not None or metrics is not None
-    timed = observed or bus is not None
-    ntasks = len(g)
+    plan, ctx, life = _prepare(graph, tiled, REFERENCE, ib, tracer,
+                               metrics, bus, on_task_done, 1)
+    g, metrics = ctx.graph, ctx.metrics
     if metrics is not None:
         metrics.counter(f"batched.backend.{bk.name}").inc()
-    if ntasks == 0:
+    if len(g) == 0:
         return ctx
     if plan is not None and hasattr(plan, "level_groups"):
         groups, da = plan.level_groups(), plan.dispatch_arrays()
@@ -91,42 +85,21 @@ def execute_batched(
 
     pool = TilePool(tiled)
     ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk, stacked=True)
-    done_count = 0
-    if bus is not None:
-        bus.publish("run_start", total=ntasks, count=1,
-                    problem=getattr(g, "problem", "") or "")
+    if life is not None:
+        life.run_start(1)
     for code, tids in groups:
-        name, k = KERNEL_CODES[code].value, len(tids)
-        if bus is not None:
-            bus.publish("group_start", kernel=name, count=k, worker=0)
-        if timed:
+        if life is not None:
+            life.group_start(code, tids, 0)
             t0 = time.perf_counter()
         ex.run(code, *da.take(tids))
-        if timed:
-            t1 = time.perf_counter()
-        if bus is not None:
-            bus.publish("group_done", kernel=name, count=k, worker=0,
-                        value=t1 - t0)
-        if tracer is not None:
-            # one span per group, placed at its first member
-            rel = t0 - tracer.epoch
-            span = tracer.record(g.tasks[int(tids[0])], rel, rel,
-                                 t1 - tracer.epoch, count=k)
-            span.name = f"{name}[x{k}]"
+        if life is not None:
+            life.group_done(code, tids, 0, t0, time.perf_counter())
         if metrics is not None:
-            metrics.counter(f"tasks.retired.{name}").inc(k)
-            metrics.histogram(f"kernel.seconds.{name}").observe(t1 - t0)
             metrics.counter("batched.groups").inc()
             metrics.histogram("batched.group_size",
-                              buckets=SIZE_BUCKETS).observe(k)
-        if on_task_done is not None:
-            for tid in tids.tolist():
-                done_count += 1
-                on_task_done(g.tasks[tid], done_count, ntasks)
-        else:
-            done_count += k
+                              buckets=SIZE_BUCKETS).observe(len(tids))
     pool.scatter()
     record_tfactors(ctx, da, ex.tstore, ex.compact)
-    if bus is not None:
-        bus.publish("run_done", count=done_count, value=bus.now())
+    if life is not None:
+        life.run_done()
     return ctx

@@ -56,7 +56,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..dag.tasks import KERNEL_CODES, Task, TaskGraph
+from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.backend import REFERENCE, KernelBackend
 from ..kernels.batched import (BatchedTFactor, apply_stacked_batched,
                                unmqr_batched)
@@ -69,6 +69,7 @@ from ..tiles.pool import TilePool
 from .group_executor import GroupExecutor, record_tfactors
 from .groups import (FACTOR_CODES, KIND, FrontierCore, drain_groups,
                      resolve_batch, unwrap_graph)
+from .lifecycle import Lifecycle
 from .options import ExecOptions, resolve_backend
 
 __all__ = ["ExecutionContext", "ExecOptions", "REPLAY_STACK_TILES",
@@ -290,12 +291,15 @@ class _PanelGroup:
 
 
 def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
-             tracer, metrics, bus, workers: int):
-    """The entry every executor shares: ``(plan or None, context, bus)``.
+             tracer, metrics, bus, on_task_done, workers: int):
+    """The entry every executor shares: ``(plan or None, context,
+    lifecycle or None)``.
 
     Unwraps a Plan, drops disabled observers (so ``ctx.tracer`` /
-    ``ctx.metrics`` and the returned bus are ``None`` unless they
-    record), clamps ``ib`` and counts the run into ``metrics``.
+    ``ctx.metrics`` are ``None`` unless they record), clamps ``ib``,
+    counts the run into ``metrics`` and builds the run's one
+    :class:`~repro.runtime.lifecycle.Lifecycle` — ``None`` when
+    nothing observes the run.
     """
     g, plan = unwrap_graph(graph)
     if tracer is not None and not tracer.enabled:
@@ -308,7 +312,10 @@ def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
     if metrics is not None:
         metrics.counter("scheduler.tasks_total").inc(len(g))
         metrics.gauge("scheduler.workers", keep_samples=False).set(workers)
-    return plan, ctx, bus
+    life = None
+    if any(o is not None for o in (tracer, metrics, bus, on_task_done)):
+        life = Lifecycle(g, tracer, metrics, bus, on_task_done)
+    return plan, ctx, life
 
 
 def execute_graph(
@@ -346,33 +353,39 @@ def execute_graph(
         silently absorbed by each kernel.
     on_task_done : callable or None
         Optional observer ``(task, done_count, total) -> None`` invoked
-        after each kernel retires (progress bars, logging).  The thread
-        transport calls it from worker threads, serialized under the
-        scheduler lock; keep it fast.  An exception raised by the
-        observer aborts the run and re-raises in the caller — it
-        cannot deadlock the scheduler.  For tracing prefer ``tracer=``,
-        which also records timestamps and placement.
+        for each task once its group retires (progress bars, logging),
+        with the done counts ``1..n`` in order.  The thread transport
+        calls it from worker threads, serialized under one lock; keep
+        it fast.  An exception raised by the observer aborts the run
+        and re-raises in the caller — it cannot deadlock the
+        scheduler.  For tracing prefer ``tracer=``, which also records
+        timestamps and placement.
     tracer : Tracer or None
         Span tracer recording one :class:`~repro.obs.tracer.Span` per
-        task (submit/start/finish wall-times, worker) — per group in
-        the inline transport.  ``None`` or a disabled tracer
+        group the kernels ran — one task in sequential mode — with
+        its member ids, ready/start/finish wall-times and worker.
+        ``None`` or a disabled tracer
         (:data:`~repro.obs.tracer.NULL_TRACER`) keeps the hot path
-        free of any per-task tracing work.
+        free of any tracing work.
     metrics : MetricsRegistry or None
-        Registry receiving per-kernel retirement counters and
-        wall-time histograms plus scheduler-health series (in-flight
-        task depth, time spent waiting on / holding the scheduler
-        lock — a direct measure of Python overhead); returned on the
-        context's ``metrics`` attribute.
+        Registry receiving per-kernel retirement counters, one
+        wall-time observation per group, per-task queue waits, and
+        scheduler-health series (in-flight task depth, time spent
+        waiting on / holding the scheduler lock — a direct measure of
+        Python overhead); returned on the context's ``metrics``
+        attribute.
     bus : EventBus or None
         Live event bus (:class:`repro.obs.stream.EventBus`) receiving
         streaming telemetry while the run progresses: ``run_start`` /
-        ``run_done``, per-task ``task_start`` / ``task_done`` (with
-        worker index and kernel seconds) or per-group ``group_start``
-        / ``group_done`` (inline), and ``frontier`` depth after each
-        retirement.  ``None`` or a disabled bus
-        (:data:`~repro.obs.stream.NULL_BUS`) skips all publishing on
-        the hot path.
+        ``run_done``, ``group_start`` / ``group_done`` per group (with
+        the member count, worker index and kernel seconds), and
+        ``frontier`` depth after each retirement, from every mode.
+        ``None`` or a disabled bus (:data:`~repro.obs.stream.NULL_BUS`)
+        skips all publishing on the hot path.
+
+    Every observer is fed by one
+    :class:`~repro.runtime.lifecycle.Lifecycle` recorder, which
+    records each group once.
 
     Returns
     -------
@@ -392,70 +405,51 @@ def execute_graph(
         return execute_batched(graph, tiled, opts, **observers)
     workers = 1 if opts.workers is None else opts.workers
     backend = resolve_backend(opts.backend, "task", tiled.array.dtype)
-    plan, ctx, bus = _prepare(graph, tiled, backend, ib, tracer, metrics,
-                              bus, workers)
+    plan, ctx, life = _prepare(graph, tiled, backend, ib, tracer, metrics,
+                               bus, on_task_done, workers)
     if workers == 1:
-        _run_sequential(ctx, on_task_done, bus)
+        _run_sequential(ctx, life)
     elif len(ctx.graph):
-        _run_threads(plan, ctx, workers, opts.batch, on_task_done, bus)
+        _run_threads(plan, ctx, workers, opts.batch, life)
     return ctx
 
 
-def _run_sequential(ctx: ExecutionContext, on_task_done, bus) -> None:
-    """Every task in emission order, per-tile kernels on tile views."""
-    graph, tracer, metrics = ctx.graph, ctx.tracer, ctx.metrics
-    observed = tracer is not None or metrics is not None
-    timed = observed or bus is not None
-    # Task objects only for the observers that receive them
-    tasks = graph.tasks if timed or on_task_done is not None else None
-    total = len(graph)
-    if bus is not None:
-        bus.publish("run_start", total=total, count=1,
-                    problem=getattr(graph, "problem", "") or "")
+def _run_sequential(ctx: ExecutionContext, life) -> None:
+    """Every task in emission order, per-tile kernels on tile views;
+    each task is its own group."""
+    graph = ctx.graph
+    if life is not None:
+        life.run_start(1)
     for tid, cols in enumerate(zip(graph.codes.tolist(), graph.rows.tolist(),
                                    graph.pivs.tolist(), graph.cols.tolist(),
                                    graph.js.tolist())):
-        if bus is not None:
-            bus.publish("task_start", tid=tid,
-                        kernel=tasks[tid].kernel.value, worker=0)
-        if timed:
+        if life is not None:
+            life.group_start(cols[0], (tid,), 0)
             t0 = time.perf_counter()
         ctx.run_task(*cols)
-        if timed:
-            t1 = time.perf_counter()
-            if observed:
-                _observe_task(tasks[tid], t0, t1, tracer, metrics,
-                              submit=t0, worker=0)
-        if bus is not None:
-            bus.publish("task_done", tid=tid, kernel=tasks[tid].kernel.value,
-                        worker=0, value=t1 - t0)
-        if on_task_done is not None:
-            on_task_done(tasks[tid], tid + 1, total)
-    if bus is not None:
-        bus.publish("run_done", count=total, value=bus.now())
+        if life is not None:
+            life.group_done(cols[0], (tid,), 0, t0, time.perf_counter())
+    if life is not None:
+        life.run_done()
 
 
 def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
-                 on_task_done, bus) -> None:
+                 life) -> None:
     """The thread transport: ``workers`` threads share one core.
 
     Each worker, under the one scheduler lock, retires the group it
-    just ran (releasing successors in the core, calling
-    ``on_task_done``) and pops its next group, or waits on the lock's
-    condition while the frontier is empty.  A pop leaves at least one
-    ready task per other worker, so one group cannot drain the
-    frontier the rest of the pool would run.  Groups execute outside
-    the lock on a :class:`~repro.tiles.pool.TilePool` through the
+    just ran (releasing successors in the core) and pops its next
+    group, or waits on the lock's condition while the frontier is
+    empty.  A pop leaves at least one ready task per other worker, so
+    one group cannot drain the frontier the rest of the pool would
+    run.  Groups execute outside the lock on a
+    :class:`~repro.tiles.pool.TilePool` through the
     :class:`~repro.runtime.group_executor.GroupExecutor`, with the
     context's per-tile backend for factor kernels and for groups of
-    one.  The calling thread serves as worker 0.
+    one, and are recorded into ``life`` outside the lock too.  The
+    calling thread serves as worker 0.
     """
-    graph, tiled, tracer, metrics = ctx.graph, ctx.tiled, ctx.tracer, \
-        ctx.metrics
-    observed = tracer is not None or metrics is not None
-    timed = observed or bus is not None
-    # Task objects only for the observers that receive them
-    tasks = graph.tasks if timed or on_task_done is not None else None
+    graph, tiled, metrics = ctx.graph, ctx.tiled, ctx.metrics
     n, W = len(graph), workers
     weights = graph.index().weights
     batch_size = resolve_batch(batch, tiled.nb, float(weights.mean()),
@@ -469,19 +463,17 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     pool = TilePool(tiled)
     # validates ib before any thread starts
     ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, ctx.backend)
-    # ready stamps are epoch-relative; the queue wait (start - ready)
-    # is epoch-invariant, so a metrics-only run uses a local epoch
-    # while a traced run shares the tracer's
-    epoch = tracer.epoch if tracer is not None else time.perf_counter()
-    ready_at = np.zeros(n) if observed else None
-    if observed:
-        ready_at[core.sources] = time.perf_counter() - epoch
+    # each task's ready stamp, for the lifecycle's queue waits
+    ready_at = None
+    if life is not None:
+        ready_at = np.zeros(n)
+        ready_at[core.sources] = time.perf_counter()
     wake = threading.Condition(threading.Lock())
     state = {"done": 0, "inflight": 0}
     errors: list[BaseException] = []
 
     def worker(widx: int) -> None:
-        grp = None  # (tids, tasks) of the group this worker just ran
+        grp = None  # tids of the group this worker just ran
         while True:
             if metrics is not None:
                 t_req = time.perf_counter()
@@ -489,18 +481,11 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
                 if metrics is not None:
                     t_in = time.perf_counter()
                 if grp is not None:
-                    state["inflight"] -= len(grp[0])
-                    base = state["done"]
-                    state["done"] += len(grp[0])
-                    newly = core.retire(grp[0])
-                    if observed and newly.size:
-                        ready_at[newly] = time.perf_counter() - epoch
-                    if on_task_done is not None and not errors:
-                        try:
-                            for i, task in enumerate(grp[1]):
-                                on_task_done(task, base + i + 1, n)
-                        except BaseException as exc:
-                            errors.append(exc)
+                    state["inflight"] -= len(grp)
+                    state["done"] += len(grp)
+                    newly = core.retire(grp)
+                    if ready_at is not None and newly.size:
+                        ready_at[newly] = time.perf_counter()
                 while not errors and state["done"] < n and not len(core):
                     wake.wait()
                 stop = bool(errors) or state["done"] == n
@@ -524,46 +509,28 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
                         "scheduler.newly_ready",
                         buckets=(0, 1, 2, 4, 8, 16, 32),
                     ).observe(len(newly))
-            if bus is not None and grp is not None:
-                for task in grp[1]:
-                    bus.publish("task_done", tid=task.tid,
-                                kernel=task.kernel.value, worker=widx,
-                                value=share)
-                    bus.publish("frontier", value=float(frontier),
-                                count=depth)
+            if life is not None and grp is not None:
+                life.frontier(frontier, depth)
             if stop:
                 return
-            grp = (np.asarray(tids, dtype=np.int64),
-                   None if tasks is None else [tasks[t] for t in tids])
-            if bus is not None:
-                for task in grp[1]:
-                    bus.publish("task_start", tid=task.tid,
-                                kernel=task.kernel.value, worker=widx)
-            if timed:
-                t0 = time.perf_counter()
+            grp = np.asarray(tids, dtype=np.int64)
             try:
-                ex.run(code, *da.take(grp[0]))
+                if life is not None:
+                    life.group_start(code, grp, widx)
+                    t0 = time.perf_counter()
+                ex.run(code, *da.take(grp))
+                if life is not None:
+                    life.group_done(code, grp, widx, t0,
+                                    time.perf_counter(), ready_at[grp])
             except BaseException as exc:  # propagate to the caller
                 with wake:
                     errors.append(exc)
                     wake.notify_all()
                 return
-            if timed:
-                t1 = time.perf_counter()
-                share = (t1 - t0) / len(tids)
-                if observed:
-                    # stacked kernels leave no per-task boundaries:
-                    # split the group's window evenly
-                    for i, task in enumerate(grp[1]):
-                        _observe_task(task, t0 + i * share,
-                                      t0 + (i + 1) * share, tracer,
-                                      metrics, worker=widx,
-                                      submit_ts=ready_at, epoch=epoch)
 
-    if bus is not None:
-        bus.publish("run_start", total=n, count=W,
-                    problem=getattr(graph, "problem", "") or "")
-        bus.publish("frontier", value=float(len(core)), count=len(core))
+    if life is not None:
+        life.run_start(W)
+        life.frontier(len(core), len(core))
     threads = [threading.Thread(target=worker, args=(w,), daemon=True,
                                 name=f"repro-exec-{w}")
                for w in range(1, W)]
@@ -577,57 +544,9 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
             wake.notify_all()
     for th in threads:
         th.join()
-    if bus is not None:
-        bus.publish("run_done", count=state["done"], value=bus.now())
+    if life is not None:
+        life.run_done()
     if errors:
         raise errors[0]
     pool.scatter()
     record_tfactors(ctx, da, ex.tstore, ex.compact)
-
-
-#: queue-wait histogram bucket edges (seconds) — ready-to-start delays
-#: range from microseconds (idle worker grabs immediately) to whole
-#: milliseconds (deep frontier, few workers)
-_WAIT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-
-
-def _observe_task(
-    task: Task,
-    t0: float,
-    t1: float,
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-    submit: float | None = None,
-    worker: int | None = None,
-    submit_ts=None,
-    epoch: float | None = None,
-) -> None:
-    """Record one finished task into the tracer and/or registry.
-
-    ``t0``/``t1`` are raw :func:`time.perf_counter` readings; the
-    tracer re-bases them onto its epoch.  When ``submit_ts``/``epoch``
-    are given (thread transport: per-task ready stamps) the
-    ready-to-start queue wait is also observed into
-    ``scheduler.queue_wait_seconds``.
-
-    Lifecycle comparability: the span's ``submit`` is the *ready*
-    stamp (the moment the task entered the ready frontier), so in the
-    degenerate lifecycle view (:func:`repro.obs.analyze.overhead_report`
-    on a plain capture) thread-mode queue wait lands in the ``queued``
-    phase and the kernel in ``computing`` — directly comparable with
-    the process backend's six-phase attribution, whose four extra
-    phases are identically zero here (no process boundary to cross).
-    """
-    if tracer is not None:
-        sub = (float(submit_ts[task.tid]) if submit_ts is not None
-               else (submit or t0) - tracer.epoch)
-        tracer.record(task, sub, t0 - tracer.epoch, t1 - tracer.epoch,
-                      worker=worker)
-    if metrics is not None:
-        name = task.kernel.value
-        metrics.counter(f"tasks.retired.{name}").inc()
-        metrics.histogram(f"kernel.seconds.{name}").observe(t1 - t0)
-        if submit_ts is not None and epoch is not None:
-            wait = max(0.0, (t0 - epoch) - float(submit_ts[task.tid]))
-            metrics.histogram("scheduler.queue_wait_seconds",
-                              buckets=_WAIT_BUCKETS).observe(wait)

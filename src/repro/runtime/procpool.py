@@ -22,11 +22,13 @@ the same groups on worker processes:
   back as one ``("retired", ...)`` completion.  Each worker holds at
   most a small number of in-flight tasks so priority stays meaningful
   while queue latency hides behind execution.
-* **Telemetry across the process boundary.**  Workers publish
-  ``task_start`` / ``task_done`` through the pool's
-  :class:`~repro.obs.stream.BusRelay`; the parent adds ``run_start`` /
-  ``frontier`` / ``run_done``, so ``--progress`` and ``repro top``
-  work unchanged.
+* **Telemetry on the parent.**  The parent records every group
+  through the run's :class:`~repro.runtime.lifecycle.Lifecycle` —
+  ``group_start`` at dispatch, ``group_done`` at retirement, with the
+  kernel window the worker measured — so ``--progress`` and ``repro
+  top`` work unchanged.  Workers publish nothing to the bus; under a
+  :class:`~repro.obs.tracer.DistributedTracer` they ship only their
+  span stamps, through the pool's :class:`~repro.obs.stream.BusRelay`.
 
 Correctness rests on two established facts: every pair of conflicting
 tile accesses is DAG-ordered (the completion round-trip through the
@@ -89,7 +91,7 @@ _SYNC_PINGS = 8
 _SYNC_PINGS_MAX = 64
 _SYNC_RESIDUAL_S = 1e-3
 
-#: traced tasks a worker buffers before shipping one batched
+#: traced groups a worker buffers before shipping one batched
 #: ``task_spans`` record — the merge only happens after the run's
 #: drain barrier, so a whole typical run rides in the endrun flush
 #: (zero mid-run relay traffic); the threshold just bounds buffer
@@ -165,18 +167,16 @@ def blas_threads(n: Optional[int] = None) -> list[int]:
 class _WorkerRun:
     """One run's worker state: the mapped segments and their executor."""
 
-    __slots__ = ("stack_sa", "tstore_sa", "ex", "publish", "trace",
-                 "span_buf")
+    __slots__ = ("stack_sa", "tstore_sa", "ex", "trace", "span_buf")
 
     def __init__(self, stack_handle, tstore_handle, cfg: dict):
         self.stack_sa = SharedArray.attach(stack_handle)
         self.tstore_sa = SharedArray.attach(tstore_handle)
         self.ex = GroupExecutor(self.stack_sa.array, self.tstore_sa.array,
                                 cfg["q"], cfg["ib"], cfg["backend"])
-        self.publish = cfg["publish"]
         self.trace = cfg.get("trace", False)
-        #: buffered (tid, recv, start, finish, publish, group recv,
-        #: group publish, group size, idle) span stamps
+        #: buffered (first tid, start, finish, message recv, message
+        #: publish, idle) stamps, one per executed group
         self.span_buf: list = []
 
     def close(self) -> None:
@@ -186,29 +186,16 @@ class _WorkerRun:
 
 
 def _flush_spans(state: _WorkerRun, widx: int, publisher) -> None:
-    """Ship the buffered span stamps as one batched relay record.
-
-    Beyond the four per-task boundaries, each entry carries its
-    micro-batch context — the group's shared recv/publish stamps, the
-    group size, and the worker's last idle stamp — so the tracer can
-    amortize the once-per-group parent-side costs (descriptor
-    transit, retirement) across the members and exclude deliberate
-    prefetch overlap from the ``dispatched`` phase.
-    """
+    """Ship the buffered span stamps as one batched relay record
+    (the fields of :meth:`~repro.obs.tracer.DistributedTracer.
+    add_worker_span`, one list entry per group)."""
     buf = state.span_buf
     if not buf:
         return
     state.span_buf = []
-    publisher.publish("task_spans", worker=widx,
-                      tid=[b[0] for b in buf],
-                      recv=[b[1] for b in buf],
-                      start=[b[2] for b in buf],
-                      finish=[b[3] for b in buf],
-                      publish=[b[4] for b in buf],
-                      grecv=[b[5] for b in buf],
-                      gpub=[b[6] for b in buf],
-                      gsize=[b[7] for b in buf],
-                      gfree=[b[8] for b in buf])
+    tid, start, finish, recv, publish, free = (list(c) for c in zip(*buf))
+    publisher.publish("task_spans", worker=widx, tid=tid, start=start,
+                      finish=finish, recv=recv, publish=publish, free=free)
 
 
 def _run_groups(state: _WorkerRun, widx: int, groups, free_t: float,
@@ -216,57 +203,31 @@ def _run_groups(state: _WorkerRun, widx: int, groups, free_t: float,
     """Execute one work message: groups in dispatch order.
 
     The groups share one queue round-trip and one ``"retired"``
-    completion.  A failure mid-message reports the failed group and
-    everything after it as one ``"error"`` (the parent books them out
-    of flight together) while the completed prefix still retires.
+    completion, which carries each group's kernel window.  A failure
+    mid-message reports the failed group and everything after it as
+    one ``"error"`` (the parent books them out of flight together)
+    while the completed prefix still retires.
     """
     recv_t = time.perf_counter()
-    results: list = []   # (tids, dt, t0, t1) per group
+    done: list = []   # (tids, t0, t1) per group
     for gi, grp in enumerate(groups):
-        tids, code = grp[0], grp[1]
-        kname = _CODE_TO_NAME[code]
-        if state.publish:
-            for tid in tids:
-                publisher.publish("task_start", tid=tid, kernel=kname,
-                                  worker=widx)
         t0 = time.perf_counter()
         try:
-            state.ex.run(code, *grp[2:])
+            state.ex.run(grp[1], *grp[2:])
         except BaseException:
             rem = tuple(t for g in groups[gi:] for t in g[0])
             done_q.put(("error", widx, rem, traceback.format_exc()))
             break
-        t1 = time.perf_counter()
-        results.append((tids, t1 - t0, t0, t1))
-        if state.publish:
-            share = (t1 - t0) / len(tids)
-            for tid in tids:
-                publisher.publish("task_done", tid=tid, kernel=kname,
-                                  worker=widx, value=share)
-    if not results:
+        done.append((grp[0], t0, time.perf_counter()))
+    if not done:
         return
-    done_q.put(("retired", widx, tuple((r[0], r[1]) for r in results)))
+    done_q.put(("retired", widx, tuple(done)))
     if state.trace:
-        # the stacked kernels leave no per-task boundaries, so each
-        # group's kernel window is split evenly; the deserialize and
-        # publish windows are paid once per message and amortized as a
-        # 1/K slice around each member's compute slice.  The message
-        # stamps (recv_t, pub_t) and its task count ride along so the
-        # tracer's merge can amortize the parent-side transit and
-        # retire costs the same way — per-phase sums equal the true
-        # message costs and the telescoping identity still holds.
+        # the message's stamps ride with each of its groups, so the
+        # tracer charges its transit and publish once per message
         pub_t = time.perf_counter()
-        n_ok = sum(len(r[0]) for r in results)
-        d_deser = (results[0][2] - recv_t) / n_ok
-        d_pub = (pub_t - results[-1][3]) / n_ok
-        for tids, dt, t0, _ in results:
-            share = dt / len(tids)
-            for i, tid in enumerate(tids):
-                s_i = t0 + i * share
-                f_i = s_i + share
-                state.span_buf.append(
-                    (tid, s_i - d_deser, s_i, f_i, f_i + d_pub,
-                     recv_t, pub_t, n_ok, free_t))
+        state.span_buf.extend((tids[0], t0, t1, recv_t, pub_t, free_t)
+                              for tids, t0, t1 in done)
         if len(state.span_buf) >= _SPAN_FLUSH:
             _flush_spans(state, widx, publisher)
 
@@ -281,16 +242,15 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
 
     Work arrives as ``("groups", groups)`` messages (see
     :func:`_run_groups`).  When the run is traced (``cfg["trace"]``)
-    the worker stamps four ``perf_counter`` boundaries per task —
-    message receipt, kernel entry/return, completion published — and
-    buffers them; every :data:`_SPAN_FLUSH` tasks (and at endrun,
-    before the ``closed`` ack) the buffer ships through the relay as
-    one batched ``"task_spans"`` record, so tracing costs one queue
-    put per batch instead of per task and every record still precedes
-    the parent's endrun barrier.  A ``("sync", token)`` message
-    answers with the worker's own clock reading (``("sync_ack", widx,
-    token, t)``): the parent's NTP-style handshake that aligns those
-    stamps onto its timeline.
+    the worker buffers each group's kernel entry/return stamps with
+    its message's receipt and completion-published stamps; every
+    :data:`_SPAN_FLUSH` groups (and at endrun, before the ``closed``
+    ack) the buffer ships through the relay as one batched
+    ``"task_spans"`` record, so tracing costs one queue put per batch
+    and every record still precedes the parent's endrun barrier.  A
+    ``("sync", token)`` message answers with the worker's own clock
+    reading (``("sync_ack", widx, token, t)``): the parent's NTP-style
+    handshake that aligns those stamps onto its timeline.
     """
     blas_threads(1)
     state: _WorkerRun | None = None
@@ -387,13 +347,14 @@ class ProcessPool:
         self._procs: list = []
         self._closed = False
         self._broken = False
-        # distributed-tracing state: in-flight parent stamps for the
-        # current run only (cleared every run — a persistent pool must
-        # not accumulate per-task bookkeeping), and the previous clock
-        # estimate per worker so re-syncs can report drift
-        self._pending: dict[int, list] = {}
-        self._clock_prev: dict = {}
+        # per-run state, reset every run — a persistent pool must not
+        # accumulate per-run bookkeeping: an observed run's in-flight
+        # groups (first tid -> (tids, worker, dispatch stamp)) and the
+        # count of groups retired; and the previous clock estimate per
+        # worker, so re-syncs can report drift
+        self._pending: dict[int, tuple] = {}
         self._sched_ok = 0
+        self._clock_prev: dict = {}
 
     # ------------------------------------------------------------------
     @property
@@ -562,9 +523,9 @@ class ProcessPool:
         opts = ExecOptions() if options is None else options
         bk = resolve_backend(opts.backend, "process", tiled.array.dtype)
         compact = bk is LAPACK
-        plan, ctx, bus = _prepare(graph, tiled, bk, ib, tracer, metrics,
-                                  bus, self.workers)
-        g, tracer, metrics, ib = ctx.graph, ctx.tracer, ctx.metrics, ctx.ib
+        plan, ctx, life = _prepare(graph, tiled, bk, ib, tracer, metrics,
+                                   bus, on_task_done, self.workers)
+        g, metrics, ib = ctx.graph, ctx.metrics, ctx.ib
         panel_starts(tiled.nb, ib)  # validate ib >= 1 before dispatch
         n = len(g)
         if metrics is not None:
@@ -590,23 +551,17 @@ class ProcessPool:
         tstore = SharedArray(GroupExecutor.tstore_shape(
             da.nfactor, tiled.nb, ib, compact=compact), tiled.array.dtype)
         try:
-            # The relay keeps pointing at this bus after the run
-            # returns: mp.Queue feeder threads give no cross-queue
-            # ordering, so a worker's last task_done may trail its
-            # completion message — late events drain into the same bus
-            # instead of being dropped (see docs/observability.md).
-            dtracer = (tracer if isinstance(tracer, DistributedTracer)
+            dtracer = (ctx.tracer if isinstance(ctx.tracer,
+                                                DistributedTracer)
                        else None)
-            self._relay.bus = bus if bus is not None else NULL_BUS
             self._relay.span_sink = (dtracer.add_worker_span
                                      if dtracer is not None else None)
-            if bus is not None or dtracer is not None:
+            if dtracer is not None:
                 self._relay.start()
-            base_done = self._relay.pumped("task_done")
             base_spans = self._relay.pumped("task_spans")
             base_dropped = self._relay.dropped
             cfg = {"ib": ib, "q": tiled.q, "backend": bk.name,
-                   "publish": bus is not None, "trace": dtracer is not None}
+                   "trace": dtracer is not None}
             for inq in self._inqs:
                 inq.put(("run", pool.handle(), tstore.handle(), cfg))
             self._await("ready", self.workers)
@@ -614,14 +569,12 @@ class ProcessPool:
                 # handshake at every run start = periodic re-sync on a
                 # persistent pool; the previous estimate feeds drift
                 self._sync_clocks(dtracer, metrics)
-            if bus is not None:
-                bus.publish("run_start", total=n, count=self.workers,
-                            problem=getattr(g, "problem", "") or "")
+            if life is not None:
+                life.run_start(self.workers)
             self._sched_ok = 0
             err: BaseException | None = None
             try:
-                self._schedule(g, core, batch_size, on_task_done, tracer,
-                               metrics, bus)
+                self._schedule(core, batch_size, metrics, life)
             except BaseException as exc:
                 err = exc
             # detach the workers even after a failed run, so the pool
@@ -633,35 +586,18 @@ class ProcessPool:
                 except Exception:
                     if err is None:
                         raise
-            if dtracer is not None:
-                # close parent spans of dispatched-but-unretired tasks
-                # (aborted run / dead worker): tagged, never dropped
-                now_rel = time.perf_counter() - dtracer.epoch
-                for tid, ent in self._pending.items():
-                    if ent[2] >= 0:
-                        dtracer.record_parent(g.tasks[tid], ent[0],
-                                              ent[1], now_rel, ent[2],
-                                              aborted=True)
-            self._pending.clear()
             # Drain the relay before declaring the run over: mp.Queue
             # feeder threads give no cross-queue ordering, so a
-            # worker's last task_done / task_spans may trail its
-            # completion message.  run_done is only published once
-            # every completion this run produced has been pumped (or
-            # was dropped at a full relay), so `repro top`'s final
-            # frame and any phase accounting keyed on run boundaries
-            # see a complete run.
-            targets = []
-            if bus is not None:
-                targets.append(("task_done", base_done))
+            # worker's last task_spans record may trail its completion
+            # message.  The tracer is only finalized once every group
+            # this run retired has its span record pumped (or dropped
+            # at a full relay).
             if dtracer is not None:
-                targets.append(("task_spans", base_spans))
-            if targets and self._relay.running:
                 deadline = time.monotonic() + 5.0
                 while self._relay.running:
                     lost = self._relay.dropped - base_dropped
-                    if all(self._relay.pumped(k) - b + lost
-                           >= self._sched_ok for k, b in targets):
+                    if (self._relay.pumped("task_spans") - base_spans
+                            + lost >= self._sched_ok):
                         break
                     if time.monotonic() > deadline:
                         if metrics is not None:
@@ -669,13 +605,12 @@ class ProcessPool:
                                 "procpool.relay_drain_timeout").inc()
                         break
                     time.sleep(0.0002)
-            if dtracer is not None:
                 self._relay.span_sink = None
                 dtracer.finalize()
             if err is not None:
                 raise err
-            if bus is not None:
-                bus.publish("run_done", count=n, value=bus.now())
+            if life is not None:
+                life.run_done()
             # one copy of the T store out of shared memory before the
             # unlink; the context's T factors are views into it
             record_tfactors(ctx, da, np.array(tstore.array), compact)
@@ -697,8 +632,7 @@ class ProcessPool:
             # anything else is a stale completion from an aborted run
             got += self._recv(deadline, f"worker {expect!r} acks")[0] == expect
 
-    def _schedule(self, g, core, batch_size, on_task_done, tracer,
-                  metrics, bus) -> None:
+    def _schedule(self, core, batch_size, metrics, life) -> None:
         """Rolling ready-frontier over the core, in micro-batches.
 
         Tasks are dispatched the moment their last predecessor
@@ -713,26 +647,24 @@ class ProcessPool:
         refill hysteresis that tops a worker up only once it is down
         to its final group, letting ready successors pool into full
         groups between refills.
+
+        Each group is recorded into ``life`` at dispatch and at
+        retirement, its kernel window placed so the work message's
+        last group ends at the retirement; a group still in flight
+        when the run aborts is closed as aborted.
         """
         da, weights = core.da, core.weights
         codes, src = da.codes, da.src
         n = len(codes)
         W = self.workers
-        dtracer = (tracer if isinstance(tracer, DistributedTracer)
-                   else None)
-        # Task objects only for the observers that receive them
-        tasks = (g.tasks if tracer is not None or metrics is not None
-                 or on_task_done is not None else None)
-        epoch = tracer.epoch if tracer is not None else time.perf_counter()
-        # per-run in-flight bookkeeping: tid -> [ready, dispatch,
-        # worker] stamps, popped at retire and cleared by run() — a
-        # persistent pool carries nothing across runs
+        # each task's ready stamp, and the in-flight groups by first
+        # tid (emptied when the run ends)
         pending = self._pending
         pending.clear()
-        if tracer is not None:
-            t_ready = time.perf_counter() - epoch
-            for tid in core.sources.tolist():
-                pending[tid] = [t_ready, -1.0, -1]
+        ready_at = None
+        if life is not None:
+            ready_at = np.zeros(n)
+            ready_at[core.sources] = time.perf_counter()
         load = [0] * W          # in-flight tasks (the capacity unit)
         wload = [0.0] * W       # in-flight weight (the placement key)
         outstanding = 0
@@ -756,7 +688,9 @@ class ProcessPool:
 
         def dispatch() -> None:
             nonlocal outstanding
-            t_disp = -1.0
+            # one stamp per dispatch wave — groups popped in the same
+            # wave leave the scheduler together
+            t_disp = time.perf_counter() if life is not None else 0.0
             # groups bound for the same worker in this dispatch wave
             # share ONE work message: the heavy apply group and the
             # lone factor task popped next to it share a single queue
@@ -768,15 +702,9 @@ class ProcessPool:
                     break
                 w = min(cands, key=lambda i: (wload[i], load[i]))
                 code, tids = core.pop(limit=cap - load[w])
-                if tracer is not None:
-                    if t_disp < 0.0:
-                        # one stamp per dispatch wave — tasks pushed in
-                        # the same wave leave the scheduler together
-                        t_disp = time.perf_counter() - epoch
-                    for tid in tids:
-                        ent = pending[tid]
-                        ent[1] = t_disp
-                        ent[2] = w
+                if life is not None:
+                    pending[tids[0]] = (tids, w, t_disp)
+                    life.group_start(code, tids, w)
                 out.setdefault(w, []).append(_encode(code, tids))
                 k = len(tids)
                 load[w] += k
@@ -805,72 +733,66 @@ class ProcessPool:
             wload[w] -= float(weights[list(tids)].sum())
             outstanding -= len(tids)
 
-        dispatch()
-        if bus is not None:
-            bus.publish("frontier", value=float(len(core)),
-                        count=outstanding + len(core))
-        while completed < n:
-            if abort_exc is not None and outstanding == 0:
-                break
-            try:
-                msg = self._done_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                self._check_alive()
-                continue
-            kind = msg[0]
-            if kind == "retired":
-                # one completion for a whole work message
-                _, w, parts = msg
-                all_tids = [t for tids, _ in parts for t in tids]
-                book_out(w, all_tids)
-                self._sched_ok += len(all_tids)
-                now = (time.perf_counter() - epoch
-                       if tracer is not None else 0.0)
-                if abort_exc is None:
+        try:
+            dispatch()
+            if life is not None:
+                life.frontier(len(core), outstanding + len(core))
+            while completed < n:
+                if abort_exc is not None and outstanding == 0:
+                    break
+                try:
+                    msg = self._done_q.get(timeout=_POLL_S)
+                except queue_mod.Empty:
+                    self._check_alive()
+                    continue
+                kind = msg[0]
+                if kind == "retired":
+                    # one completion for a whole work message
+                    _, w, parts = msg
+                    all_tids = [t for tids, _, _ in parts for t in tids]
+                    book_out(w, all_tids)
+                    completed += len(all_tids)
+                    self._sched_ok += len(parts)
+                    if abort_exc is not None:
+                        continue  # left in flight: closed as aborted
                     newly = core.retire(all_tids)
-                    if tracer is not None:
-                        # ready the instant this retirement lands
-                        for s in newly.tolist():
-                            pending[s] = [now, -1.0, -1]
-                for tids, dt in parts:
-                    share = dt / len(tids)
-                    for tid in tids:
-                        completed += 1
-                        task = None if tasks is None else tasks[tid]
-                        if dtracer is not None:
-                            ent = pending.pop(tid)
-                            dtracer.record_parent(task, ent[0], ent[1],
-                                                  now, w, dt=share)
-                        elif tracer is not None:
-                            ent = pending.pop(tid)
-                            tracer.record(task, ent[1],
-                                          max(ent[1], now - share), now,
-                                          worker=w)
-                        if metrics is not None:
-                            name = task.kernel.value
-                            metrics.counter(f"tasks.retired.{name}").inc()
-                            metrics.histogram(
-                                f"kernel.seconds.{name}").observe(share)
-                        if on_task_done is not None and abort_exc is None:
-                            try:
-                                on_task_done(task, completed, n)
-                            except BaseException as exc:
-                                abort_exc = exc
-                if abort_exc is None:
-                    dispatch()
-                if bus is not None:
-                    bus.publish("frontier", value=float(len(core)),
-                                count=outstanding + len(core))
-            elif kind == "error":
-                _, w, tids, tb = msg
-                book_out(w, tids)
-                completed += len(tids)
-                if abort_exc is None:
-                    abort_exc = RuntimeError(
-                        f"task {tids[0]} "
-                        f"({_CODE_TO_NAME[int(codes[tids[0]])]}) "
-                        f"failed in worker {w}:\n{tb}")
-            # "ready"/"closed" acks never interleave with completions
+                    if life is not None:
+                        now = time.perf_counter()
+                        ready_at[newly] = now
+                        shift = now - parts[-1][2]
+                        try:
+                            for tids, t0, t1 in parts:
+                                _, _, t_disp = pending.pop(tids[0])
+                                ids = np.asarray(tids, dtype=np.int64)
+                                life.group_done(
+                                    int(codes[tids[0]]), ids, w, t0 + shift,
+                                    t1 + shift, ready_at[ids],
+                                    dispatch=t_disp)
+                        except BaseException as exc:
+                            abort_exc = exc
+                    if abort_exc is None:
+                        dispatch()
+                    if life is not None:
+                        life.frontier(len(core), outstanding + len(core))
+                elif kind == "error":
+                    _, w, tids, tb = msg
+                    book_out(w, tids)
+                    completed += len(tids)
+                    if abort_exc is None:
+                        abort_exc = RuntimeError(
+                            f"task {tids[0]} "
+                            f"({_CODE_TO_NAME[int(codes[tids[0]])]}) "
+                            f"failed in worker {w}:\n{tb}")
+                # "ready"/"closed" acks never interleave with completions
+        finally:
+            # close the groups of an aborted run (worker death, error,
+            # observer exception) that never retired: tagged, never
+            # dropped
+            if pending:
+                now = time.perf_counter()
+                for tids, w, t_disp in pending.values():
+                    life.group_aborted(tids, w, ready_at[tids], t_disp, now)
+                pending.clear()
         if abort_exc is not None:
             raise abort_exc
 

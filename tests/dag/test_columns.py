@@ -3,7 +3,8 @@
 Planning, simulating, analyzing, factoring and solving read the
 graph's columns.  :class:`Task` objects are built only for something
 that asks for them — here, an ``on_task_done`` observer, which must
-receive exactly the tasks the program-order oracle describes.
+receive exactly the tasks the program-order oracle describes.  A
+tracer, a metrics registry and an event bus build none.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.dag.tasks import KERNEL_CODES
 from repro.ext import (DistributedLayout, Failure, simulate_distributed,
                        simulate_heterogeneous, simulate_with_failures)
 from repro.kernels.costs import Kernel
+from repro.obs import DistributedTracer, EventBus, MetricsRegistry, Tracer
 from repro.obs.analyze import analyze_sim
 from repro.runtime import ProcessPool
 from repro.schemes import get_scheme
@@ -93,6 +95,21 @@ class TestNoTaskObjects:
         x = fact.solve_lstsq(b)
         np.testing.assert_allclose(x, np.linalg.lstsq(a, b, rcond=None)[0],
                                    rtol=1e-8)
+        assert made == []
+
+    @pytest.mark.parametrize("path", FACTOR_PATHS)
+    def test_observed_factor(self, made, pool, path):
+        """A tracer, a registry and a bus label and count from the
+        graph columns: only ``on_task_done`` asks for Task objects."""
+        api.clear_plan_cache()
+        a = np.random.default_rng(5).standard_normal((80, 48))
+        kw = dict(FACTOR_PATHS[path], pool=pool) if path == "process" \
+            else FACTOR_PATHS[path]
+        tracer = DistributedTracer() if path == "process" else Tracer()
+        api.factor(a, nb=16, ib=4, scheme="greedy", tracer=tracer,
+                   metrics=MetricsRegistry(), bus=EventBus(), **kw)
+        spans = tracer.spans  # the distributed merge runs on this read
+        assert sum(s.count for s in spans) == len(api.plan(5, 3, "greedy"))
         assert made == []
 
     @pytest.mark.parametrize("path", FACTOR_PATHS)

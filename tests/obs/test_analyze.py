@@ -230,6 +230,28 @@ class TestTracerAndTrace:
         (rep,) = analyze_chrome_trace(doc)
         assert rep.tasks == 0 and rep.makespan == 0.0
 
+    def test_group_spans_count_tasks(self):
+        """An inline capture holds one span per stacked group: every
+        report counts the tasks the spans cover, live and after a
+        Chrome round trip, and the kernel pivot spends each group's
+        window once."""
+        from repro.api import factor
+
+        pl = plan(8, 8, "greedy")
+        tr = Tracer()
+        a = np.random.default_rng(3).standard_normal((256, 256))
+        factor(a, nb=32, ib=8, scheme=pl, mode="batched", tracer=tr)
+        n = len(pl.graph)
+        assert len(tr) == len(pl.level_groups()) < n
+        live = analyze_tracer(tr)
+        (trip,) = analyze_chrome_trace(chrome_trace(tracer=tr))
+        for rep in (live, trip):
+            assert rep.tasks == n
+            assert sum(k.count for k in rep.kernels) == n
+            assert sum(lane.tasks for lane in rep.lanes) == n
+            assert sum(k.total for k in rep.kernels) == pytest.approx(
+                sum(s.duration for s in tr.spans))
+
 
 class TestOverlay:
     def test_overhead_attribution(self):

@@ -36,8 +36,12 @@ def pool():
         yield p
 
 
+def qr_graph():
+    return plan(2, 2, "greedy").graph
+
+
 def qr_tasks():
-    return plan(2, 2, "greedy").graph.tasks
+    return qr_graph().tasks
 
 
 def make_tracer(epoch=0.0):
@@ -97,8 +101,9 @@ class TestDistributedMerge:
     def test_full_merge_aligns_and_telescopes(self):
         tr = make_tracer()
         tr.set_clock(clock(1, offset=100.0))
-        t = qr_tasks()[0]
-        tr.record_parent(t, ready=0.0, dispatch=0.01, retire=0.2,
+        g = qr_graph()
+        t = g.tasks[0]
+        tr.record_parent(g, [t.tid], ready=0.0, dispatch=0.01, retire=0.2,
                          worker=1, dt=0.05)
         tr.add_worker_span({"tid": t.tid, "worker": 1, "recv": 100.02,
                             "start": 100.03, "finish": 100.08,
@@ -126,8 +131,9 @@ class TestDistributedMerge:
         # offset over-estimated: aligned worker stamps land *before*
         # the parent dispatch; clamping must absorb the residual
         tr.set_clock(clock(0, offset=100.05))
-        t = qr_tasks()[0]
-        tr.record_parent(t, ready=0.0, dispatch=0.04, retire=0.2,
+        g = qr_graph()
+        t = g.tasks[0]
+        tr.record_parent(g, [t.tid], ready=0.0, dispatch=0.04, retire=0.2,
                          worker=0)
         tr.add_worker_span({"tid": t.tid, "worker": 0, "recv": 100.02,
                             "start": 100.03, "finish": 100.08,
@@ -142,9 +148,8 @@ class TestDistributedMerge:
 
     def test_dropped_worker_span_falls_back_to_dt(self):
         tr = make_tracer()
-        t = qr_tasks()[0]
-        tr.record_parent(t, ready=0.0, dispatch=0.01, retire=0.2,
-                         worker=0, dt=0.05)
+        tr.record_parent(qr_graph(), [0], ready=0.0, dispatch=0.01,
+                         retire=0.2, worker=0, dt=0.05)
         tr.finalize()
         (p,) = tr.phases
         assert not p.measured and not p.aborted
@@ -154,9 +159,8 @@ class TestDistributedMerge:
 
     def test_aborted_task_closed_not_dropped(self):
         tr = make_tracer()
-        t = qr_tasks()[0]
-        tr.record_parent(t, ready=0.0, dispatch=0.01, retire=0.15,
-                         worker=1, aborted=True)
+        tr.record_parent(qr_graph(), [0], ready=0.0, dispatch=0.01,
+                         retire=0.15, worker=1, aborted=True)
         tr.finalize()
         (p,) = tr.phases
         assert p.aborted and not p.measured
@@ -175,9 +179,8 @@ class TestDistributedMerge:
 
     def test_finalize_clears_pending_maps(self):
         tr = make_tracer()
-        t = qr_tasks()[0]
-        tr.record_parent(t, 0.0, 0.01, 0.2, worker=0)
-        tr.add_worker_span({"tid": t.tid, "worker": 0, "recv": 0.02,
+        tr.record_parent(qr_graph(), [0], 0.0, 0.01, 0.2, worker=0)
+        tr.add_worker_span({"tid": 0, "worker": 0, "recv": 0.02,
                             "start": 0.03, "finish": 0.08,
                             "publish": 0.09})
         assert tr.finalize() == 1
@@ -206,7 +209,7 @@ def merged_tracer(pl):
     stamps = [(0.0, 0.01, 0.02, 0.03, 0.08, 0.09, 0.10, 0),
               (0.02, 0.10, 0.11, 0.12, 0.20, 0.21, 0.23, 1)]
     for t, (rd, dp, rc, st, fi, pb, rt, w) in zip(pl.graph.tasks, stamps):
-        tr.record_parent(t, rd, dp, rt, worker=w)
+        tr.record_parent(pl.graph, [t.tid], rd, dp, rt, worker=w)
         tr.add_worker_span({"tid": t.tid, "worker": w, "recv": rc,
                             "start": st, "finish": fi, "publish": pb})
     tr.finalize()
@@ -335,8 +338,11 @@ class TestProcessEndToEnd:
         f = factor(a, nb=NB, ib=4, mode="process", pool=pool,
                    tracer=tracer, metrics=metrics)
         n = len(f.graph.tasks)
-        assert len(tracer.phases) == n == len(tracer.spans)
-        assert {p.tid for p in tracer.phases} == set(range(n))
+        # one record per group; the members partition the tasks
+        assert len(tracer.phases) == len(tracer.spans)
+        assert sorted(t for p in tracer.phases for t in p.tids) == \
+            list(range(n))
+        assert sum(p.count for p in tracer.phases) == n
         assert all(p.measured and not p.aborted for p in tracer.phases)
         # the ISSUE acceptance bound: alignment residual well under 1 ms
         assert 0.0 < tracer.max_residual < 1e-3
@@ -389,8 +395,9 @@ class TestProcessEndToEnd:
         assert len(rep.clock) == pool.workers
 
     def test_bus_holds_full_run_on_return(self, rng, pool):
-        """Satellite: run() drains the relay before publishing
-        ``run_done`` — the bus is complete the moment factor returns,
+        """The parent publishes every event itself, and run() drains
+        the relay's span records before finalizing the tracer — the
+        bus and the tracer are complete the moment factor returns,
         with no polling window."""
         bus = EventBus(capacity=65536)
         tracer = DistributedTracer()
@@ -399,11 +406,11 @@ class TestProcessEndToEnd:
                    tracer=tracer)
         n = len(f.graph.tasks)
         evs = bus.snapshot()
-        assert sum(e.kind == "task_done" for e in evs) == n
+        assert sum(e.count for e in evs if e.kind == "group_done") == n
         done = [e.kind for e in evs]
         assert "run_done" in done
         assert done.index("run_done") > done.index("run_start")
-        assert len(tracer.phases) == n
+        assert sum(p.count for p in tracer.phases) == n
 
     def test_zero_task_graph(self, rng, pool):
         g = TaskGraph(1, 1)  # no tasks added

@@ -271,24 +271,27 @@ class TestExecutorPublishing:
         kinds = [e.kind for e in events]
         n = len(pl.graph.tasks)
         assert kinds[0] == "run_start" and kinds[-1] == "run_done"
-        assert kinds.count("task_start") == n
-        assert kinds.count("task_done") == n
+        # every task is its own group
+        assert kinds.count("group_start") == n
+        assert kinds.count("group_done") == n
+        assert {e.count for e in events if e.kind == "group_done"} == {1}
         run_start = events[0]
         assert run_start.total == n and run_start.count == 1
-        # per-task durations ride on task_done.value
-        assert all(e.value >= 0.0 for e in events if e.kind == "task_done")
+        # per-task durations ride on group_done.value
+        assert all(e.value >= 0.0 for e in events if e.kind == "group_done")
 
     def test_threaded_stream(self):
         pl, events = self._factor(EventBus(), workers=3)
         n = len(pl.graph.tasks)
         kinds = [e.kind for e in events]
-        assert kinds.count("task_done") == n
+        done = [e for e in events if e.kind == "group_done"]
+        assert sum(e.count for e in done) == n
+        assert kinds.count("group_start") == len(done)
         assert events[0].kind == "run_start" and events[0].count == 3
         assert kinds[-1] == "run_done"
         # retirements publish the post-retire ready-frontier depth
-        assert kinds.count("frontier") >= n
-        workers = {e.worker for e in events if e.kind == "task_done"}
-        assert workers <= {0, 1, 2}
+        assert kinds.count("frontier") >= len(done)
+        assert {e.worker for e in done} <= {0, 1, 2}
 
     def test_batched_stream(self):
         pl, events = self._factor(EventBus(), mode="batched")

@@ -104,9 +104,11 @@ class TestBatchedObservability:
     def test_analyze_tracer_consumes_group_spans(self, rng):
         from repro.obs.analyze import analyze_tracer
 
-        _, tracer, _ = self._run(rng)
+        pl, tracer, _ = self._run(rng)
         report = analyze_tracer(tracer)
-        assert report.tasks == len(tracer)
+        # tasks, not spans: each group span covers its members
+        assert report.tasks == len(pl.graph.tasks) > len(tracer)
+        assert sum(k.count for k in report.kernels) == len(pl.graph.tasks)
         assert report.makespan > 0
 
     def test_on_task_done_sees_every_task(self, rng):

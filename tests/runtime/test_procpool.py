@@ -12,8 +12,6 @@ itself the pool-reuse test: dozens of factorizations through one set
 of worker processes.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -250,18 +248,14 @@ class TestFailurePropagation:
 
 
 class TestObservability:
-    def _drain(self, bus, want_done, deadline_s=15.0):
-        """Poll until ``want_done`` task_done events arrived (the relay
-        gives no cross-queue ordering guarantee, so completions can
-        reach the parent before the matching telemetry)."""
-        deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
-            evs = bus.snapshot()
-            if sum(e.kind == "task_done" for e in evs) >= want_done:
-                return evs
-            time.sleep(0.02)
-        raise AssertionError(
-            f"bus never saw {want_done} task_done events")
+    def _drain(self, bus, want_done):
+        """The bus once the run returned: the parent publishes every
+        event itself, so it already holds ``group_done`` events for
+        ``want_done`` tasks."""
+        evs = bus.snapshot()
+        assert sum(e.count for e in evs if e.kind == "group_done") \
+            == want_done
+        return evs
 
     def test_bus_stream(self, rng, pool):
         from repro.obs import EventBus
@@ -272,11 +266,11 @@ class TestObservability:
         n = len(f.graph.tasks)
         evs = self._drain(bus, n)
         kinds = {e.kind for e in evs}
-        assert {"run_start", "task_start", "task_done", "frontier",
-                "run_done"} <= kinds
+        assert kinds == {"run_start", "group_start", "group_done",
+                         "frontier", "run_done"}
         start = next(e for e in evs if e.kind == "run_start")
         assert start.total == n and start.count == pool.workers
-        workers = {e.worker for e in evs if e.kind == "task_done"}
+        workers = {e.worker for e in evs if e.kind == "group_done"}
         assert workers == set(range(pool.workers))
 
     def test_tracer_and_metrics(self, rng, pool):
@@ -289,7 +283,8 @@ class TestObservability:
         f = factor(a, nb=NB, ib=4, mode="process", pool=pool,
                    tracer=tracer, metrics=metrics)
         n = len(f.graph.tasks)
-        assert len(tracer) == n
+        assert sorted(t for s in tracer.spans for t in s.tids) == \
+            list(range(n))
         assert all(s.submit <= s.start <= s.finish for s in tracer.spans)
         assert {s.worker for s in tracer.spans} <= set(range(pool.workers))
         retired = sum(metrics.get(name).value for name in metrics.names()
@@ -313,7 +308,7 @@ class TestObservability:
             assert len(pool._clock_prev) <= pool.workers
             assert not tracer._parent and not tracer._wspans
             n = len(f.graph.tasks)
-        assert len(tracer.phases) == 50 * n
+        assert sum(p.count for p in tracer.phases) == 50 * n
         # re-synced every run: drift is measured from the second on
         assert all(c.samples >= 1 for c in tracer.clocks.values())
 

@@ -28,12 +28,11 @@ SCHEMES = ("greedy", "flat-tree", "fibonacci", "binary-tree",
            "plasma-tree(bs=3)")
 DTYPES = {"float64": np.float64, "complex128": np.complex128,
           "float32": np.float32, "complex64": np.complex64}
-#: exactly tiled (6 x 3 tiles) and ragged in both dimensions
+#: exactly tiled (6 x 3 tiles) and ragged in both dimensions — a last
+#: tile row shorter than the tile width too, which the per-tile LAPACK
+#: kernels (task ``backend="lapack"``, process mode on real matrices)
+#: replay from its reflector columns alone
 SHAPES = {"exact": (48, 24), "ragged": (45, 21)}
-#: the per-tile LAPACK kernels (task ``backend="lapack"``, process
-#: mode on real matrices) cannot factor or replay a tile row shorter
-#: than the tile width, so their ragged case is ragged in columns only
-LAPACK_RAGGED = (48, 21)
 MODES = {
     "sequential": dict(mode="task"),
     "thread": dict(mode="task", workers=2),
@@ -56,11 +55,6 @@ def keywords(mode: str, pool) -> dict:
     if mode == "process":
         kw["pool"] = pool
     return kw
-
-
-def shape_of(mode: str, shape: str) -> tuple:
-    return LAPACK_RAGGED if shape == "ragged" and mode in (
-        "lapack", "process") else SHAPES[shape]
 
 
 def execute(a, mode, pool, scheme="greedy", family="TT", bare=False):
@@ -99,7 +93,7 @@ def assert_replays_match(ctx, rng, dtype=np.float64) -> None:
 @pytest.mark.parametrize("family", ["TT", "TS"])
 @pytest.mark.parametrize("mode", list(MODES))
 def test_every_tree_and_transport(rng, pool, mode, family, scheme, shape):
-    a = random_matrix(rng, *shape_of(mode, shape))
+    a = random_matrix(rng, *SHAPES[shape])
     assert_replays_match(execute(a, mode, pool, scheme, family), rng)
 
 
@@ -109,7 +103,7 @@ def test_every_tree_and_transport(rng, pool, mode, family, scheme, shape):
 def test_every_dtype(rng, pool, mode, dtype, shape):
     dt = DTYPES[dtype]
     for family in ("TT", "TS"):
-        a = random_matrix(rng, *shape_of(mode, shape), dt)
+        a = random_matrix(rng, *SHAPES[shape], dt)
         assert_replays_match(execute(a, mode, pool, family=family), rng,
                              dt)
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.api import plan
 from repro.cli import build_parser, main
 from repro.runtime import ExecOptions
 
@@ -278,6 +279,18 @@ class TestProfileAnalytics:
         out = capsys.readouterr().out
         assert "schedule report" in out
         assert "measured vs simulated" in out
+
+    def test_batched_profile_counts_tasks_and_overlays(self, capsys):
+        """Inline spans are groups: the summary counts tasks, and the
+        simulated overlay runs on per-task means (kernel seconds over
+        retired tasks)."""
+        assert main(["profile", "greedy", "4", "4", "--nb", "16", "--ib",
+                     "8", "--mode", "batched"]) == 0
+        out = capsys.readouterr().out
+        n = len(plan(4, 4, "greedy").graph)
+        assert f"tasks            {n}\n" in out
+        assert "measured vs simulated" in out
+        assert "simulated        " in out
 
     def test_no_analyze_flag(self, capsys):
         assert main(["profile", "greedy", "3", "2", "--nb", "8", "--ib", "4",
