@@ -4,19 +4,19 @@ Seven pieces, shared by the executors, the discrete-event simulator,
 and the benchmark harness:
 
 * :mod:`repro.obs.tracer` — a thread-safe span tracer recording one
-  :class:`Span` per retired kernel task (submit/start/finish
-  wall-times, worker thread), a zero-cost :class:`NullTracer`, and
-  the :class:`DistributedTracer` of the process backend: worker-side
-  child spans merged onto the parent timeline by an NTP-style clock
-  handshake into six-phase :class:`TaskPhases` lifecycle records;
+  :class:`Span` per retired group of tasks (submit/start/finish
+  wall-times, the worker that ran it), a zero-cost
+  :class:`NullTracer`, and the :class:`DistributedTracer` of the
+  process backend: worker-side child spans merged onto the parent
+  timeline by an NTP-style clock handshake into six-phase
+  :class:`TaskPhases` lifecycle records;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket histograms with deterministic plain-text
-  and JSON summaries, mergeable across workers
-  (:meth:`MetricsRegistry.merge`);
-* :mod:`repro.obs.stream` — a bounded, multiprocessing-bridgeable
-  :class:`EventBus` both executors publish typed :class:`Event`
-  records into *while the run progresses* (task/group/frontier
-  events), with :class:`LiveState` as the standard reduction;
+  and JSON summaries;
+* :mod:`repro.obs.stream` — a bounded :class:`EventBus` both
+  executors publish typed :class:`Event` records into *while the run
+  progresses* (run/group/frontier events), with :class:`LiveState` as
+  the standard reduction;
 * :mod:`repro.obs.sampler` — a background :class:`Sampler` thread
   recording time-series gauges (queue depth, busy workers, cumulative
   GFLOP/s, RSS) into a registry at a fixed cadence;
@@ -53,8 +53,8 @@ from .export import (parse_prometheus_text, prometheus_text,
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .progress import ProgressRenderer, kernel_totals
 from .sampler import Sampler, read_rss_bytes
-from .stream import (EVENT_KINDS, NULL_BUS, BusRelay, Event, EventBus,
-                     LiveState, NullBus, RemotePublisher)
+from .stream import (EVENT_KINDS, NULL_BUS, Event, EventBus, LiveState,
+                     NullBus)
 from .tracer import (NULL_TRACER, PHASES, ClockSync, DistributedTracer,
                      NullTracer, Span, TaskPhases, Tracer,
                      estimate_clock_sync)
@@ -79,8 +79,6 @@ __all__ = [
     "NULL_BUS",
     "EVENT_KINDS",
     "LiveState",
-    "BusRelay",
-    "RemotePublisher",
     "Sampler",
     "read_rss_bytes",
     "ProgressRenderer",

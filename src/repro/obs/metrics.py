@@ -217,54 +217,6 @@ class MetricsRegistry:
         return {name: m.to_dict() for name, m in items}
 
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry's metrics into this one, in place.
-
-        The aggregation primitive for multi-worker runs (each worker
-        keeps a private registry; the parent merges them afterwards):
-
-        * **counters** sum;
-        * **gauges** take the other's last value (with merged extrema
-          and concatenated, time-sorted sample series) — last-write
-          wins, matching gauge semantics;
-        * **histograms** add bucket-wise; both sides must share the
-          same bucket edges (:class:`ValueError` otherwise — silently
-          rebinning would corrupt the distribution).
-
-        Metrics existing on only one side are copied over.  Same-name
-        metrics of different types raise :class:`TypeError` (via the
-        get-or-create type check).  Returns ``self`` for chaining.
-        """
-        if other is self:
-            raise ValueError("cannot merge a registry into itself")
-        with other._lock:
-            items = sorted(other._metrics.items())
-        for name, m in items:
-            if isinstance(m, Counter):
-                self.counter(name).inc(m.value)
-            elif isinstance(m, Gauge):
-                g = self.gauge(name, keep_samples=m.keep_samples)
-                with m._lock, g._lock:
-                    g.value = m.value
-                    g.min = min(g.min, m.min)
-                    g.max = max(g.max, m.max)
-                    if m.samples:
-                        g.samples = sorted(g.samples + m.samples)
-            else:
-                h = self.histogram(name, buckets=m.buckets)
-                with m._lock, h._lock:
-                    if h.buckets != m.buckets:
-                        raise ValueError(
-                            f"histogram {name!r}: cannot merge differing "
-                            f"bucket edges {h.buckets} vs {m.buckets}")
-                    h.count += m.count
-                    h.sum += m.sum
-                    h.min = min(h.min, m.min)
-                    h.max = max(h.max, m.max)
-                    for i, c in enumerate(m.counts):
-                        h.counts[i] += c
-        return self
-
     def to_json(self, indent: int | None = 1) -> str:
         """Deterministic JSON: metric names *and* keys inside each
         metric are emitted sorted, so two identically populated

@@ -2,10 +2,10 @@
 
 The tracer and metrics registry (PR 1) observe a run *after* it
 finishes — spans and histograms are read back once the executor
-returns.  This module adds the third leg: a bounded, thread-safe (and
-multiprocessing-bridgeable) **event bus** that both executors publish
-typed :class:`Event` records into *while the factorization runs*, so
-progress bars, the ``repro top`` dashboard, the background
+returns.  This module adds the third leg: a bounded, thread-safe
+**event bus** that both executors publish typed :class:`Event`
+records into *while the factorization runs*, so progress bars, the
+``repro top`` dashboard, the background
 :class:`~repro.obs.sampler.Sampler`, and (next) per-job telemetry
 channels of a factorization service can all watch one stream.
 
@@ -26,12 +26,9 @@ Design points:
   task start/done, group dispatch, ready-frontier size, run
   start/done.  Events serialize to compact dicts (defaults
   elided) for the JSONL sink in :mod:`repro.obs.export`.
-* **Cross-process bridge.**  :class:`BusRelay` hands out picklable
-  :class:`RemotePublisher` handles backed by a bounded
-  ``multiprocessing.Queue`` and pumps their events into a local bus —
-  the aggregation primitive the upcoming shared-memory process pool
-  and job server need.  Remote events are re-stamped on arrival (the
-  producing process's clock epoch is not comparable).
+* **One publishing process.**  The process transport's parent
+  publishes every event itself, at dispatch and at retirement, so the
+  bus never crosses a process boundary.
 
 :class:`LiveState` is the standard consumer: a lock-protected
 reduction of the stream into "what is happening right now" — done
@@ -56,8 +53,6 @@ __all__ = [
     "NullBus",
     "NULL_BUS",
     "LiveState",
-    "BusRelay",
-    "RemotePublisher",
     "EVENT_KINDS",
 ]
 
@@ -168,23 +163,12 @@ class EventBus:
         self._seq = 0
         self._lock = threading.Lock()
         self._subs: tuple = ()
-        self._threads: dict[int, int] = {}
         _LIVE_LOCKED.add(self)
 
     # ------------------------------------------------------------------
     def now(self) -> float:
         """Seconds since the bus epoch (monotonic, lock-free)."""
         return time.perf_counter() - self.epoch
-
-    def worker_index(self) -> int:
-        """Dense 0-based index of the calling thread (first-touch order)."""
-        ident = threading.get_ident()
-        with self._lock:
-            idx = self._threads.get(ident)
-            if idx is None:
-                idx = len(self._threads)
-                self._threads[ident] = idx
-            return idx
 
     def publish(self, kind: str, *, t: float | None = None, tid: int = -1,
                 kernel: str = "", worker: int = -1,
@@ -427,150 +411,3 @@ class LiveState:
                 "run_started": self.run_started,
                 "run_finished": self.run_finished,
             }
-
-
-# ----------------------------------------------------------------------
-# multiprocessing bridge
-# ----------------------------------------------------------------------
-
-class RemotePublisher:
-    """Picklable publish-only handle produced by :class:`BusRelay`.
-
-    ``publish`` mirrors :meth:`EventBus.publish` but forwards the event
-    over a bounded ``multiprocessing.Queue`` without ever blocking: a
-    full queue drops the event and counts it in the shared
-    :attr:`dropped` counter.  Timestamps are assigned by the receiving
-    bus on arrival — producer clocks across processes share no epoch.
-    """
-
-    def __init__(self, queue, dropped) -> None:
-        self._queue = queue
-        self._dropped = dropped
-
-    def publish(self, kind: str, **fields) -> None:
-        try:
-            self._queue.put_nowait((kind, fields))
-        except Exception:
-            with self._dropped.get_lock():
-                self._dropped.value += 1
-
-    @property
-    def dropped(self) -> int:
-        return int(self._dropped.value)
-
-
-class BusRelay:
-    """Pump events published in other processes into a local bus.
-
-    ::
-
-        bus = EventBus()
-        relay = BusRelay(bus)
-        with relay:                      # starts the drain thread
-            pub = relay.publisher()      # picklable, ship to workers
-            Process(target=work, args=(pub,)).start()
-            ...
-        # relay stopped; every queued event is in ``bus``
-
-    The queue is bounded (``capacity``), so a stalled parent never
-    blocks its workers: overflow events are dropped at the producer and
-    counted (:attr:`dropped`).
-
-    ``ctx`` selects the :mod:`multiprocessing` context the queue is
-    created from (a persistent worker pool passes its own so fork- and
-    spawn-started workers share one primitive family); :attr:`bus` may
-    be re-assigned between runs — a long-lived relay whose publishers
-    were shipped to workers at process start can fan into a different
-    bus per run.
-
-    Two hooks serve the process pool's distributed tracing:
-
-    * :attr:`span_sink` — a callable receiving the raw field dict of
-      every ``"task_spans"`` record (worker-side span stamps, single
-      or batched with list-valued fields); those records are consumed
-      by the sink and never forwarded to the bus (they are not
-      :class:`Event`-shaped).
-    * :meth:`pumped` — per-kind counts of everything the pump has
-      delivered, letting the parent *drain* the relay at a run
-      boundary: wait until the count of ``task_spans`` entries caught
-      up with the completions it saw on its own queue, so the tracer
-      is only finalized once every worker record of the run landed.
-    """
-
-    _SENTINEL = ("__stop__", None)
-
-    def __init__(self, bus: EventBus, capacity: int = 8192,
-                 ctx=None) -> None:
-        import multiprocessing as mp
-
-        if ctx is None:
-            ctx = mp
-        self.bus = bus
-        #: optional consumer of ``"task_spans"`` records (field dicts)
-        self.span_sink = None
-        self._queue = ctx.Queue(capacity)
-        self._dropped = ctx.Value("l", 0)
-        self._thread: threading.Thread | None = None
-        # written only by the pump thread, read by the parent; dict
-        # item assignment is atomic under the GIL
-        self._pumped: dict[str, int] = {}
-
-    def publisher(self) -> RemotePublisher:
-        return RemotePublisher(self._queue, self._dropped)
-
-    @property
-    def dropped(self) -> int:
-        return int(self._dropped.value)
-
-    def pumped(self, kind: str) -> int:
-        """Events of ``kind`` delivered by the pump so far."""
-        return self._pumped.get(kind, 0)
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    def start(self) -> "BusRelay":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._pump, name="repro-bus-relay", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._queue.put(self._SENTINEL)
-        self._thread.join()
-        self._thread = None
-
-    def _pump(self) -> None:
-        known = {f.name for f in fields(Event)} - {"kind", "t", "seq"}
-        while True:
-            kind, fv = self._queue.get()
-            if kind == self._SENTINEL[0] and fv is None:
-                return
-            if kind == "task_spans":
-                sink = self.span_sink
-                if sink is not None:
-                    try:
-                        sink(fv)
-                    except Exception:
-                        pass  # a broken sink must not kill the pump
-                # batched records carry one list entry per span; count
-                # entries, not records, so the drain barrier can
-                # compare against the retired groups
-                tid = fv.get("tid") if isinstance(fv, dict) else None
-                n = len(tid) if isinstance(tid, (list, tuple)) else 1
-                self._pumped[kind] = self._pumped.get(kind, 0) + n
-                continue
-            self.bus.publish(
-                kind, **{k: v for k, v in fv.items() if k in known})
-            self._pumped[kind] = self._pumped.get(kind, 0) + 1
-
-    def __enter__(self) -> "BusRelay":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

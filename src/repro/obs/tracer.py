@@ -18,10 +18,11 @@ path pays nothing when tracing is off because it is handed
 The distributed extension (S23) crosses the process boundary of the
 shared-memory pool: a :class:`DistributedTracer` merges the parent
 scheduler's dispatch/retire stamps with worker-side child spans
-(*deserialize* / *kernel* / *publish*) shipped back over the pool's
-:class:`~repro.obs.stream.BusRelay`, aligned onto the parent's
-``perf_counter`` timeline by an NTP-style clock handshake
-(:func:`estimate_clock_sync`, one :class:`ClockSync` per worker).
+(*deserialize* / *kernel* / *publish*) that each worker ships back
+with its end-of-run acknowledgement on the pool's completion queue,
+aligned onto the parent's ``perf_counter`` timeline by an NTP-style
+clock handshake (:func:`estimate_clock_sync`, one :class:`ClockSync`
+per worker).
 Every retired group becomes one :class:`TaskPhases` record — six
 telescoping phases whose sum equals the group's wall-clock latency
 *by construction* — plus a regular :class:`Span`, so everything that
@@ -35,12 +36,9 @@ import bisect
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..dag.tasks import KERNEL_CODES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dag.tasks import Task
 
 __all__ = [
     "Span",
@@ -134,47 +132,19 @@ class Tracer:
     """Thread-safe recorder of :class:`Span` objects.
 
     The runtimes call :meth:`record_group` (one short lock) once per
-    retired group; :meth:`record` records a single :class:`Task`.
-    The span buffer is append-only; read it via :attr:`spans` after
-    the run.
+    retired group, naming the worker that ran it.  The span buffer is
+    append-only; read it via :attr:`spans` after the run.
     """
 
     enabled: bool = True
     epoch: float = field(default_factory=time.perf_counter)
     spans: list[Span] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _threads: dict[int, int] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     def now(self) -> float:
         """Seconds since the tracer's epoch (monotonic, lock-free)."""
         return time.perf_counter() - self.epoch
-
-    def worker_index(self) -> int:
-        """Dense 0-based index of the calling thread (first-touch order)."""
-        ident = threading.get_ident()
-        with self._lock:
-            idx = self._threads.get(ident)
-            if idx is None:
-                idx = len(self._threads)
-                self._threads[ident] = idx
-            return idx
-
-    def record(self, task: "Task", submit: float, start: float,
-               finish: float, worker: int | None = None,
-               aborted: bool = False) -> Span:
-        """Append the span of one retired ``task``; returns it.
-
-        ``aborted`` closes a span whose task never finished.
-        """
-        w = self.worker_index() if worker is None else worker
-        span = Span(tid=task.tid, name=str(task), kernel=task.kernel.value,
-                    row=task.row, piv=task.piv, col=task.col, j=task.j,
-                    worker=w, submit=submit, start=start, finish=finish,
-                    aborted=aborted, tids=(task.tid,))
-        with self._lock:
-            self.spans.append(span)
-        return span
 
     def record_group(self, graph, tids, submit: float, start: float,
                      finish: float, worker: int = 0,
@@ -182,7 +152,8 @@ class Tracer:
         """Append the span of the group ``tids`` of ``graph``; returns it.
 
         Labelled from the graph columns (:func:`group_identity`), so no
-        :class:`Task` object is built.
+        :class:`~repro.dag.tasks.Task` object is built.  ``aborted``
+        closes a span whose group never finished.
         """
         span = Span(*group_identity(graph, tids), worker=worker,
                     submit=submit, start=start, finish=finish,
@@ -197,10 +168,8 @@ class Tracer:
 
     @property
     def worker_count(self) -> int:
-        """Number of distinct threads that recorded spans."""
-        with self._lock:
-            n = len(self._threads)
-        return max(n, max((s.worker for s in self.spans), default=-1) + 1)
+        """Number of worker lanes: the highest recorded worker + 1."""
+        return max((s.worker for s in self.spans), default=-1) + 1
 
     def makespan(self) -> float:
         """``max(finish) - min(submit)`` over the capture (0 if empty)."""
@@ -233,13 +202,6 @@ class NullTracer(Tracer):
     def now(self) -> float:  # pragma: no cover - trivial
         return 0.0
 
-    def worker_index(self) -> int:  # pragma: no cover - trivial
-        return 0
-
-    def record(self, task, submit, start, finish, worker=None,
-               aborted=False):
-        return None
-
     def record_group(self, graph, tids, submit, start, finish, worker=0,
                      aborted=False):
         return None
@@ -252,9 +214,6 @@ NULL_TRACER = NullTracer()
 # ----------------------------------------------------------------------
 # distributed tracing: lifecycle phases, clock alignment (S23)
 # ----------------------------------------------------------------------
-
-#: a missing worker idle stamp: transit then counts from dispatch
-_NO_STAMP = float("-inf")
 
 #: the lifecycle phases, in timeline order.  Each is the interval
 #: between two adjacent boundaries of a :class:`TaskPhases` record, so
@@ -329,7 +288,8 @@ class TaskPhases:
     count: int = 1
     aborted: bool = False
     #: worker-side boundaries actually measured (False = parent-only
-    #: fallback: the span record was dropped or the worker died)
+    #: fallback: the group aborted, or a worker died and no worker half
+    #: of its run arrived)
     measured: bool = True
     #: the member task ids (``tid`` is the first)
     tids: tuple = ()
@@ -451,15 +411,17 @@ class DistributedTracer(Tracer):
        :class:`ClockSync` per worker, re-estimated every run so drift
        on a persistent pool stays bounded);
     2. during the run, :meth:`record_parent` per retired group
-       (parent stamps) while the relay's span sink feeds
-       :meth:`add_worker_span` (worker stamps, worker clock);
-    3. :meth:`finalize` after the relay drained — the run's parent and
-       worker halves are snapshotted onto a backlog and the pending
-       maps cleared (nothing accumulates across runs on a persistent
-       pool).  The actual merge into :class:`TaskPhases` +
-       :class:`Span` records is *lazy*: it runs on the first read of
-       :attr:`phases` / :attr:`spans`, keeping the per-run tracing
-       cost inside ``factor()`` to stamp capture alone.
+       (parent stamps); at the run's end, :meth:`add_worker_spans`
+       once per worker with the rows it shipped behind its last
+       completion (worker stamps, worker clock);
+    3. :meth:`finalize` once every worker acknowledged the run's end
+       — the run's parent and worker halves are snapshotted onto a
+       backlog and the pending maps cleared (nothing accumulates
+       across runs on a persistent pool).  The actual merge into
+       :class:`TaskPhases` + :class:`Span` records is *lazy*: it runs
+       on the first read of :attr:`phases` / :attr:`spans`, keeping
+       the per-run tracing cost inside ``factor()`` to stamp capture
+       alone.
 
     It is also a perfectly valid plain :class:`Tracer`: handed to the
     threaded or batched executor it records ordinary spans and
@@ -513,35 +475,18 @@ class DistributedTracer(Tracer):
         return t_worker - off - self.epoch
 
     # ------------------------------------------------------------------
-    def add_worker_span(self, fields: dict) -> None:
-        """Relay span sink: worker-side stamps (worker clock).
+    def add_worker_spans(self, worker: int, rows) -> None:
+        """Worker ``worker``'s half of a run (worker clock).
 
-        One record per executed group, keyed by its first member's
-        ``tid``: the kernel window ``start``/``finish``, and the
-        stamps of the work message that carried it — its receipt
-        ``recv``, its completion ``publish`` and the worker's idle
-        stamp ``free`` before it (optional).  Accepts scalar fields or
-        a worker's batched record (every field a list of equal
-        length).  Called from the relay pump thread; malformed records
-        are dropped rather than killing the pump.
+        One ``(tid, start, finish, recv, publish, free)`` row per
+        executed group, keyed by its first member ``tid``: the kernel
+        window ``start``/``finish``, and the stamps of the work message
+        that carried it — its receipt ``recv``, its completion
+        ``publish`` and the worker's idle stamp ``free`` before it.
         """
-        try:
-            w = int(fields["worker"])
-            cols = [fields[k] for k in ("tid", "start", "finish", "recv",
-                                        "publish")]
-            if isinstance(cols[0], (list, tuple)):
-                free = fields.get("free", [_NO_STAMP] * len(cols[0]))
-                recs = list(zip(*cols, free))
-            else:
-                recs = [(*cols, fields.get("free", _NO_STAMP))]
-        except (KeyError, TypeError):
-            return
         with self._lock:
-            for tid, *stamps in recs:
-                try:
-                    self._wspans[int(tid)] = (w, *map(float, stamps))
-                except (TypeError, ValueError):
-                    continue
+            for tid, *stamps in rows:
+                self._wspans[tid] = (worker, *stamps)
 
     def record_parent(self, graph, tids, ready: float, dispatch: float,
                       retire: float, worker: int, dt: float = 0.0,
@@ -550,7 +495,9 @@ class DistributedTracer(Tracer):
         scheduler stamps (epoch-relative).
 
         ``dt`` is the worker-reported kernel seconds, used only as the
-        fallback when the worker span record never arrives.
+        fallback when the worker half never arrives (a worker died,
+        which breaks the pool before any worker acknowledges the run's
+        end).
 
         Lock-free: only the scheduler thread writes parent halves (one
         dict store, atomic under the GIL), and :meth:`finalize` swaps
@@ -675,9 +622,10 @@ class DistributedTracer(Tracer):
                 recv = start = finish = publish = retire
                 measured = False
             else:
-                # span record dropped: reconstruct the kernel window
-                # from the parent-side completion (dt seconds ending
-                # at retire), leaving publish/retire attribution empty
+                # worker half missing (a worker died): reconstruct the
+                # kernel window from the parent-side completion (dt
+                # seconds ending at retire), leaving publish/retire
+                # attribution empty
                 start = retire - dt
                 recv, finish, publish = start, retire, retire
                 measured = False

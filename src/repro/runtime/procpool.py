@@ -27,8 +27,11 @@ the same groups on worker processes:
   ``group_start`` at dispatch, ``group_done`` at retirement, with the
   kernel window the worker measured — so ``--progress`` and ``repro
   top`` work unchanged.  Workers publish nothing to the bus; under a
-  :class:`~repro.obs.tracer.DistributedTracer` they ship only their
-  span stamps, through the pool's :class:`~repro.obs.stream.BusRelay`.
+  :class:`~repro.obs.tracer.DistributedTracer` each buffers its span
+  stamps and ships them with its end-of-run ``("closed", ...)``
+  acknowledgement on the completion queue.  One worker is the only
+  producer of its messages on that queue, so they arrive in order:
+  once every worker has acknowledged, the parent holds every half.
 
 Correctness rests on two established facts: every pair of conflicting
 tile accesses is DAG-ordered (the completion round-trip through the
@@ -58,7 +61,6 @@ from ..dag.tasks import KERNEL_CODES
 from ..kernels.backend import LAPACK
 from ..kernels.geqrt import panel_starts
 from ..obs.metrics import MetricsRegistry
-from ..obs.stream import NULL_BUS, BusRelay
 from ..obs.tracer import DistributedTracer, estimate_clock_sync
 from ..tiles.layout import TiledMatrix
 from ..tiles.shared_pool import SharedArray, SharedTilePool
@@ -90,13 +92,6 @@ _POLL_S = 1.0
 _SYNC_PINGS = 8
 _SYNC_PINGS_MAX = 64
 _SYNC_RESIDUAL_S = 1e-3
-
-#: traced groups a worker buffers before shipping one batched
-#: ``task_spans`` record — the merge only happens after the run's
-#: drain barrier, so a whole typical run rides in the endrun flush
-#: (zero mid-run relay traffic); the threshold just bounds buffer
-#: growth on very large runs
-_SPAN_FLUSH = 4096
 
 #: environment knobs that size a BLAS thread pool when the library
 #: initializes.  Set around worker start-up, they reach only children
@@ -167,7 +162,7 @@ def blas_threads(n: Optional[int] = None) -> list[int]:
 class _WorkerRun:
     """One run's worker state: the mapped segments and their executor."""
 
-    __slots__ = ("stack_sa", "tstore_sa", "ex", "trace", "span_buf")
+    __slots__ = ("stack_sa", "tstore_sa", "ex", "trace", "spans")
 
     def __init__(self, stack_handle, tstore_handle, cfg: dict):
         self.stack_sa = SharedArray.attach(stack_handle)
@@ -175,9 +170,9 @@ class _WorkerRun:
         self.ex = GroupExecutor(self.stack_sa.array, self.tstore_sa.array,
                                 cfg["q"], cfg["ib"], cfg["backend"])
         self.trace = cfg.get("trace", False)
-        #: buffered (first tid, start, finish, message recv, message
-        #: publish, idle) stamps, one per executed group
-        self.span_buf: list = []
+        #: (first tid, start, finish, message recv, message publish,
+        #: idle) stamps, one row per executed group, shipped at endrun
+        self.spans: list = []
 
     def close(self) -> None:
         self.ex = None  # drop every view before unmapping
@@ -185,21 +180,8 @@ class _WorkerRun:
         self.tstore_sa.close()
 
 
-def _flush_spans(state: _WorkerRun, widx: int, publisher) -> None:
-    """Ship the buffered span stamps as one batched relay record
-    (the fields of :meth:`~repro.obs.tracer.DistributedTracer.
-    add_worker_span`, one list entry per group)."""
-    buf = state.span_buf
-    if not buf:
-        return
-    state.span_buf = []
-    tid, start, finish, recv, publish, free = (list(c) for c in zip(*buf))
-    publisher.publish("task_spans", worker=widx, tid=tid, start=start,
-                      finish=finish, recv=recv, publish=publish, free=free)
-
-
 def _run_groups(state: _WorkerRun, widx: int, groups, free_t: float,
-                done_q, publisher) -> None:
+                done_q) -> None:
     """Execute one work message: groups in dispatch order.
 
     The groups share one queue round-trip and one ``"retired"``
@@ -226,13 +208,11 @@ def _run_groups(state: _WorkerRun, widx: int, groups, free_t: float,
         # the message's stamps ride with each of its groups, so the
         # tracer charges its transit and publish once per message
         pub_t = time.perf_counter()
-        state.span_buf.extend((tids[0], t0, t1, recv_t, pub_t, free_t)
-                              for tids, t0, t1 in done)
-        if len(state.span_buf) >= _SPAN_FLUSH:
-            _flush_spans(state, widx, publisher)
+        state.spans.extend((tids[0], t0, t1, recv_t, pub_t, free_t)
+                           for tids, t0, t1 in done)
 
 
-def _worker_main(widx: int, inq, done_q, publisher) -> None:
+def _worker_main(widx: int, inq, done_q) -> None:
     """Worker process loop: attach per run, execute groups, report.
 
     Must stay importable at module level for the ``spawn`` start
@@ -243,13 +223,12 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
     Work arrives as ``("groups", groups)`` messages (see
     :func:`_run_groups`).  When the run is traced (``cfg["trace"]``)
     the worker buffers each group's kernel entry/return stamps with
-    its message's receipt and completion-published stamps; every
-    :data:`_SPAN_FLUSH` groups (and at endrun, before the ``closed``
-    ack) the buffer ships through the relay as one batched
-    ``"task_spans"`` record, so tracing costs one queue put per batch
-    and every record still precedes the parent's endrun barrier.  A
-    ``("sync", token)`` message answers with the worker's own clock
-    reading (``("sync_ack", widx, token, t)``): the parent's NTP-style
+    its message's receipt and completion-published stamps, and ships
+    the rows with its ``("closed", widx, rows)`` acknowledgement of
+    ``endrun``: behind every completion of the run on the same queue,
+    so tracing costs no queue put of its own.  A ``("sync", token)``
+    message answers with the worker's own clock reading
+    (``("sync_ack", widx, token, t)``): the parent's NTP-style
     handshake that aligns those stamps onto its timeline.
     """
     blas_threads(1)
@@ -263,7 +242,7 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
         msg = inq.get()
         kind = msg[0]
         if kind == "groups":
-            _run_groups(state, widx, msg[1], free_t, done_q, publisher)
+            _run_groups(state, widx, msg[1], free_t, done_q)
         elif kind == "sync":
             done_q.put(("sync_ack", widx, msg[1], time.perf_counter()))
         elif kind == "run":
@@ -275,14 +254,14 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
                 continue
             done_q.put(("ready", widx))
         elif kind == "endrun":
+            rows = ()
             if state is not None:
-                _flush_spans(state, widx, publisher)
+                rows = state.spans
                 state.close()
                 state = None
-            done_q.put(("closed", widx))
+            done_q.put(("closed", widx, rows))
         else:  # "stop"
             if state is not None:
-                _flush_spans(state, widx, publisher)
                 state.close()
             return
 
@@ -324,14 +303,10 @@ class ProcessPool:
         ``multiprocessing`` start method; ``None`` picks ``fork``
         where available (fast start-up; see docs/performance.md for
         the fork-vs-spawn trade-offs).
-    relay_capacity : int
-        Bound of the cross-process telemetry queue (overflow events
-        are dropped at the producer, never blocking a worker).
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 relay_capacity: int = 8192) -> None:
+                 start_method: Optional[str] = None) -> None:
         import multiprocessing as mp
 
         self.start_method = _resolve_start_method(start_method)
@@ -340,8 +315,6 @@ class ProcessPool:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._ctx = mp.get_context(self.start_method)
-        self._relay = BusRelay(NULL_BUS, capacity=relay_capacity,
-                               ctx=self._ctx)
         self._inqs: list = []
         self._done_q = None
         self._procs: list = []
@@ -349,11 +322,10 @@ class ProcessPool:
         self._broken = False
         # per-run state, reset every run — a persistent pool must not
         # accumulate per-run bookkeeping: an observed run's in-flight
-        # groups (first tid -> (tids, worker, dispatch stamp)) and the
-        # count of groups retired; and the previous clock estimate per
-        # worker, so re-syncs can report drift
+        # groups (first tid -> (tids, worker, dispatch stamp)); and the
+        # previous clock estimate per worker, so re-syncs can report
+        # drift
         self._pending: dict[int, tuple] = {}
-        self._sched_ok = 0
         self._clock_prev: dict = {}
 
     # ------------------------------------------------------------------
@@ -382,9 +354,7 @@ class ProcessPool:
             for widx in range(self.workers):
                 inq = self._ctx.Queue()
                 p = self._ctx.Process(
-                    target=_worker_main,
-                    args=(widx, inq, self._done_q,
-                          self._relay.publisher()),
+                    target=_worker_main, args=(widx, inq, self._done_q),
                     name=f"repro-worker-{widx}", daemon=True)
                 p.start()
                 self._inqs.append(inq)
@@ -401,7 +371,6 @@ class ProcessPool:
         if self._closed:
             return
         self._closed = True
-        self._relay.stop()
         for inq in self._inqs:
             try:
                 inq.put(("stop",))
@@ -554,12 +523,6 @@ class ProcessPool:
             dtracer = (ctx.tracer if isinstance(ctx.tracer,
                                                 DistributedTracer)
                        else None)
-            self._relay.span_sink = (dtracer.add_worker_span
-                                     if dtracer is not None else None)
-            if dtracer is not None:
-                self._relay.start()
-            base_spans = self._relay.pumped("task_spans")
-            base_dropped = self._relay.dropped
             cfg = {"ib": ib, "q": tiled.q, "backend": bk.name,
                    "trace": dtracer is not None}
             for inq in self._inqs:
@@ -571,41 +534,26 @@ class ProcessPool:
                 self._sync_clocks(dtracer, metrics)
             if life is not None:
                 life.run_start(self.workers)
-            self._sched_ok = 0
             err: BaseException | None = None
             try:
                 self._schedule(core, batch_size, metrics, life)
             except BaseException as exc:
                 err = exc
             # detach the workers even after a failed run, so the pool
-            # stays reusable (skip when a dead worker closed the pool)
+            # stays reusable (skip when a dead worker closed the pool).
+            # Each ack trails its worker's completions on the one
+            # queue, so the acks carry every worker half of the run.
             if self._procs:
                 try:
-                    self._await("closed", self.workers,
-                                _send_endrun=True)
-                except Exception:
+                    for inq in self._inqs:
+                        inq.put(("endrun",))
+                    for _, w, rows in self._await("closed", self.workers):
+                        if dtracer is not None:
+                            dtracer.add_worker_spans(w, rows)
+                except Exception as exc:
                     if err is None:
-                        raise
-            # Drain the relay before declaring the run over: mp.Queue
-            # feeder threads give no cross-queue ordering, so a
-            # worker's last task_spans record may trail its completion
-            # message.  The tracer is only finalized once every group
-            # this run retired has its span record pumped (or dropped
-            # at a full relay).
+                        err = exc
             if dtracer is not None:
-                deadline = time.monotonic() + 5.0
-                while self._relay.running:
-                    lost = self._relay.dropped - base_dropped
-                    if (self._relay.pumped("task_spans") - base_spans
-                            + lost >= self._sched_ok):
-                        break
-                    if time.monotonic() > deadline:
-                        if metrics is not None:
-                            metrics.counter(
-                                "procpool.relay_drain_timeout").inc()
-                        break
-                    time.sleep(0.0002)
-                self._relay.span_sink = None
                 dtracer.finalize()
             if err is not None:
                 raise err
@@ -621,16 +569,17 @@ class ProcessPool:
         return ctx
 
     # ------------------------------------------------------------------
-    def _await(self, expect: str, count: int, deadline_s: float = 60.0,
-               _send_endrun: bool = False) -> None:
-        if _send_endrun:
-            for inq in self._inqs:
-                inq.put(("endrun",))
+    def _await(self, expect: str, count: int,
+               deadline_s: float = 60.0) -> list:
+        """The next ``count`` acks of kind ``expect``."""
         deadline = time.monotonic() + deadline_s
-        got = 0
-        while got < count:
+        acks: list = []
+        while len(acks) < count:
+            msg = self._recv(deadline, f"worker {expect!r} acks")
             # anything else is a stale completion from an aborted run
-            got += self._recv(deadline, f"worker {expect!r} acks")[0] == expect
+            if msg[0] == expect:
+                acks.append(msg)
+        return acks
 
     def _schedule(self, core, batch_size, metrics, life) -> None:
         """Rolling ready-frontier over the core, in micro-batches.
@@ -752,7 +701,6 @@ class ProcessPool:
                     all_tids = [t for tids, _, _ in parts for t in tids]
                     book_out(w, all_tids)
                     completed += len(all_tids)
-                    self._sched_ok += len(parts)
                     if abort_exc is not None:
                         continue  # left in flight: closed as aborted
                     newly = core.retire(all_tids)

@@ -190,8 +190,8 @@ def make_capture(p=4, q=2, scale=1e-4):
     res = simulate_bounded(g, 2)
     for t in g.tasks:
         s, f = res.start[t.tid] * scale, res.finish[t.tid] * scale
-        tr.record(t, submit=s, start=s, finish=f,
-                  worker=int(res.worker[t.tid]))
+        tr.record_group(g, (t.tid,), submit=s, start=s, finish=f,
+                        worker=int(res.worker[t.tid]))
     return g, tr, res
 
 

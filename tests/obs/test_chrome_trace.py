@@ -17,7 +17,8 @@ def capture():
     tr = Tracer()
     t0 = 0.0
     for t in g.tasks:
-        tr.record(t, submit=t0, start=t0 + 1e-4, finish=t0 + 2e-4, worker=0)
+        tr.record_group(g, (t.tid,), submit=t0, start=t0 + 1e-4,
+                        finish=t0 + 2e-4)
         t0 += 2e-4
     return g, tr
 
@@ -95,7 +96,7 @@ class TestEdgeCases:
         g = build_dag(greedy(3, 1), "TT")
         tr = Tracer()
         for t in g.tasks:
-            tr.record(t, submit=0.0, start=1.0, finish=1.0, worker=0)
+            tr.record_group(g, (t.tid,), submit=0.0, start=1.0, finish=1.0)
         xs = complete_events(tracer_to_events(tr))
         assert len(xs) == len(g.tasks)
         for e in xs:

@@ -9,6 +9,7 @@ zero-task / spawn-vs-fork edge cases.
 """
 
 import json
+import threading
 import time
 
 import numpy as np
@@ -38,10 +39,6 @@ def pool():
 
 def qr_graph():
     return plan(2, 2, "greedy").graph
-
-
-def qr_tasks():
-    return qr_graph().tasks
 
 
 def make_tracer(epoch=0.0):
@@ -105,9 +102,9 @@ class TestDistributedMerge:
         t = g.tasks[0]
         tr.record_parent(g, [t.tid], ready=0.0, dispatch=0.01, retire=0.2,
                          worker=1, dt=0.05)
-        tr.add_worker_span({"tid": t.tid, "worker": 1, "recv": 100.02,
-                            "start": 100.03, "finish": 100.08,
-                            "publish": 100.09})
+        # (tid, start, finish, recv, publish, free): idle since 0.0
+        tr.add_worker_spans(1, [(t.tid, 100.03, 100.08, 100.02, 100.09,
+                                 100.0)])
         assert tr.finalize() == 1
         (p,) = tr.phases
         assert p.measured and not p.aborted
@@ -135,9 +132,8 @@ class TestDistributedMerge:
         t = g.tasks[0]
         tr.record_parent(g, [t.tid], ready=0.0, dispatch=0.04, retire=0.2,
                          worker=0)
-        tr.add_worker_span({"tid": t.tid, "worker": 0, "recv": 100.02,
-                            "start": 100.03, "finish": 100.08,
-                            "publish": 100.09})
+        tr.add_worker_spans(0, [(t.tid, 100.03, 100.08, 100.02, 100.09,
+                                 100.0)])
         tr.finalize()
         (p,) = tr.phases
         for name in PHASES:
@@ -169,20 +165,27 @@ class TestDistributedMerge:
         assert tr.aborted_count == 1
         assert tr.spans[0].aborted
 
-    def test_malformed_worker_spans_dropped(self):
+    def test_idle_stamp_bounds_transit(self):
+        """A descriptor that reached a still-busy worker waited by
+        design: its transit counts from the worker's idle stamp, and
+        the wait before it is ``queued``."""
         tr = make_tracer()
-        tr.add_worker_span({"tid": "x", "worker": 0, "recv": 1.0,
-                            "start": 1.0, "finish": 1.0, "publish": 1.0})
-        tr.add_worker_span({"tid": 3})  # missing stamps
-        tr.add_worker_span({})
-        assert not tr._wspans
+        g = qr_graph()
+        tr.record_parent(g, [0], ready=0.0, dispatch=0.01, retire=0.2,
+                         worker=0)
+        # the worker went idle at 0.05, long after the 0.01 dispatch
+        tr.add_worker_spans(0, [(0, 0.07, 0.1, 0.06, 0.11, 0.05)])
+        tr.finalize()
+        (p,) = tr.phases
+        assert p.queued == pytest.approx(0.05)
+        assert p.dispatched == pytest.approx(0.01)
+        assert sum(p.phase(n) for n in PHASES) == pytest.approx(
+            p.latency, abs=1e-12)
 
     def test_finalize_clears_pending_maps(self):
         tr = make_tracer()
         tr.record_parent(qr_graph(), [0], 0.0, 0.01, 0.2, worker=0)
-        tr.add_worker_span({"tid": 0, "worker": 0, "recv": 0.02,
-                            "start": 0.03, "finish": 0.08,
-                            "publish": 0.09})
+        tr.add_worker_spans(0, [(0, 0.03, 0.08, 0.02, 0.09, 0.0)])
         assert tr.finalize() == 1
         assert not tr._parent and not tr._wspans
         assert tr.finalize() == 0  # idempotent on an empty backlog
@@ -208,10 +211,10 @@ def merged_tracer(pl):
     tr.set_clock(clock(1, offset=0.0, residual=2e-5))
     stamps = [(0.0, 0.01, 0.02, 0.03, 0.08, 0.09, 0.10, 0),
               (0.02, 0.10, 0.11, 0.12, 0.20, 0.21, 0.23, 1)]
-    for t, (rd, dp, rc, st, fi, pb, rt, w) in zip(pl.graph.tasks, stamps):
-        tr.record_parent(pl.graph, [t.tid], rd, dp, rt, worker=w)
-        tr.add_worker_span({"tid": t.tid, "worker": w, "recv": rc,
-                            "start": st, "finish": fi, "publish": pb})
+    for tid, (rd, dp, rc, st, fi, pb, rt, w) in enumerate(stamps):
+        tr.record_parent(pl.graph, [tid], rd, dp, rt, worker=w)
+        # each worker idle since the group became ready
+        tr.add_worker_spans(w, [(tid, st, fi, rc, pb, rd)])
     tr.finalize()
     return tr
 
@@ -243,8 +246,9 @@ class TestOverheadReport:
 
     def test_plain_tracer_degenerates_to_two_phases(self):
         tr = Tracer(epoch=0.0)
-        for t in qr_tasks()[:2]:
-            tr.record(t, submit=0.0, start=0.01, finish=0.05, worker=0)
+        for tid in range(2):
+            tr.record_group(qr_graph(), (tid,), submit=0.0, start=0.01,
+                            finish=0.05)
         rep = overhead_report(tr)
         assert not rep.distributed
         assert rep.ipc_tax_s == 0.0
@@ -303,7 +307,7 @@ class TestMergedChromeExport:
         assert {"dispatch", "flow"} <= cats
         # a plain tracer keeps the flat per-thread export
         tr = Tracer(epoch=0.0)
-        tr.record(qr_tasks()[0], 0.0, 0.01, 0.05, worker=0)
+        tr.record_group(qr_graph(), (0,), 0.0, 0.01, 0.05)
         flat = chrome_trace(tracer=tr)
         assert "flow" not in {e.get("cat") for e in flat["traceEvents"]}
 
@@ -395,10 +399,10 @@ class TestProcessEndToEnd:
         assert len(rep.clock) == pool.workers
 
     def test_bus_holds_full_run_on_return(self, rng, pool):
-        """The parent publishes every event itself, and run() drains
-        the relay's span records before finalizing the tracer — the
-        bus and the tracer are complete the moment factor returns,
-        with no polling window."""
+        """The parent publishes every event itself, and the workers'
+        end-of-run acks carry their span rows before the tracer is
+        finalized — the bus and the tracer are complete the moment
+        factor returns, with no polling window."""
         bus = EventBus(capacity=65536)
         tracer = DistributedTracer()
         a = random_matrix(rng, 64, 32, np.float64)
@@ -411,6 +415,19 @@ class TestProcessEndToEnd:
         assert "run_done" in done
         assert done.index("run_done") > done.index("run_start")
         assert sum(p.count for p in tracer.phases) == n
+
+    def test_traced_run_starts_only_queue_feeders(self, rng):
+        """Worker spans ride the completion queue: a traced run starts
+        no parent thread but multiprocessing's queue feeders."""
+        before = set(threading.enumerate())
+        a = random_matrix(rng, 64, 32, np.float64)
+        with ProcessPool(workers=2, start_method="fork") as p:
+            tracer = DistributedTracer()
+            factor(a, nb=NB, ib=4, mode="process", pool=p, tracer=tracer)
+            started = {t.name for t in threading.enumerate()
+                       if t not in before}
+        assert started <= {"QueueFeederThread"}, started
+        assert all(p_.measured for p_ in tracer.phases)
 
     def test_zero_task_graph(self, rng, pool):
         g = TaskGraph(1, 1)  # no tasks added

@@ -144,86 +144,3 @@ class TestRegistry:
             t.join()
         # get-or-create races must never produce two objects
         assert r.histogram("h").count == 4000
-
-
-class TestMerge:
-    """MetricsRegistry.merge — the multi-process aggregation primitive."""
-
-    def test_counters_sum(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(3)
-        b.counter("n").inc(4)
-        b.counter("only_b").inc(1)
-        assert a.merge(b) is a
-        assert a.counter("n").value == 7
-        assert a.counter("only_b").value == 1
-
-    def test_gauges_last_write_wins_extrema_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(10.0, t=1.0)
-        b.gauge("g").set(2.0, t=0.5)
-        a.merge(b)
-        g = a.gauge("g")
-        assert g.value == 2.0           # other's last value
-        assert g.min == 2.0 and g.max == 10.0
-        # concatenated series comes back time-sorted
-        assert g.samples == [(0.5, 2.0), (1.0, 10.0)]
-
-    def test_histograms_add_bucketwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for v in (0.1, 5.0):
-            a.histogram("h", buckets=(1.0, 10.0)).observe(v)
-        for v in (0.2, 20.0):
-            b.histogram("h", buckets=(1.0, 10.0)).observe(v)
-        a.merge(b)
-        h = a.histogram("h")
-        assert h.count == 4
-        assert h.sum == pytest.approx(25.3)
-        # <=1: {0.1, 0.2}; <=10: {5.0}; +inf overflow: {20.0}
-        assert h.counts == [2, 1, 1]
-        assert h.min == pytest.approx(0.1)
-        assert h.max == pytest.approx(20.0)
-
-    def test_mismatched_buckets_raise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0,)).observe(0.5)
-        b.histogram("h", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket"):
-            a.merge(b)
-
-    def test_self_merge_raises(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError, match="itself"):
-            r.merge(r)
-
-    def test_type_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc()
-        b.gauge("x").set(1.0)
-        with pytest.raises(TypeError):
-            a.merge(b)
-
-    def test_merge_disjoint_copies_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        a.merge(b)
-        assert a.histogram("h").count == 1
-        assert a.histogram("h").buckets == (1.0, 2.0)
-
-    def test_worker_fanin_equals_single_registry(self):
-        # three "workers" each observe a share; the fold-in equals one
-        # registry observing everything
-        expect = MetricsRegistry()
-        workers = [MetricsRegistry() for _ in range(3)]
-        for i, v in enumerate((0.1, 0.5, 3.0, 7.0, 0.2, 1.5)):
-            workers[i % 3].histogram("h", buckets=(1.0, 5.0)).observe(v)
-            workers[i % 3].counter("n").inc()
-            expect.histogram("h", buckets=(1.0, 5.0)).observe(v)
-            expect.counter("n").inc()
-        total = MetricsRegistry()
-        for w in workers:
-            total.merge(w)
-        assert total.histogram("h").counts == expect.histogram("h").counts
-        assert total.histogram("h").sum == pytest.approx(
-            expect.histogram("h").sum)
-        assert total.counter("n").value == expect.counter("n").value

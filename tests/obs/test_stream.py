@@ -1,5 +1,5 @@
 """Tests for the streaming event bus (S21): ring semantics, push/pull
-consumers, the executors as publishers, and the multiprocessing relay."""
+consumers, and the executors as publishers."""
 
 import threading
 
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.api import plan
-from repro.obs import (EVENT_KINDS, NULL_BUS, BusRelay, Event, EventBus,
-                       LiveState, NullBus)
+from repro.obs import (EVENT_KINDS, NULL_BUS, Event, EventBus, LiveState,
+                       NullBus)
 from repro.runtime import ExecOptions
 from repro.runtime.executor import execute_graph
 from repro.tiles.layout import TiledMatrix
@@ -98,16 +98,6 @@ class TestEventBus:
         bus = EventBus()
         bus.publish("run_done", t=123.5)
         assert bus.snapshot()[0].t == 123.5
-
-    def test_worker_index_dense_per_thread(self):
-        bus = EventBus()
-        assert bus.worker_index() == 0
-        assert bus.worker_index() == 0  # stable for the same thread
-        seen = []
-        t = threading.Thread(target=lambda: seen.append(bus.worker_index()))
-        t.start()
-        t.join()
-        assert seen == [1]
 
     def test_concurrent_publishers_lose_nothing(self):
         bus = EventBus(capacity=1 << 14)
@@ -314,94 +304,3 @@ class TestExecutorPublishing:
         assert bus.published > 0
         assert bus.snapshot()[-1].kind == "run_done"
 
-
-# ----------------------------------------------------------------------
-# multiprocessing bridge
-# ----------------------------------------------------------------------
-
-def _publish_from_child(pub):
-    for i in range(5):
-        pub.publish("task_done", tid=i, kernel="GEQRT", value=0.01)
-
-
-class TestBusRelay:
-    def test_relay_pumps_into_local_bus(self):
-        bus = EventBus()
-        relay = BusRelay(bus)
-        with relay:
-            pub = relay.publisher()
-            for i in range(10):
-                pub.publish("task_done", tid=i, kernel="geqrt", value=0.01)
-        events, _ = bus.events_since(0)
-        assert len(events) == 10
-        assert sorted(e.tid for e in events) == list(range(10))
-        assert relay.dropped == 0
-
-    def test_remote_events_restamped_on_arrival(self):
-        bus = EventBus()
-        with BusRelay(bus) as relay:
-            relay.publisher().publish("run_done", value=1.0)
-        (ev,), _ = bus.events_since(0)
-        assert 0.0 <= ev.t <= bus.now()
-
-    def test_events_cross_a_real_process_boundary(self):
-        import multiprocessing as mp
-
-        bus = EventBus()
-        relay = BusRelay(bus)
-        with relay:
-            proc = mp.Process(target=_publish_from_child,
-                              args=(relay.publisher(),))
-            proc.start()
-            proc.join(timeout=30)
-        assert proc.exitcode == 0
-        events, _ = bus.events_since(0)
-        assert sorted(e.tid for e in events) == list(range(5))
-
-    def test_relay_drops_unknown_fields(self):
-        bus = EventBus()
-        with BusRelay(bus) as relay:
-            # a newer producer may ship fields this reader doesn't know
-            relay._queue.put(("task_done", {"tid": 1, "mystery": 9}))
-        events, _ = bus.events_since(0)
-        assert events and events[0].tid == 1
-
-    def test_span_sink_intercepts_task_spans(self):
-        """``task_spans`` records feed the span sink and are counted,
-        but never reach the event bus (they are tracer payloads, not
-        stream events)."""
-        bus = EventBus()
-        got = []
-        relay = BusRelay(bus)
-        relay.span_sink = got.append
-        with relay:
-            pub = relay.publisher()
-            pub.publish("task_spans", tid=3, worker=1, recv=1.0,
-                        start=2.0, finish=3.0, publish=4.0)
-            pub.publish("task_done", tid=3, kernel="GEQRT", value=0.01)
-        assert relay.pumped("task_spans") == 1
-        assert relay.pumped("task_done") == 1
-        assert got and got[0]["tid"] == 3 and got[0]["publish"] == 4.0
-        events, _ = bus.events_since(0)
-        assert [e.kind for e in events] == ["task_done"]
-
-    def test_span_sink_exception_does_not_kill_pump(self):
-        bus = EventBus()
-        relay = BusRelay(bus)
-        relay.span_sink = lambda fields: 1 / 0
-        with relay:
-            pub = relay.publisher()
-            pub.publish("task_spans", tid=0, worker=0, recv=0.0,
-                        start=0.0, finish=0.0, publish=0.0)
-            pub.publish("task_done", tid=0, kernel="GEQRT", value=0.01)
-        events, _ = bus.events_since(0)
-        assert [e.kind for e in events] == ["task_done"]
-        assert relay.pumped("task_spans") == 1
-
-    def test_running_property_tracks_lifecycle(self):
-        relay = BusRelay(EventBus())
-        assert not relay.running
-        relay.start()
-        assert relay.running
-        relay.stop()
-        assert not relay.running

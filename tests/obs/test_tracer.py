@@ -16,8 +16,10 @@ class TestSpanRecording:
         g = graph()
         tr = Tracer()
         t = g.tasks[0]
-        span = tr.record(t, submit=0.0, start=0.5, finish=1.25, worker=3)
-        assert span.tid == t.tid
+        span = tr.record_group(g, (t.tid,), submit=0.0, start=0.5,
+                               finish=1.25, worker=3)
+        assert span.tid == t.tid and span.tids == (t.tid,)
+        assert span.count == 1
         assert span.kernel == t.kernel.value
         assert span.name == str(t)
         assert (span.row, span.piv, span.col, span.j) == (
@@ -30,8 +32,8 @@ class TestSpanRecording:
     def test_makespan_and_busy_fraction(self):
         g = graph()
         tr = Tracer()
-        tr.record(g.tasks[0], submit=0.0, start=0.0, finish=1.0, worker=0)
-        tr.record(g.tasks[1], submit=0.0, start=1.0, finish=2.0, worker=0)
+        tr.record_group(g, (0,), submit=0.0, start=0.0, finish=1.0)
+        tr.record_group(g, (1,), submit=0.0, start=1.0, finish=2.0)
         assert tr.makespan() == 2.0
         assert tr.busy_fraction() == 1.0
 
@@ -55,18 +57,22 @@ class TestThreadSafety:
         per_thread = len(g.tasks)
         barrier = threading.Barrier(8)
 
-        def work():
+        def work(w):
             barrier.wait()
-            for t in g.tasks:
-                tr.record(t, submit=0.0, start=tr.now(), finish=tr.now())
+            for t in range(per_thread):
+                tr.record_group(g, (t,), submit=0.0, start=tr.now(),
+                                finish=tr.now(), worker=w)
 
-        threads = [threading.Thread(target=work) for _ in range(8)]
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(8)]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
         assert len(tr) == 8 * per_thread
-        # dense first-touch worker indices, one per recording thread
+        # every thread's spans, under the worker it named
+        assert sorted(s.tid for s in tr.spans) == sorted(
+            list(range(per_thread)) * 8)
         workers = {s.worker for s in tr.spans}
         assert workers == set(range(8))
         assert tr.worker_count == 8
@@ -77,7 +83,7 @@ class TestNullTracer:
         g = graph()
         nt = NullTracer()
         assert nt.enabled is False
-        assert nt.record(g.tasks[0], 0.0, 0.0, 1.0) is None
+        assert nt.record_group(g, (0,), 0.0, 0.0, 1.0) is None
         assert len(nt) == 0
         assert nt.makespan() == 0.0
 

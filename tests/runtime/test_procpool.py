@@ -187,7 +187,7 @@ class TestBlasThreads:
             if procpool.blas_threads(2) != [2] * len(before):
                 pytest.skip("OpenBLAS cannot run two threads here")
 
-            def report(state, widx, groups, free_t, done_q, publisher):
+            def report(state, widx, groups, free_t, done_q):
                 done_q.put(("blas", widx, procpool.blas_threads()))
 
             # fork children run the parent's patched module
@@ -207,10 +207,14 @@ class TestFailurePropagation:
                                                         monkeypatch):
         """A raising kernel inherited by fork workers must surface as a
         RuntimeError carrying the worker traceback, and the pool must
-        stay usable for the next run."""
+        stay usable for the next run.  Traced, the failed run's
+        in-flight groups close as aborted, and no worker half of it
+        leaks into the next run's capture."""
         import dataclasses
 
         from repro.kernels import backend as backend_mod
+        from repro.obs.analyze import overhead_report
+        from repro.obs.tracer import DistributedTracer
 
         def boom(a, ib):
             raise FloatingPointError("injected kernel failure")
@@ -219,18 +223,24 @@ class TestFailurePropagation:
                                      geqrt=boom)
         monkeypatch.setitem(backend_mod.BACKENDS, "reference", broken)
         a = random_matrix(rng, 33, 17, np.float64)
+        failed, traced = DistributedTracer(), DistributedTracer()
         with ProcessPool(workers=2, start_method="fork") as p:
             with pytest.raises(RuntimeError,
                                match="injected kernel failure"):
                 factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       backend="reference")
+                       backend="reference", tracer=failed)
             monkeypatch.undo()  # later forks see the healthy backend
             # the failed run detached cleanly; the same pool still works
             # (fork workers keep the broken inherited module, so factor
             # through a *fresh* attach with the lapack backend instead)
             f = factor(a, nb=NB, ib=4, mode="process", pool=p,
-                       backend="lapack")
+                       backend="lapack", tracer=traced)
             assert f.residual(a) < 1e-12
+        assert failed.aborted_count >= 1
+        assert all(not ph.measured for ph in failed.phases if ph.aborted)
+        rep = overhead_report(traced, f.graph)
+        assert rep.unmeasured == 0 and rep.aborted == 0
+        assert rep.tasks == len(f.graph)
 
     def test_on_task_done_exception_aborts(self, rng, pool):
         a = random_matrix(rng, 48, 24, np.float64)
