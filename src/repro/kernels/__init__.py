@@ -5,6 +5,9 @@ Two interchangeable backends are provided:
 * :mod:`repro.kernels` top level — pure NumPy reference kernels,
   implemented from scratch (Householder reflectors + compact WY), fully
   documented, supporting real and complex dtypes and ragged tiles.
+  The three update kernels (``unmqr``/``tsmqr``/``ttmqr``) are the
+  stacked applies of :mod:`repro.kernels.batched` called on one-tile
+  views; the three factor kernels run per tile.
 * :mod:`repro.kernels.lapack` — thin wrappers over LAPACK's
   ``?geqrt/?gemqrt/?tpqrt/?tpmqrt`` via :mod:`scipy.linalg.lapack`, used
   for performance benchmarking.
@@ -13,7 +16,6 @@ Both expose the same six operations and are cross-checked in the test
 suite.
 """
 
-from .apply import unmqr
 from .costs import (
     KERNEL_WEIGHTS,
     Kernel,
@@ -23,7 +25,7 @@ from .costs import (
     qr_flops,
     total_weight,
 )
-from .geqrt import TFactor, geqr2, geqrt
+from .geqrt import TFactor, geqr2, geqrt, unmqr
 from .tsqrt import tsmqr, tsqrt
 from .ttqrt import ttmqr, ttqrt
 

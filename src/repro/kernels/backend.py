@@ -18,8 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .apply import unmqr as _unmqr
-from .geqrt import geqrt as _geqrt_fn
+from .geqrt import geqrt as _geqrt_fn, unmqr as _unmqr
 from .tsqrt import tsmqr as _tsmqr_fn, tsqrt as _tsqrt_fn
 from .ttqrt import ttmqr as _ttmqr_fn, ttqrt as _ttqrt_fn
 from .lapack import (

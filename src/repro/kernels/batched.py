@@ -16,10 +16,16 @@ to stack the operand tiles of one group of such tasks into a
   generation, the rank-1 panel updates, the ``larft`` accumulation and
   the blocked trailing update — across the batch axis.
 
-The implementations mirror :mod:`repro.kernels.geqrt` and
+The stacked applies here are the only implementation of the update
+kernels: the per-tile :func:`~repro.kernels.geqrt.unmqr`,
+:func:`~repro.kernels.tsqrt.tsmqr` and :func:`~repro.kernels.ttqrt.ttmqr`
+call them on one-tile views, so per-tile and grouped execution agree
+bitwise by construction.  A :class:`~repro.kernels.householder.TFactor`
+with 2-D blocks (one tile's ``T``) broadcasts over the whole stack.
+The stacked factor kernels mirror :mod:`repro.kernels.geqrt` and
 :mod:`repro.kernels.stacked` step for step (same formulas, same
 conditional writes on zero-norm columns), so each batch slice agrees
-with the reference kernel to rounding; they are *not* bitwise
+with the per-tile factor kernel to rounding; they are *not* bitwise
 identical because batched reductions may associate differently.
 
 Tiles are expected zero-padded to a uniform ``nb x nb`` (see
@@ -34,12 +40,12 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from .geqrt import TFactor, panel_starts
+from .householder import TFactor, panel_starts
 from .stacked import ts_support, tt_support
 
 __all__ = [
-    "BatchedTFactor",
     "geqrt_batched",
     "unmqr_batched",
     "tsqrt_batched",
@@ -52,43 +58,6 @@ __all__ = [
     "geqrt_lapack_pool",
     "factor_stacked_lapack_pool",
 ]
-
-
-class BatchedTFactor:
-    """Compact-WY ``T`` factors of a batch of same-shaped factorizations.
-
-    Attributes
-    ----------
-    blocks : list of ndarray
-        One ``(batch, jb, jb)`` stack per inner panel of ``ib`` columns.
-    ib : int
-        Inner blocking size (the last panel may be narrower).
-    """
-
-    def __init__(self, ib: int = 1):
-        self.ib = ib
-        self.blocks: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def batch_size(self) -> int:
-        return self.blocks[0].shape[0] if self.blocks else 0
-
-    def task_tfactor(self, b: int, k: int) -> TFactor:
-        """Per-task :class:`TFactor` of batch element ``b``, sliced to
-        the valid reflector count ``k`` of the *unpadded* tile.
-
-        The slices are views into the stacked blocks (no copies), and
-        the leading ``k`` columns of a zero-padded factorization are
-        identical to the unpadded one, so the result is directly usable
-        by the per-tile apply kernels (``unmqr``/``tsmqr``/``ttmqr``),
-        e.g. when replaying ``Q`` via ``ExecutionContext.apply_q``.
-        """
-        t = TFactor(ib=self.ib)
-        for j0, jb in panel_starts(k, self.ib):
-            t.blocks.append(self.blocks[j0 // self.ib][b, :jb, :jb])
-        return t
 
 
 def _batched_reflector(x: np.ndarray):
@@ -171,7 +140,7 @@ def _support_mask(support, j0: int, jb: int, smax: int,
     return m
 
 
-def geqrt_batched(a: np.ndarray, ib: int) -> BatchedTFactor:
+def geqrt_batched(a: np.ndarray, ib: int) -> TFactor:
     """Blocked QR of a ``(batch, mb, nb)`` stack of tiles, in place.
 
     The batch-axis analogue of :func:`repro.kernels.geqrt.geqrt`: each
@@ -180,7 +149,7 @@ def geqrt_batched(a: np.ndarray, ib: int) -> BatchedTFactor:
     """
     nbatch, m, n = a.shape
     k = min(m, n)
-    t = BatchedTFactor(ib=ib)
+    t = TFactor(ib=ib)
     for j0, jb in panel_starts(k, ib):
         panel = a[:, j0:, j0 : j0 + jb]
         tblk = np.zeros((nbatch, jb, jb), dtype=a.dtype)
@@ -209,17 +178,33 @@ def geqrt_batched(a: np.ndarray, ib: int) -> BatchedTFactor:
     return t
 
 
+def _order(npanels: int, adjoint: bool, side: str) -> range:
+    """Panel order of an apply.  With ``Q = B_0 B_1 ...`` (one block
+    reflector per panel), ``Q^H C`` and ``C Q`` apply the blocks first
+    to last, ``Q C`` and ``C Q^H`` last to first."""
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    if adjoint == (side == "L"):
+        return range(npanels)
+    return range(npanels - 1, -1, -1)
+
+
 def unmqr_batched(
     v: np.ndarray,
-    t: BatchedTFactor,
+    t: TFactor,
     c: np.ndarray,
     adjoint: bool = True,
+    side: str = "L",
 ) -> None:
     """Apply the orthogonal factors of a GEQRT'd stack to ``c`` in place.
 
-    Batched left-side analogue of :func:`repro.kernels.apply.unmqr`:
-    ``v`` and ``c`` are ``(batch, mb, *)`` stacks, ``t`` the matching
-    :class:`BatchedTFactor`.
+    ``v`` is a ``(batch, mb, nb)`` stack of factored tiles (Householder
+    vectors below the diagonal), ``t`` the matching :class:`TFactor`
+    (3-D blocks, or 2-D blocks shared by every slice).  ``c`` is a
+    ``(batch, mb, n)`` stack for ``side="L"`` (``op(Q) @ c``) or
+    ``(batch, n, mb)`` for ``side="R"`` (``c @ op(Q)``); ``op(Q)`` is
+    ``Q^H`` when ``adjoint`` (the factorization direction).  A ``v``
+    stack of one broadcasts over ``c``.
     """
     _, m, n = v.shape
     k = min(m, n)
@@ -228,19 +213,22 @@ def unmqr_batched(
         raise ValueError(
             f"T factor has {len(t.blocks)} blocks but the tile implies "
             f"{len(panels)}")
-    order = range(len(panels)) if adjoint else range(len(panels) - 1, -1, -1)
-    for idx in order:
+    for idx in _order(len(panels), adjoint, side):
         j0, jb = panels[idx]
         # select, not multiply: keeps V's dtype (single precision stays
-        # single) and zeroes exactly like the per-tile kernel's np.tril
+        # single) and zeroes exactly like np.tril
         vmat = np.where(_strict_lower_mask(m - j0, jb),
                         v[:, j0:, j0 : j0 + jb], 0)
         d = np.arange(jb)
         vmat[:, d, d] = 1.0
         tblk = t.blocks[idx]
         tb = _ct(tblk) if adjoint else tblk
-        w = np.matmul(_ct(vmat), c[:, j0:, :])
-        c[:, j0:, :] -= np.matmul(vmat, np.matmul(tb, w))
+        if side == "L":
+            w = np.matmul(_ct(vmat), c[:, j0:, :])
+            c[:, j0:, :] -= np.matmul(vmat, np.matmul(tb, w))
+        else:
+            w = np.matmul(c[:, :, j0:], vmat)
+            c[:, :, j0:] -= np.matmul(np.matmul(w, tb), _ct(vmat))
 
 
 def factor_stacked_batched(
@@ -248,7 +236,7 @@ def factor_stacked_batched(
     b: np.ndarray,
     ib: int,
     support: Callable[[int, int], int],
-) -> BatchedTFactor:
+) -> TFactor:
     """Factor a batch of stacked ``[R; B]`` pairs in place.
 
     Batch-axis analogue of :func:`repro.kernels.stacked.factor_stacked`
@@ -259,7 +247,7 @@ def factor_stacked_batched(
     """
     nbatch, _, n = r.shape
     mb = b.shape[1]
-    t = BatchedTFactor(ib=ib)
+    t = TFactor(ib=ib)
     for j0, jb in panel_starts(n, ib):
         smax = support(j0 + jb - 1, mb)
         vmat = np.zeros((nbatch, smax, jb), dtype=b.dtype)
@@ -312,19 +300,27 @@ def factor_stacked_batched(
 
 def apply_stacked_batched(
     v: np.ndarray,
-    t: BatchedTFactor,
+    t: TFactor,
     c_top: np.ndarray,
     c_bot: np.ndarray,
     support: Callable[[int, int], int],
     adjoint: bool = True,
     mask: bool = False,
+    side: str = "L",
 ) -> None:
-    """Apply a batch of stacked transformations to ``[c_top; c_bot]``.
+    """Apply a batch of stacked transformations to two tile stacks.
 
-    Batch-axis, left-side analogue of
-    :func:`repro.kernels.stacked.apply_stacked`.  With ``mask=True``
-    (the TT kernels) entries of ``v`` below each column's support are
-    zeroed before use — they hold the GEQRT vectors sharing the tile.
+    ``v`` is the ``(batch, mb, n)`` stack of Householder vectors (the
+    ``b`` output of :func:`factor_stacked_batched`), ``t`` the matching
+    :class:`TFactor` (3-D blocks, or 2-D blocks shared by every slice)
+    and ``support`` the rule it was factored with.  ``side="L"``
+    computes ``op(Q) @ [c_top; c_bot]`` on row blocks (``c_top`` has at
+    least ``n`` rows, ``c_bot`` has ``mb``); ``side="R"`` computes
+    ``[c_top, c_bot] @ op(Q)`` on column blocks (``c_top`` at least
+    ``n`` columns wide, ``c_bot`` ``mb``).  With ``mask=True`` (the TT
+    kernels) entries of ``v`` below each column's support are zeroed
+    before use — they hold the GEQRT vectors sharing the tile (the
+    V=NODEP relaxation of [12]).
     """
     _, mb, n = v.shape
     panels = _panels(n, t.ib)
@@ -332,8 +328,7 @@ def apply_stacked_batched(
         raise ValueError(
             f"T factor has {len(t.blocks)} blocks but width {n} implies "
             f"{len(panels)}")
-    order = range(len(panels)) if adjoint else range(len(panels) - 1, -1, -1)
-    for idx in order:
+    for idx in _order(len(panels), adjoint, side):
         j0, jb = panels[idx]
         smax = support(j0 + jb - 1, mb)
         vblk = v[:, :smax, j0 : j0 + jb]
@@ -342,26 +337,34 @@ def apply_stacked_batched(
                             vblk, 0.0)
         tblk = t.blocks[idx]
         tb = _ct(tblk) if adjoint else tblk
-        w = c_top[:, j0 : j0 + jb, :] + np.matmul(_ct(vblk),
-                                                  c_bot[:, :smax, :])
-        w = np.matmul(tb, w)
-        c_top[:, j0 : j0 + jb, :] -= w
-        c_bot[:, :smax, :] -= np.matmul(vblk, w)
+        if side == "L":
+            w = c_top[:, j0 : j0 + jb, :] + np.matmul(_ct(vblk),
+                                                      c_bot[:, :smax, :])
+            w = np.matmul(tb, w)
+            c_top[:, j0 : j0 + jb, :] -= w
+            c_bot[:, :smax, :] -= np.matmul(vblk, w)
+        else:
+            w = c_top[:, :, j0 : j0 + jb] + np.matmul(c_bot[:, :, :smax],
+                                                      vblk)
+            w = np.matmul(w, tb)
+            c_top[:, :, j0 : j0 + jb] -= w
+            c_bot[:, :, :smax] -= np.matmul(w, _ct(vblk))
 
 
-def tsqrt_batched(r: np.ndarray, a: np.ndarray, ib: int) -> BatchedTFactor:
+def tsqrt_batched(r: np.ndarray, a: np.ndarray, ib: int) -> TFactor:
     """Batched :func:`repro.kernels.tsqrt.tsqrt`: zero square stacks."""
     return factor_stacked_batched(r, a, ib, ts_support)
 
 
-def tsmqr_batched(v, t, c_top, c_bot, adjoint: bool = True) -> None:
-    """Batched :func:`repro.kernels.tsqrt.tsmqr` (left side)."""
+def tsmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
+                  side: str = "L") -> None:
+    """Batched :func:`repro.kernels.tsqrt.tsmqr`."""
     apply_stacked_batched(v, t, c_top, c_bot, ts_support,
-                          adjoint=adjoint, mask=False)
+                          adjoint=adjoint, mask=False, side=side)
 
 
 def ttqrt_batched(r: np.ndarray, r_bot: np.ndarray,
-                  ib: int) -> BatchedTFactor:
+                  ib: int) -> TFactor:
     """Batched :func:`repro.kernels.ttqrt.ttqrt`: zero triangular stacks.
 
     As in the per-tile kernel, the strictly lower triangle of each
@@ -371,10 +374,11 @@ def ttqrt_batched(r: np.ndarray, r_bot: np.ndarray,
     return factor_stacked_batched(r, r_bot, ib, tt_support)
 
 
-def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True) -> None:
-    """Batched :func:`repro.kernels.ttqrt.ttmqr` (left side, masked)."""
+def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
+                  side: str = "L") -> None:
+    """Batched :func:`repro.kernels.ttqrt.ttmqr` (masked)."""
     apply_stacked_batched(v, t, c_top, c_bot, tt_support,
-                          adjoint=adjoint, mask=True)
+                          adjoint=adjoint, mask=True, side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +393,8 @@ def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True) -> None:
 # for the column loop), so the inline transport calls them slice by
 # slice, in place on the tile pool's slots (the per-slice loop needs no
 # contiguous gathered operand, unlike the stacked NumPy kernels), and
-# still hands back a :class:`BatchedTFactor` with exactly the layout
-# the stacked applies expect (``?geqrt``/``?tpqrt`` store ``T`` as
+# still hands back a :class:`TFactor` with exactly the layout the
+# stacked applies expect (``?geqrt``/``?tpqrt`` store ``T`` as
 # side-by-side ``(ib, jb)`` panel blocks).
 #
 # One convention difference needs patching: LAPACK's ``?larfg``
@@ -408,13 +412,7 @@ def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True) -> None:
 
 def lapack_batched_supported(dtype) -> bool:
     """Whether the per-slice LAPACK factor path can handle ``dtype``."""
-    if np.dtype(dtype).type not in (np.float32, np.float64):
-        return False
-    try:
-        from scipy.linalg import get_lapack_funcs  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy ships with the repo
-        return False
-    return True
+    return np.dtype(dtype).type in (np.float32, np.float64)
 
 
 def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
@@ -445,7 +443,7 @@ def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
 
 
 def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
-                      ib: int) -> BatchedTFactor:
+                      ib: int) -> TFactor:
     """Per-slice LAPACK ``?geqrt``, in place on pool slots.
 
     ``stack`` is a :class:`~repro.tiles.pool.TilePool`'s backing array;
@@ -454,8 +452,6 @@ def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
     columns are fixed up to the reference reflector), so the two are
     interchangeable.  No gather or scatter copies are made.
     """
-    from scipy.linalg import get_lapack_funcs
-
     nb = stack.shape[1]
     nbq = max(1, min(ib, nb))
     (geqrt,) = get_lapack_funcs(("geqrt",), (stack,))
@@ -469,7 +465,7 @@ def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
         stack[s] = out
         tstack[i] = tl
     _fix_zero_tail_geqrt_pool(stack, slots, tstack, nbq, nb)
-    t = BatchedTFactor(ib=nbq)
+    t = TFactor(ib=nbq)
     for j0, jb in _panels(nb, nbq):
         t.blocks.append(tstack[:, :jb, j0:j0 + jb])
     return t
@@ -477,7 +473,7 @@ def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
 
 def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
                                bslots: np.ndarray, ib: int,
-                               triangular: bool) -> BatchedTFactor:
+                               triangular: bool) -> TFactor:
     """Per-slice LAPACK ``?tpqrt`` over ``[R; B]`` pairs of pool slots.
 
     Drop-in for :func:`factor_stacked_batched` with ``ts_support``
@@ -487,8 +483,6 @@ def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
     strictly lower triangle of each TT bottom tile (the co-resident
     GEQRT vectors) is preserved — ``?tpqrt`` never references it.
     """
-    from scipy.linalg import get_lapack_funcs
-
     nb = stack.shape[1]
     l = nb if triangular else 0
     nbq = max(1, min(ib, nb))
@@ -519,7 +513,7 @@ def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
             tstack[idx, :, j] = 0.0
             tstack[idx, jj, j] = 2.0
             stack[rslots[idx], j, j:] *= -1.0
-    t = BatchedTFactor(ib=nbq)
+    t = TFactor(ib=nbq)
     for j0, jb in _panels(nb, nbq):
         t.blocks.append(tstack[:, :jb, j0:j0 + jb])
     return t

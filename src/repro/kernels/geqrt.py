@@ -1,54 +1,26 @@
-"""``GEQRT``: factor a square (or rectangular) tile into a triangle (S2).
+"""``GEQRT``/``UNMQR``: factor a tile into a triangle, apply its Q (S2).
 
 ``geqrt`` is the tile-kernel analogue of LAPACK ``?geqrt``: a blocked
 Householder QR of a single ``mb x nb`` tile with inner block size
 ``ib``.  On exit the tile holds ``R`` in its upper triangle and the
 Householder vectors ``V`` (unit lower trapezoidal) below the diagonal;
 the compact-WY ``T`` factors are returned separately, one ``jb x jb``
-upper triangular block per panel of ``ib`` columns.
+upper triangular block per panel of ``ib`` columns.  ``unmqr`` applies
+that transformation to a tile of the same row (LAPACK ``?unmqr``).
 
-Cost in the paper's unit (``nb^3/3`` flops): **4** (Table 1).
+Costs in the paper's unit (``nb^3/3`` flops, Table 1): ``GEQRT`` =
+**4**, ``UNMQR`` = **6**.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .householder import accumulate_t_column, apply_block_reflector, reflector
+from .batched import unmqr_batched
+from .householder import (TFactor, accumulate_t_column,
+                          apply_block_reflector, panel_starts, reflector)
 
-__all__ = ["TFactor", "geqr2", "geqrt", "panel_starts"]
-
-
-def panel_starts(n: int, ib: int) -> list[tuple[int, int]]:
-    """Return ``(start, width)`` pairs covering ``range(n)`` in panels of ``ib``."""
-    if ib <= 0:
-        raise ValueError(f"inner block size must be positive, got {ib}")
-    return [(j, min(ib, n - j)) for j in range(0, n, ib)]
-
-
-@dataclass
-class TFactor:
-    """Compact-WY ``T`` factors of a blocked tile factorization.
-
-    Attributes
-    ----------
-    blocks : list of ndarray
-        One upper triangular ``jb x jb`` block per inner panel.
-    ib : int
-        Inner blocking size the factorization used (the last block may
-        be narrower).
-    """
-
-    blocks: list[np.ndarray] = field(default_factory=list)
-    ib: int = 1
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+__all__ = ["TFactor", "geqr2", "geqrt", "panel_starts", "unmqr"]
 
 
 def geqr2(a: np.ndarray, taus: np.ndarray | None = None) -> np.ndarray:
@@ -89,7 +61,7 @@ def geqrt(a: np.ndarray, ib: int) -> TFactor:
     Returns
     -------
     TFactor
-        The ``T`` blocks needed by :func:`repro.kernels.apply.unmqr`.
+        The ``T`` blocks needed by :func:`unmqr`.
     """
     m, n = a.shape
     k = min(m, n)
@@ -117,3 +89,35 @@ def geqrt(a: np.ndarray, ib: int) -> TFactor:
         if j0 + jb < n:
             apply_block_reflector(vmat, tblk, a[j0:, j0 + jb :])
     return t
+
+
+def unmqr(
+    v: np.ndarray,
+    t: TFactor,
+    c: np.ndarray,
+    adjoint: bool = True,
+    side: str = "L",
+) -> None:
+    """Apply the orthogonal factor of a GEQRT'd tile to ``c`` in place.
+
+    The stacked apply :func:`~repro.kernels.batched.unmqr_batched` on
+    one-tile views, so per-tile and grouped execution run the same
+    arithmetic.
+
+    Parameters
+    ----------
+    v : ndarray, shape (mb, nb)
+        The factored tile: Householder vectors below the diagonal
+        (the upper triangle — ``R`` — is ignored).
+    t : TFactor
+        The ``T`` blocks produced by ``geqrt``.
+    c : ndarray
+        Tile to update in place: ``(mb, n)`` for ``side="L"``
+        (compute ``op(Q) @ c``), ``(n, mb)`` for ``side="R"``
+        (compute ``c @ op(Q)``).
+    adjoint : bool
+        Apply ``Q^H`` (True, factorization direction) or ``Q``.
+    side : {"L", "R"}
+        Multiply from the left (default) or the right.
+    """
+    unmqr_batched(v[None], t, c[None], adjoint=adjoint, side=side)

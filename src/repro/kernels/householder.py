@@ -3,8 +3,10 @@
 This module provides the elementary building blocks used by every tile
 kernel in :mod:`repro.kernels`: generation of a single Householder
 reflector, accumulation of a block of reflectors into a compact-WY
-``T`` factor (LAPACK ``larft``), and application of a block reflector to
-a matrix (LAPACK ``larfb``).
+``T`` factor (LAPACK ``larft``), application of a block reflector to
+a matrix (LAPACK ``larfb``), and the :class:`TFactor` container with
+its inner-panel split (:func:`panel_starts`) that every factor kernel
+returns and every apply kernel consumes.
 
 Conventions
 -----------
@@ -31,15 +33,53 @@ cancellation when forming :math:`u = x - \\beta e_1` (LAPACK's choice in
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 __all__ = [
+    "TFactor",
+    "panel_starts",
     "reflector",
     "apply_reflector",
     "larft",
     "apply_block_reflector",
     "accumulate_t_column",
 ]
+
+
+def panel_starts(n: int, ib: int) -> list[tuple[int, int]]:
+    """Return ``(start, width)`` pairs covering ``range(n)`` in panels of ``ib``."""
+    if ib <= 0:
+        raise ValueError(f"inner block size must be positive, got {ib}")
+    return [(j, min(ib, n - j)) for j in range(0, n, ib)]
+
+
+@dataclass
+class TFactor:
+    """Compact-WY ``T`` factors of a blocked factorization.
+
+    Attributes
+    ----------
+    blocks : list of ndarray
+        One upper triangular block per inner panel: ``(jb, jb)`` for
+        one tile, ``(batch, jb, jb)`` for a stack of same-shaped
+        factorizations (the stacked kernels of
+        :mod:`repro.kernels.batched`).  The apply kernels broadcast a
+        2-D block over every slice of their operands.
+    ib : int
+        Inner blocking size the factorization used (the last block may
+        be narrower).
+    """
+
+    blocks: list[np.ndarray] = field(default_factory=list)
+    ib: int = 1
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
 
 
 def reflector(x: np.ndarray) -> tuple[np.ndarray, float, complex]:

@@ -11,9 +11,10 @@ column ``j`` touches exactly one row of the top tile (row ``j``, where
 the implicit leading 1 lives) plus a *support* of rows of the bottom
 tile: all of them for TS, only rows ``0..j`` for TT (because ``B`` is
 itself upper triangular there).  Factoring out the support rule lets
-both kernels—and both update kernels—share one implementation, which is
-also how LAPACK organizes this family (``?tpqrt`` with pentagon height
-``L = 0`` or ``L = n``).
+both factor kernels share one implementation, which is also how LAPACK
+organizes this family (``?tpqrt`` with pentagon height ``L = 0`` or
+``L = n``).  Both update kernels share the stacked apply
+:func:`repro.kernels.batched.apply_stacked_batched` the same way.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geqrt import TFactor, panel_starts
+from .householder import TFactor, panel_starts
 
-__all__ = ["factor_stacked", "apply_stacked", "ts_support", "tt_support"]
+__all__ = ["factor_stacked", "ts_support", "tt_support"]
 
 
 def ts_support(j: int, mb: int) -> int:
@@ -116,80 +117,3 @@ def factor_stacked(
             r[j0 : j0 + jb, cols] -= w
             b[:smax, cols] -= vmat @ w
     return t
-
-
-def apply_stacked(
-    v: np.ndarray,
-    t: TFactor,
-    c_top: np.ndarray,
-    c_bot: np.ndarray,
-    support: Callable[[int, int], int],
-    adjoint: bool = True,
-    mask: bool = False,
-    side: str = "L",
-) -> None:
-    """Apply the orthogonal factor of :func:`factor_stacked` to two tiles.
-
-    Updates ``[c_top; c_bot]`` in place with ``Q^H`` (``adjoint=True``,
-    the factorization direction) or ``Q``.
-
-    Parameters
-    ----------
-    v : ndarray, shape (mb, n)
-        Bottom tile holding the Householder vectors (output ``b`` of
-        :func:`factor_stacked`).
-    t : TFactor
-        Matching ``T`` blocks.
-    c_top, c_bot : ndarray
-        Tiles to update; ``c_top`` has at least ``n`` rows, ``c_bot``
-        has ``mb`` rows.
-    support : callable
-        The same support rule used at factorization time.
-    mask : bool
-        If True, zero out ``v`` entries below each column's support
-        before use.  Required for the TT kernels: the bottom tile's
-        strictly lower triangle holds the GEQRT Householder vectors of
-        an earlier factorization (PLASMA keeps both in one tile — the
-        V=NODEP relaxation of [12]) and must not leak into the block
-        reflector.
-    side : {"L", "R"}
-        ``"L"`` (default) computes ``op(Q) @ [c_top; c_bot]`` with
-        ``c_top``/``c_bot`` as row blocks; ``"R"`` computes
-        ``[c_left, c_right] @ op(Q)`` where ``c_top`` plays the role of
-        the left column block (width >= n) and ``c_bot`` of the right
-        one (width mb).
-    """
-    n = v.shape[1]
-    mb = v.shape[0]
-    panels = panel_starts(n, t.ib)
-    if len(panels) != len(t.blocks):
-        raise ValueError(
-            f"T factor has {len(t.blocks)} blocks but width {n} implies {len(panels)}"
-        )
-    if side not in ("L", "R"):
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    forward = adjoint if side == "L" else not adjoint
-    order = range(len(panels)) if forward else range(len(panels) - 1, -1, -1)
-    for idx in order:
-        j0, jb = panels[idx]
-        smax = support(j0 + jb - 1, mb)
-        vblk = v[:smax, j0 : j0 + jb]
-        if mask:
-            # Mask below the trapezoid boundary: column j only reaches
-            # bottom rows < support(j); deeper rows belong to another
-            # factorization's vectors stored in the same tile.
-            vblk = vblk.copy()
-            for c in range(jb):
-                vblk[support(j0 + c, mb) :, c] = 0.0
-        tblk = t.blocks[idx]
-        tb = tblk.conj().T if adjoint else tblk
-        if side == "L":
-            w = c_top[j0 : j0 + jb, :] + vblk.conj().T @ c_bot[:smax, :]
-            w = tb @ w
-            c_top[j0 : j0 + jb, :] -= w
-            c_bot[:smax, :] -= vblk @ w
-        else:
-            w = c_top[:, j0 : j0 + jb] + c_bot[:, :smax] @ vblk
-            w = w @ tb
-            c_top[:, j0 : j0 + jb] -= w
-            c_bot[:, :smax] -= w @ vblk.conj().T

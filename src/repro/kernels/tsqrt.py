@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geqrt import TFactor
-from .stacked import apply_stacked, factor_stacked, ts_support
+from .batched import tsmqr_batched
+from .householder import TFactor
+from .stacked import factor_stacked, ts_support
 
 __all__ = ["tsqrt", "tsmqr"]
 
@@ -58,7 +59,8 @@ def tsmqr(
     With ``side="L"`` updates ``[c_top; c_bot]`` in place, where
     ``c_top`` is tile ``(piv, j)`` and ``c_bot`` is tile ``(i, j)`` for
     ``j > k``; with ``side="R"`` updates ``[c_top, c_bot] @ op(Q)``
-    (column blocks).
+    (column blocks).  Runs the stacked apply
+    :func:`~repro.kernels.batched.tsmqr_batched` on one-tile views.
     """
-    apply_stacked(v, t, c_top, c_bot, ts_support, adjoint=adjoint,
-                  mask=False, side=side)
+    tsmqr_batched(v[None], t, c_top[None], c_bot[None], adjoint=adjoint,
+                  side=side)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geqrt import TFactor
-from .stacked import apply_stacked, factor_stacked, tt_support
+from .batched import ttmqr_batched
+from .householder import TFactor
+from .stacked import factor_stacked, tt_support
 
 __all__ = ["ttqrt", "ttmqr"]
 
@@ -65,7 +66,8 @@ def ttmqr(
     ``c_top`` is tile ``(piv, j)`` and ``c_bot`` is tile ``(i, j)`` for
     ``j > k``; with ``side="R"`` the column-block analogue.  The
     strictly-lower part of ``v`` (GEQRT vectors sharing the tile) is
-    masked out.
+    masked out.  Runs the stacked apply
+    :func:`~repro.kernels.batched.ttmqr_batched` on one-tile views.
     """
-    apply_stacked(v, t, c_top, c_bot, tt_support, adjoint=adjoint,
-                  mask=True, side=side)
+    ttmqr_batched(v[None], t, c_top[None], c_bot[None], adjoint=adjoint,
+                  side=side)

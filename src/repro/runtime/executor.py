@@ -42,8 +42,8 @@ custom backends, ragged tiles, wider right-hand sides and
 :meth:`~ExecutionContext.apply_q_right` run per tile in the same
 order.  Either way the bytes equal a per-task replay in emission
 order: a group's members are independent, the DAG orders every two
-panel tasks sharing a row block, and the stacked kernels run the
-per-tile matmul chain on each slice.
+panel tasks sharing a row block, and the reference per-tile applies
+are the stacked applies on one-tile views.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.backend import REFERENCE, KernelBackend
-from ..kernels.batched import (BatchedTFactor, apply_stacked_batched,
-                               unmqr_batched)
+from ..kernels.batched import apply_stacked_batched, unmqr_batched
 from ..kernels.costs import Kernel
+from ..kernels.geqrt import TFactor
 from ..kernels.stacked import ts_support, tt_support
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -179,8 +179,8 @@ class ExecutionContext:
         per tile on views.  The result is byte-identical to replaying
         the panel tasks one by one in emission order: members of a
         group are mutually independent, the DAG orders every two panel
-        tasks that share a row block, and the stacked kernels run the
-        per-tile matmul chain on each slice.
+        tasks that share a row block, and the reference per-tile
+        applies are the stacked applies on one-tile views.
         """
         if c.shape[0] != self.tiled.m:
             raise ValueError(
@@ -262,8 +262,8 @@ class ExecutionContext:
             rows, :, cols]
         ts = [self.tfactors[(r, k, kind)]
               for r, k in zip(rows.tolist(), cols.tolist())]
-        t = BatchedTFactor(ib=ts[0].ib)
-        t.blocks = [np.array(blks) for blks in zip(*(x.blocks for x in ts))]
+        t = TFactor([np.array(blks) for blks in zip(*(x.blocks for x in ts))],
+                    ts[0].ib)
         c3 = c[:pf * nb].reshape(pf, nb, c.shape[1])
         bot = c3[rows]
         if kind == "ge":

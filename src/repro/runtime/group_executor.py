@@ -21,12 +21,12 @@ Execution splits by kernel class:
   fixed-up per-slice LAPACK for ``"lapack"``;
 * **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
   (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
-  stacked apply (:func:`apply_group_pool`): the V tile and its ``T``
-  blocks are processed once per run instead of once per task.  The
-  stacked apply performs the same matmul chain per batch slice as the
-  reference per-tile kernel, so the numpy path stays bit-exact under
-  grouping.  Groups of one run the per-tile backend's apply, except
-  inline, where every apply is stacked.
+  stacked apply (:func:`apply_group_pool`): the V tile and its 2-D
+  ``T`` blocks are processed once per run instead of once per task.
+  The reference backend's per-tile applies are these stacked applies
+  on one-tile views, so the numpy path is bit-exact under grouping by
+  construction.  Groups of one run the per-tile backend's apply,
+  except inline, where every apply is stacked.
 
 The T store has one of two layouts: ``(nfactor, npanels, ib, ib)``
 panel blocks (reference kernels, and every inline run) or
@@ -43,7 +43,6 @@ import numpy as np
 from ..dag.tasks import KERNEL_CODES
 from ..kernels.backend import LAPACK, get_backend
 from ..kernels.batched import (
-    BatchedTFactor,
     apply_stacked_batched,
     factor_stacked_batched,
     factor_stacked_lapack_pool,
@@ -57,8 +56,8 @@ from ..kernels.lapack import LapackT
 from ..kernels.stacked import ts_support, tt_support
 from .groups import FACTOR_CODES, KIND
 
-__all__ = ["GroupExecutor", "apply_group_pool", "broadcast_tfactor",
-           "record_tfactors", "v_runs"]
+__all__ = ["GroupExecutor", "apply_group_pool", "record_tfactors",
+           "v_runs"]
 
 _GEQRT, _UNMQR, _TSQRT, _TSMQR, _TTQRT, _TTMQR = (
     KERNEL_CODES.index(k) for k in (
@@ -85,8 +84,10 @@ class GroupExecutor:
         kernels also any :class:`~repro.kernels.backend.KernelBackend`).
     stacked : bool
         Inline transport only: factor whole groups with the backend's
-        stacked pool kernels, and stack every apply, groups of one
-        included.
+        stacked pool kernels, and run every apply group through the
+        stacked applies, groups of one included.  Only the LAPACK
+        backend's applies change by this: the reference per-tile
+        applies are the stacked ones already.
     """
 
     __slots__ = ("stack", "tstore", "q", "ib", "bk", "stacked",
@@ -101,7 +102,7 @@ class GroupExecutor:
         self.compact = not stacked and self.bk is LAPACK
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
-        #: fslot -> BatchedTFactor of *views* into the T store.  A T
+        #: fslot -> TFactor of 2-D *views* into the T store.  A T
         #: slot is written exactly once (by its factor task, which the
         #: DAG orders before every apply that reads it), so the cached
         #: views stay valid for the rest of the run.
@@ -129,19 +130,18 @@ class GroupExecutor:
 
     # ------------------------------------------------------------------
     def tfactor(self, fslot: int, tt_height: int = 0):
-        """The per-tile T factor of slot ``fslot`` (views): a
-        :class:`LapackT` (with the TT trapezoid height, ``nb`` on
-        padded slots) or a :class:`TFactor` of panel blocks."""
+        """The T factor the per-tile backend takes for slot ``fslot``:
+        a :class:`LapackT` view in the compact layout (with the TT
+        trapezoid height, ``nb`` on padded slots), else
+        :meth:`panel_tfactor`."""
         if self.compact:
             return LapackT(self.tstore[fslot], self.ib, tt_height)
-        t = TFactor(ib=self.ib)
-        t.blocks = [self.tstore[fslot, pi, :jb, :jb]
-                    for pi, (_, jb) in enumerate(self.panels)]
-        return t
+        return self.panel_tfactor(fslot)
 
-    def tfactor_batched(self, fslot: int) -> BatchedTFactor:
-        """Broadcastable batch-of-one T factor of slot ``fslot``
-        (memoized views, sliced as the per-tile kernels lay them out)."""
+    def panel_tfactor(self, fslot: int) -> TFactor:
+        """The T factor of slot ``fslot`` as 2-D panel blocks, which the
+        stacked applies broadcast over a run (memoized views; the
+        compact layout is sliced into its side-by-side panels)."""
         tf = self._tf_cache.get(fslot)
         if tf is None:
             t = self.tstore[fslot]
@@ -150,7 +150,7 @@ class GroupExecutor:
             else:
                 blocks = [t[pi, :jb, :jb]
                           for pi, (_, jb) in enumerate(self.panels)]
-            tf = self._tf_cache[fslot] = broadcast_tfactor(blocks, self.ib)
+            tf = self._tf_cache[fslot] = TFactor(blocks, self.ib)
         return tf
 
     def _store_t(self, fslot: int, t) -> None:
@@ -187,7 +187,7 @@ class GroupExecutor:
             top = (None if code == _UNMQR
                    else np.asarray(pivs, dtype=np.int64) * q + js_a)
             apply_group_pool(self.stack, code, vslots, top, rows_a * q + js_a,
-                             lambda b: self.tfactor_batched(int(srcs_a[b])))
+                             lambda b: self.panel_tfactor(int(srcs_a[b])))
 
     def _run_task(self, code: int, row: int, piv: int, col: int, j: int,
                   fslot: int, src: int) -> None:
@@ -305,9 +305,9 @@ def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
     ``vslots`` names each task's V tile, ``bot_slots`` its updated tile
     (``c_bot``), ``top_slots`` the pivot-row tile for the TS/TT
     kernels (``None`` for UNMQR).  ``tfactor_of(i)`` returns the
-    broadcastable batch-of-one :class:`BatchedTFactor` of task ``i``
-    (pre-sort index).  Gather and scatter are single fancy-indexing
-    copies; every run is one broadcast stacked apply.
+    :class:`TFactor` of task ``i`` (pre-sort index) with 2-D blocks,
+    broadcast over the task's run.  Gather and scatter are single
+    fancy-indexing copies; every run is one broadcast stacked apply.
     """
     order, bounds = v_runs(vslots)
     if code == _UNMQR:
@@ -330,15 +330,3 @@ def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
                               mask=code == _TTMQR)
     stack[ct] = c_top
     stack[cb] = c_bot
-
-
-def broadcast_tfactor(blocks, ib: int) -> BatchedTFactor:
-    """A batch-of-one :class:`BatchedTFactor` from per-panel blocks.
-
-    The apply kernels broadcast it across however many C tiles the
-    source tile updates (run length), so no per-task T stacking is
-    needed.
-    """
-    bt = BatchedTFactor(ib=ib)
-    bt.blocks = [blk[None] for blk in blocks]
-    return bt

@@ -1,18 +1,23 @@
 """Batched kernels vs the per-tile reference kernels, slice by slice.
 
-Every batched kernel mirrors its reference counterpart step for step,
-so each batch slice must agree to rounding (not bitwise — reduction
-order may differ).  Ragged tiles are exercised through the zero-padding
-contract: a tile embedded in a zero-padded ``nb x nb`` slot must
-produce the reference result of the *unpadded* tile in the valid
-region, and ``task_tfactor`` must slice back a ``TFactor`` the per-tile
-apply kernels accept.
+Every batched factor kernel mirrors its per-tile counterpart step for
+step, so each batch slice must agree to rounding (not bitwise —
+reduction order may differ); the applies here run on those factors
+and are compared with the per-tile oracle of
+:mod:`tests.kernels.reference` (the public per-tile applies are the
+stacked ones, so comparing with them would test the kernel against
+itself; ``test_apply_oracle`` holds them to the oracle bit for bit).
+Ragged tiles are exercised through the zero-padding contract: a tile
+embedded in a zero-padded ``nb x nb`` slot must produce the reference
+result of the *unpadded* tile in the valid region, and
+:func:`~tests.kernels.reference.task_tfactor` must slice back a
+``TFactor`` the per-tile kernels accept.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
+from repro.kernels import geqrt, tsqrt, ttqrt
 from repro.kernels.batched import (
     _batched_reflector,
     geqrt_batched,
@@ -23,6 +28,8 @@ from repro.kernels.batched import (
     unmqr_batched,
 )
 from tests.conftest import random_matrix
+from tests.kernels import reference
+from tests.kernels.reference import task_tfactor
 
 NB = 8
 IBS = [1, NB // 2, NB]
@@ -68,7 +75,7 @@ class TestGeqrtBatched:
         for i in range(5):
             t = geqrt(ref[i], ib)
             assert np.allclose(a[i], ref[i], atol=ATOL)
-            tf = bt.task_tfactor(i, NB)
+            tf = task_tfactor(bt, i, NB)
             for bb, rb in zip(tf.blocks, t.blocks):
                 assert np.allclose(bb, rb, atol=ATOL)
 
@@ -85,7 +92,7 @@ class TestGeqrtBatched:
             assert np.allclose(a[i, :h, :w], ref, atol=ATOL)
             # padded rows stay exactly zero
             assert np.all(a[i, h:, :] == 0.0)
-            tf = bt.task_tfactor(i, min(h, w))
+            tf = task_tfactor(bt, i, min(h, w))
             assert len(tf.blocks) == len(t.blocks)
             for bb, rb in zip(tf.blocks, t.blocks):
                 assert np.allclose(bb, rb, atol=ATOL)
@@ -101,7 +108,8 @@ class TestUnmqrBatched:
         ref = [np.array(c[i]) for i in range(4)]
         unmqr_batched(v, bt, c, adjoint=adjoint)
         for i in range(4):
-            unmqr(v[i], bt.task_tfactor(i, NB), ref[i], adjoint=adjoint)
+            reference.unmqr(v[i], task_tfactor(bt, i, NB), ref[i],
+                            adjoint=adjoint)
             assert np.allclose(c[i], ref[i], atol=ATOL)
 
 
@@ -121,7 +129,7 @@ class TestStackedBatched:
             tfs.append(t)
             assert np.allclose(r[i], r_ref[i], atol=ATOL)
             assert np.allclose(b[i], b_ref[i], atol=ATOL)
-            tf = bt.task_tfactor(i, NB)
+            tf = task_tfactor(bt, i, NB)
             for bb, rb in zip(tf.blocks, t.blocks):
                 assert np.allclose(bb, rb, atol=ATOL)
         ct = tile_batch(rng, nbatch, dtype)
@@ -130,7 +138,7 @@ class TestStackedBatched:
         cb_ref = [np.array(cb[i]) for i in range(nbatch)]
         tsmqr_batched(b, bt, ct, cb)
         for i in range(nbatch):
-            tsmqr(b_ref[i], tfs[i], ct_ref[i], cb_ref[i])
+            reference.tsmqr(b_ref[i], tfs[i], ct_ref[i], cb_ref[i])
             assert np.allclose(ct[i], ct_ref[i], atol=ATOL)
             assert np.allclose(cb[i], cb_ref[i], atol=ATOL)
 
@@ -155,7 +163,7 @@ class TestStackedBatched:
         cb_ref = [np.array(cb[i]) for i in range(nbatch)]
         ttmqr_batched(b, bt, ct, cb)
         for i in range(nbatch):
-            ttmqr(b_ref[i], tfs[i], ct_ref[i], cb_ref[i])
+            reference.ttmqr(b_ref[i], tfs[i], ct_ref[i], cb_ref[i])
             assert np.allclose(ct[i], ct_ref[i], atol=ATOL)
             assert np.allclose(cb[i], cb_ref[i], atol=ATOL)
 
@@ -186,7 +194,7 @@ class TestStackedBatched:
             assert np.allclose(r[i, :w, :w], ref_r, atol=ATOL)
             assert np.allclose(b[i, :, :w], ref_b, atol=ATOL)
             assert np.all(b[i, :, w:] == 0.0)
-            tf = t.task_tfactor(i, w)
+            tf = task_tfactor(t, i, w)
             assert len(tf.blocks) == len(t_ref.blocks)
             for bb, rb in zip(tf.blocks, t_ref.blocks):
                 assert np.allclose(bb, rb, atol=ATOL)
