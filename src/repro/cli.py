@@ -1,83 +1,35 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Subcommands
------------
-``cp``       critical path of a scheme on a p x q grid
-``table``    zero-out time table (the paper's Tables 2-3 views)
-``sweep``    compare all schemes on one grid, or sweep one problem
-             spec (``"cholesky(t=8)"``) over processor counts
-``sim``      simulate a problem spec (``"cholesky(t=8)"``,
-             ``"lu(p=8,q=8)"``, or a scheme with P Q) and print its
-             makespan against the lower bounds (incl. ALAP)
-``tune``     exhaustive PlasmaTree BS search
-``factor``   factor a matrix from a .npy file (or a random one) and
-             report accuracy; optionally save the factorization
-``predict``  measure kernels and predict GFLOP/s (Section 4's model)
-``recommend`` pick the best tree for a grid (optionally model-driven)
-``coarse``   coarse-grain step table (the paper's Table 2 view)
-``optimal``  exhaustive optimal critical path on small grids
-``trace``    bounded-P schedule as ASCII Gantt / CSV / JSON / Chrome
-             trace-event JSON (``--format chrome``, for Perfetto)
-``profile``  execute a factorization with the span tracer and metrics
-             registry on, write a Chrome trace (optionally overlaying
-             the simulated schedule), print the metrics summary and
-             the schedule-analytics report; ``--events`` captures the
-             streaming event bus as JSONL, ``--prometheus`` exports
-             the registry (with sampler time series) as Prometheus
-             text, ``--progress`` shows live progress
-``top``      live TTY dashboard of a running factorization: per-kernel
-             completion bars, per-worker utilization, ready-frontier
-             depth, and a live ETA replayed against the plan's
-             simulated schedule (predicted-vs-actual drift)
-``analyze``  schedule analytics of a simulated schedule (or an
-             exported Chrome trace / JSONL event log via
-             ``--from-trace``, ``.gz`` transparently): per-processor
-             utilization, time-by-kernel pivot, the critical-path
-             chain realizing the makespan, per-task slack, measured
-             queue waits, lower-bound efficiency
-
-Examples
---------
-::
-
-    python -m repro cp greedy 40 10
-    python -m repro table greedy 15 6
-    python -m repro sweep 40 5 --family TS
-    python -m repro sweep 'cholesky(t=8)' --processors 1,2,4,8
-    python -m repro sim 'lu(p=8,q=8)' --workers 4
-    python -m repro analyze 'cholesky(t=8)' --workers 4
-    python -m repro tune 40 5
-    python -m repro factor --random 400x200 --nb 50 --scheme greedy
-    python -m repro trace greedy 15 6 --workers 8 --format gantt
-    python -m repro trace greedy 15 6 --workers 4 --format chrome
-    python -m repro profile greedy 15 6 --workers 8 --out trace.json
-    python -m repro profile greedy 15 6 --events events.jsonl.gz \
-        --prometheus metrics.prom
-    python -m repro top greedy 20 10 --workers 8 --nb 48
-    python -m repro factor --random 600x300 --nb 50 --progress
-    python -m repro analyze greedy 30 10 --workers 16
-    python -m repro analyze --from-trace trace.json --format markdown
-    python -m repro analyze --from-trace events.jsonl.gz
+Every subcommand and flag is declared once, in :func:`build_parser`.
+The reference, docs/cli.md, is that parser's ``--help`` text rendered
+by :func:`render_reference`; a test fails when the two differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main", "render_reference"]
 
 
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("scheme",
+def _add_grid(p: argparse.ArgumentParser, optional: bool = False) -> None:
+    """Scheme, grid and tree parameters; ``optional`` (``analyze``)
+    lets a problem spec stand without a grid, and ``--from-trace``
+    without either."""
+    opt = {"nargs": "?", "default": None} if optional else {}
+    p.add_argument("scheme", **opt,
                    help="elimination tree name or spec, e.g. greedy or "
-                        "'plasma(bs=5)'")
-    p.add_argument("p", type=int, help="tile rows")
-    p.add_argument("q", type=int, help="tile columns")
+                        "'plasma(bs=5)'" + (", or a problem spec such as "
+                                            "'cholesky(t=8)'"
+                                            if optional else ""))
+    p.add_argument("p", type=int, **opt, help="tile rows")
+    p.add_argument("q", type=int, **opt, help="tile columns")
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
     p.add_argument("--bs", type=int, default=None,
                    help="domain size (plasma-tree / hadri-tree)")
@@ -89,7 +41,7 @@ def _scheme_params(args) -> dict:
     params = {}
     if args.bs is not None:
         params["bs"] = args.bs
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         params["k"] = args.k
     return params
 
@@ -214,15 +166,14 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _progress_setup(pl, nb: int, opts, label: str, bus=None, state=None,
-                    show_workers: bool = False, interval: float = 0.1):
+def _progress_setup(pl, nb: int, opts, label: str, bus=None, state=None):
     """Wire a bus + live state + renderer for one planned run.
 
-    Returns ``(bus, state, renderer, replay)``; an existing
-    ``bus``/``state`` pair is reused when given.  The ETA replays
-    against the plan's memoized simulated schedule: bounded on
-    ``workers`` lanes for the thread transport, unbounded (ASAP) for
-    the inline (batched) transport, one lane otherwise.
+    Returns ``(bus, state, renderer)``; an existing ``bus``/``state``
+    pair is reused when given.  The ETA replays against the plan's
+    memoized simulated schedule: bounded on ``workers`` lanes for the
+    thread transport, unbounded (ASAP) for the inline (batched)
+    transport, one lane otherwise.
     """
     from .obs import EventBus, LiveState, ProgressRenderer, kernel_totals
 
@@ -231,11 +182,10 @@ def _progress_setup(pl, nb: int, opts, label: str, bus=None, state=None,
         bus = EventBus()
     if state is None:
         state = LiveState(total=len(pl.graph), nb=nb).connect(bus)
-    replay = pl.replay(procs)
     renderer = ProgressRenderer(
-        state, replay, clock=bus.now, totals=kernel_totals(pl),
-        label=label, show_workers=show_workers, interval=interval)
-    return bus, state, renderer, replay
+        state, pl.replay(procs), clock=bus.now, totals=kernel_totals(pl),
+        label=label)
+    return bus, state, renderer
 
 
 def _lanes(opts) -> int:
@@ -262,9 +212,7 @@ def _eta_summary(renderer, state) -> str | None:
 #: the subcommands that execute a factorization, each with the
 #: execution-flag defaults it overrides; every other flag defaults to
 #: its ExecOptions field's default
-_EXEC_COMMANDS = {"factor": {}, "profile": {"workers": 4},
-                  "overhead": {"mode": "process", "workers": 4},
-                  "top": {"workers": 4}}
+_EXEC_COMMANDS = {"factor": {}, "profile": {"workers": 4}}
 
 
 def _add_exec_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -311,7 +259,7 @@ def _cmd_factor(args) -> int:
 
         p_t, q_t = -(-a.shape[0] // args.nb), -(-a.shape[1] // args.nb)
         pl = build_plan(p_t, q_t, args.scheme, args.family, **params)
-        bus, state, renderer, _ = _progress_setup(
+        bus, state, renderer = _progress_setup(
             pl, args.nb, opts,
             label=f"{args.scheme} {p_t}x{q_t} nb={args.nb}")
         renderer.start()
@@ -446,37 +394,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_sim(args) -> int:
-    from .api import simulate
-    from .obs.analyze import analyze_sim
-
-    try:
-        res = simulate(args.problem, args.p, args.q,
-                       processors=args.workers, priority=args.priority,
-                       family=args.family)
-    except (TypeError, ValueError) as exc:
-        print(f"sim: {exc}", file=sys.stderr)
-        return 2
-    rep = analyze_sim(res)
-    g = res.graph
-    where = (f"{rep.processors} processors" if rep.processors
-             else "unbounded processors")
-    print(f"{g.name or args.problem} ({rep.problem}): "
-          f"{rep.tasks} tasks, work {rep.total_busy:g} units")
-    print(f"  makespan   {rep.makespan:g} on {where}")
-    for key, title in (("critical_path", "critical path"),
-                       ("work", "work / P"),
-                       ("alap", "ALAP area bound"),
-                       ("lower", "lower bound"),
-                       ("paper_cp_lower_bound", "Thm 1(3) 22q-30")):
-        if rep.bounds and key in rep.bounds:
-            print(f"  {title:<16s} {rep.bounds[key]:g}")
-    if rep.bounds and "efficiency" in rep.bounds:
-        print(f"  efficiency {rep.bounds['efficiency'] * 100:.1f} % "
-              "of the lower bound")
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     from .obs.analyze import analyze_sim, analyze_trace_file, render_report
 
@@ -513,27 +430,27 @@ def _cmd_analyze(args) -> int:
         problem_name = parse_problem_spec(args.scheme)[0]
     except (TypeError, ValueError):
         problem_name = None
-    if problem_name in available_problems():
-        # problem-centric form: analyze "cholesky(t=8)" [--workers N]
-        kwargs = {}
-        if args.p is not None:
-            kwargs["p"] = args.p
-        if args.q is not None:
-            kwargs["q"] = args.q
-        if problem_name == "qr":
-            kwargs.setdefault("family", args.family)
-        try:
+    try:
+        if problem_name in available_problems():
+            # problem-centric form: analyze "cholesky(t=8)" [--workers N]
+            kwargs = {}
+            if args.p is not None:
+                kwargs["p"] = args.p
+            if args.q is not None:
+                kwargs["q"] = args.q
+            if problem_name == "qr":
+                kwargs.setdefault("family", args.family)
             pl = plan(args.scheme, **kwargs)
-        except (TypeError, ValueError) as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-    else:
-        if args.p is None or args.q is None:
+        elif args.p is None or args.q is None:
             print("analyze: need SCHEME P Q (or a problem spec, or "
                   "--from-trace FILE)", file=sys.stderr)
             return 2
-        pl = plan(args.p, args.q, args.scheme, args.family,
-                  **_scheme_params(args))
+        else:
+            pl = plan(args.p, args.q, args.scheme, args.family,
+                      **_scheme_params(args))
+    except (TypeError, ValueError) as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     res = pl.schedule(args.workers, args.priority)
     report = analyze_sim(res)
     print(render_report(report, args.format))
@@ -543,6 +460,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_profile(args) -> int:
     from .api import plan
     from .kernels.costs import Kernel
+    from .obs.analyze import overhead_report, render_overhead_report
     from .obs.chrome_trace import write_chrome_trace
     from .obs.metrics import MetricsRegistry
     from .obs.tracer import DistributedTracer, Tracer
@@ -556,6 +474,7 @@ def _cmd_profile(args) -> int:
     tiled = TiledMatrix(a, nb)
     pl = plan(args.p, args.q, args.scheme, args.family,
               **_scheme_params(args))
+    label = f"{args.scheme} {args.p}x{args.q} nb={nb}"
 
     # the process backend merges worker-side spans onto the parent
     # timeline (clock-aligned); the other modes record plain spans
@@ -574,9 +493,8 @@ def _cmd_profile(args) -> int:
         state = LiveState(total=ntasks, nb=nb).connect(bus)
         sampler = Sampler(metrics, state).start()
         if args.progress:
-            _, _, renderer, _ = _progress_setup(
-                pl, nb, opts, label=f"{args.scheme} {args.p}x{args.q} nb={nb}",
-                bus=bus, state=state)
+            _, _, renderer = _progress_setup(pl, nb, opts, label=label,
+                                             bus=bus, state=state)
             renderer.start()
     try:
         execute_graph(pl, tiled, opts, ib=min(args.ib, nb), tracer=tracer,
@@ -590,6 +508,10 @@ def _cmd_profile(args) -> int:
         line = _eta_summary(renderer, state)
         if line:
             print(line)
+        v = state.view()
+        print(f"retired {v['done']}/{v['total']} tasks; "
+              f"dashboard events: {bus.published} published, "
+              f"{bus.dropped} dropped by the ring")
 
     sim = None
     if not args.no_sim:
@@ -622,25 +544,26 @@ def _cmd_profile(args) -> int:
     print(metrics.render(title="execution metrics"))
     print()
     print(PLAN_METRICS.render(title="plan metrics"))
+    # six phases per group from a DistributedTracer; queued + computing
+    # (the two-phase view) from the plain spans of the other modes
+    overhead = None
+    if not args.no_analyze or args.overhead_json:
+        overhead = overhead_report(
+            tracer, graph=pl,
+            label=f"{label} ({opts.mode}, workers={opts.workers})")
     if not args.no_analyze:
         from .obs.analyze import (analyze_sim, analyze_tracer,
                                   overlay_diff, render_overlay,
                                   render_report)
 
+        measured = analyze_tracer(tracer)
         print()
-        print(render_report(analyze_tracer(tracer), "text"))
+        print(render_report(measured, "text"))
         if sim is not None:
             print()
-            print(render_overlay(overlay_diff(analyze_tracer(tracer),
-                                              analyze_sim(sim))))
-        if getattr(tracer, "phases", None):
-            from .obs.analyze import overhead_report, render_overhead_report
-
-            print()
-            print(render_overhead_report(overhead_report(
-                tracer, graph=pl,
-                label=f"{args.scheme} {args.p}x{args.q} nb={nb} "
-                      f"({opts.mode})")))
+            print(render_overlay(overlay_diff(measured, analyze_sim(sim))))
+        print()
+        print(render_overhead_report(overhead))
     if args.out:
         write_chrome_trace(args.out, tracer=tracer, sim=sim,
                            sim_time_scale=1e6,
@@ -651,6 +574,12 @@ def _cmd_profile(args) -> int:
         with open(args.metrics_json, "w") as fh:
             fh.write(metrics.to_json())
         print(f"metrics JSON written to {args.metrics_json}")
+    if args.overhead_json:
+        import json
+
+        with open(args.overhead_json, "w") as fh:
+            json.dump(overhead.to_dict(), fh, indent=1, sort_keys=True)
+        print(f"overhead report JSON written to {args.overhead_json}")
     if args.events:
         from .obs.export import write_events_jsonl
 
@@ -666,86 +595,34 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_overhead(args) -> int:
-    from .api import plan
-    from .obs.analyze import overhead_report, render_overhead_report
-    from .obs.tracer import DistributedTracer, Tracer
-    from .runtime.executor import execute_graph
-    from .tiles.layout import TiledMatrix
-
-    nb = args.nb
-    m, n = args.p * nb, args.q * nb
-    a = np.random.default_rng(args.seed).standard_normal((m, n))
-    tiled = TiledMatrix(a, nb)
-    pl = plan(args.p, args.q, args.scheme, args.family,
-              **_scheme_params(args))
-    opts = args.options
-    tracer = DistributedTracer() if opts.mode == "process" else Tracer()
-    execute_graph(pl, tiled, opts, ib=min(args.ib, nb), tracer=tracer)
-    rep = overhead_report(
-        tracer, graph=pl,
-        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({opts.mode}, "
-              f"workers={opts.workers})")
-    print(render_overhead_report(rep, args.format))
-    if args.json:
-        import json as json_mod
-
-        with open(args.json, "w") as fh:
-            json_mod.dump(rep.to_dict(), fh, indent=1, sort_keys=True)
-        print(f"\noverhead report JSON written to {args.json}")
-    return 0
-
-
-def _cmd_top(args) -> int:
-    import threading
-
-    from .api import plan
-    from .runtime.executor import execute_graph
-    from .tiles.layout import TiledMatrix
-
-    nb = args.nb
-    m, n = args.p * nb, args.q * nb
-    a = np.random.default_rng(args.seed).standard_normal((m, n))
-    tiled = TiledMatrix(a, nb)
-    pl = plan(args.p, args.q, args.scheme, args.family,
-              **_scheme_params(args))
-    opts = args.options
-    bus, state, renderer, replay = _progress_setup(
-        pl, nb, opts,
-        label=f"{args.scheme} {args.p}x{args.q} nb={nb} ({opts.mode})",
-        show_workers=True, interval=args.interval)
-
-    errors: list[BaseException] = []
-
-    def run() -> None:
-        try:
-            execute_graph(pl, tiled, opts, ib=min(args.ib, nb), bus=bus)
-        except BaseException as exc:  # surfaced after the join
-            errors.append(exc)
-
-    worker = threading.Thread(target=run, name="repro-top-run", daemon=True)
-    worker.start()
-    with renderer:
-        worker.join()
-    if errors:
-        raise errors[0]
-    line = _eta_summary(renderer, state)
-    if line:
-        print(line)
-    v = state.view()
-    print(f"retired {v['done']}/{v['total']} tasks; "
-          f"dashboard events: {bus.published} published, "
-          f"{bus.dropped} dropped by the ring")
-    return 0
+#: ``repro --help``'s closing lines (tests/test_cli.py parses each one)
+_EXAMPLES = """\
+examples:
+  python -m repro cp greedy 40 10
+  python -m repro sweep 'cholesky(t=8)' --processors 1,2,4,8
+  python -m repro analyze 'lu(p=8,q=8)' --workers 4
+  python -m repro analyze greedy 30 10 --workers 16 --format markdown
+  python -m repro trace greedy 15 6 --workers 4 --format chrome
+  python -m repro factor --random 400x200 --nb 50 --progress
+  python -m repro profile greedy 15 6 --workers 8 --out trace.json
+  python -m repro profile greedy 20 10 --nb 48 --progress
+  python -m repro profile greedy 16 16 --mode process \\
+      --overhead-json overhead.json
+  python -m repro profile greedy 15 6 --events events.jsonl.gz
+  python -m repro analyze --from-trace events.jsonl.gz
+"""
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tiled QR factorization algorithms (Bouwmeester et al., "
-                    "SC'11) — analysis and execution tools",
+                    "SC'11):\nanalysis and execution tools.",
+        epilog=_EXAMPLES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="COMMAND")
 
     p = sub.add_parser("cp", help="critical path of a scheme")
     _add_grid(p)
@@ -770,23 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-json",
                    help="write plan-cache stats + plan metrics JSON here")
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser(
-        "sim",
-        help="simulate a problem spec: makespan and lower bounds")
-    p.add_argument("problem",
-                   help="problem spec, e.g. 'cholesky(t=8)', "
-                        "'lu(p=8,q=8)', 'qr(p=8,q=4)', or a scheme "
-                        "name with P and Q")
-    p.add_argument("p", type=int, nargs="?", default=None, help="tile rows")
-    p.add_argument("q", type=int, nargs="?", default=None,
-                   help="tile columns")
-    p.add_argument("--family", default="TT", choices=["TT", "TS"])
-    p.add_argument("--workers", type=int, default=None,
-                   help="processor count (omit for the unbounded ASAP "
-                        "schedule)")
-    p.add_argument("--priority", default="critical-path")
-    p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("tune", help="PlasmaTree BS exhaustive search")
     p.add_argument("p", type=int)
@@ -854,19 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="schedule analytics: utilization, kernel shares, critical "
-             "path, slack, lower-bound efficiency")
-    p.add_argument("scheme", nargs="?", default=None,
-                   help="elimination tree name or spec (omit with "
-                        "--from-trace)")
-    p.add_argument("p", type=int, nargs="?", default=None, help="tile rows")
-    p.add_argument("q", type=int, nargs="?", default=None,
-                   help="tile columns")
-    p.add_argument("--family", default="TT", choices=["TT", "TS"])
-    p.add_argument("--bs", type=int, default=None,
-                   help="domain size (plasma-tree / hadri-tree)")
-    p.add_argument("--k", type=int, default=None,
-                   help="trailing Asap columns (grasap)")
+        help="schedule analytics of a simulated schedule or a recorded "
+             "trace: makespan against the lower bounds (critical path, "
+             "work / P, ALAP, 22q - 30), utilization, kernel shares, "
+             "critical path, slack")
+    _add_grid(p, optional=True)
     p.add_argument("--workers", type=int, default=None,
                    help="processor count (omit for the unbounded ASAP "
                         "schedule)")
@@ -880,7 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="execute with tracing + metrics, export a Chrome trace")
+        help="execute one factorization observed: metrics, schedule "
+             "report, per-phase overhead attribution, Chrome trace, "
+             "live dashboard")
     _add_grid(p)
     p.add_argument("--nb", type=int, default=64, help="tile size")
     p.add_argument("--ib", type=int, default=32, help="inner blocking")
@@ -888,13 +742,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write Chrome trace-event JSON here")
     p.add_argument("--metrics-json", help="write the metrics snapshot here")
+    p.add_argument("--overhead-json", metavar="FILE",
+                   help="write the overhead report (per-phase time of "
+                        "every task: six phases in process mode, queued "
+                        "+ computing otherwise) as JSON here")
     p.add_argument("--no-sim", action="store_true",
                    help="skip the simulated-schedule overlay lanes")
     p.add_argument("--no-analyze", action="store_true",
-                   help="skip the schedule-analytics report and the "
-                        "measured-vs-simulated overhead diff")
+                   help="skip the schedule report, the measured-vs-"
+                        "simulated diff and the overhead report")
     p.add_argument("--progress", action="store_true",
-                   help="live progress while the factorization runs")
+                   help="live dashboard while the factorization runs "
+                        "(per-kernel bars, per-worker row, ETA against "
+                        "the simulated schedule), then the tasks retired "
+                        "and the events published and dropped")
     p.add_argument("--events", metavar="FILE",
                    help="write the event-bus capture as JSONL here "
                         "(.gz = gzipped; readable by analyze "
@@ -904,37 +765,40 @@ def build_parser() -> argparse.ArgumentParser:
                         "exposition format here (includes the sampler "
                         "time series)")
     p.set_defaults(fn=_cmd_profile)
-
-    p = sub.add_parser(
-        "overhead",
-        help="execute with distributed tracing and attribute every "
-             "microsecond per task to the six lifecycle phases "
-             "(queued / dispatched / deserialized / computing / "
-             "published / retired)")
-    _add_grid(p)
-    p.add_argument("--nb", type=int, default=64, help="tile size")
-    p.add_argument("--ib", type=int, default=32, help="inner blocking")
-    _add_exec_flags(p, "overhead")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "markdown"])
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the report dict as JSON here")
-    p.set_defaults(fn=_cmd_overhead)
-
-    p = sub.add_parser(
-        "top",
-        help="live TTY dashboard of a running factorization: per-kernel "
-             "bars, worker utilization, ETA vs the simulated schedule")
-    _add_grid(p)
-    p.add_argument("--nb", type=int, default=64, help="tile size")
-    p.add_argument("--ib", type=int, default=32, help="inner blocking")
-    _add_exec_flags(p, "top")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interval", type=float, default=0.1,
-                   help="dashboard repaint cadence in seconds")
-    p.set_defaults(fn=_cmd_top)
     return parser
+
+
+def render_reference() -> str:
+    """docs/cli.md: the ``--help`` text of the parser and of each
+    subcommand, as ``COLUMNS=80`` prints it whatever ``$COLUMNS`` says.
+
+    Regenerate the file after editing :func:`build_parser`::
+
+        PYTHONPATH=src python -c "from repro.cli import render_reference; \\
+            print(render_reference(), end='')" > docs/cli.md
+    """
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = ["# CLI reference", "",
+           "`python -m repro <command>`; the `repro-qr` console script runs",
+           "the same parser.  This file is `repro.cli.render_reference()`:",
+           "the `--help` text of the parser and of each subcommand at 80",
+           "columns.  Do not edit it by hand: after changing the parser,",
+           "regenerate it with", "",
+           "```bash",
+           "PYTHONPATH=src python -c \"from repro.cli import "
+           "render_reference; \\",
+           "    print(render_reference(), end='')\" > docs/cli.md",
+           "```", "",
+           "`tests/test_cli.py` fails while the file differs from the "
+           "render.", ""]
+    for p in (parser, *sub.choices.values()):
+        # argparse wraps at $COLUMNS - 2; pin the 80-column width
+        p.formatter_class = functools.partial(p.formatter_class, width=78)
+        out += [f"## `{p.prog}`", "", "```text",
+                p.format_help().rstrip("\n"), "```", ""]
+    return "\n".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:

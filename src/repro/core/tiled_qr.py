@@ -199,8 +199,8 @@ def tiled_qr(
         :func:`~repro.runtime.executor.execute_graph`: a span
         :class:`~repro.obs.tracer.Tracer`, a
         :class:`~repro.obs.metrics.MetricsRegistry`, a streaming
-        :class:`~repro.obs.stream.EventBus` (live progress /
-        ``repro top``), and a per-task completion callback.  All
+        :class:`~repro.obs.stream.EventBus` (the live ``--progress``
+        dashboard), and a per-task completion callback.  All
         default to ``None`` (zero observation cost).
     **params
         Extra parameters for the scheme (e.g. ``bs`` for plasma-tree).

@@ -22,9 +22,9 @@ and the benchmark harness:
   GFLOP/s, RSS) into a registry at a fixed cadence;
 * :mod:`repro.obs.export` — Prometheus text exposition and JSONL
   event logs (plus their validating parsers);
-* :mod:`repro.obs.progress` — the live ``--progress`` bars and the
-  ``repro top`` dashboard (ETA by replaying progress against the
-  plan's simulated schedule);
+* :mod:`repro.obs.progress` — the live ``--progress`` dashboard
+  (per-kernel bars, per-worker row, ETA by replaying progress against
+  the plan's simulated schedule);
 * :mod:`repro.obs.chrome_trace` — export of a measured capture and/or
   a simulated schedule to Chrome trace-event JSON, loadable in
   Perfetto / ``chrome://tracing`` for lane-by-lane comparison;

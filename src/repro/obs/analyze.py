@@ -564,6 +564,35 @@ def _wait_summary(waits: np.ndarray) -> Optional[dict]:
             "max": float(waits.max()), "total": float(waits.sum())}
 
 
+def _measured_report(source: str, label: str, kernels: list,
+                     durations: np.ndarray, counts: np.ndarray,
+                     makespan: float, lanes: np.ndarray, n_lanes: int,
+                     problem: str = "",
+                     queue_wait: Optional[dict] = None) -> ScheduleReport:
+    """The report of a measured capture, one record per span or event.
+
+    Record ``i`` is a window of ``durations[i]`` seconds in which
+    ``counts[i]`` tasks of kernel ``kernels[i]`` ran on lane
+    ``lanes[i]`` of ``n_lanes`` (``-1``: on no lane).  A group record
+    counts its window once towards busy time and its members towards
+    the task counts; every record counts towards busy time, only those
+    on a lane towards the lane books.
+    """
+    total_busy = float(durations.sum())
+    on = lanes >= 0
+    return ScheduleReport(
+        source=source, label=label, makespan=makespan,
+        processors=n_lanes or None, tasks=int(counts.sum()),
+        total_busy=total_busy,
+        utilization=(total_busy / (n_lanes * makespan)
+                     if n_lanes and makespan > 0 else None),
+        problem=problem,
+        lanes=(_lane_stats(lanes[on], durations[on], makespan, n_lanes,
+                           counts[on]) if n_lanes else []),
+        kernels=_kernel_pivot(kernels, durations.tolist(), counts.tolist()),
+        queue_wait=queue_wait)
+
+
 def analyze_tracer(tracer: Tracer, label: str = "measured") -> ScheduleReport:
     """Analytics of a measured span capture (times in seconds).
 
@@ -579,25 +608,14 @@ def analyze_tracer(tracer: Tracer, label: str = "measured") -> ScheduleReport:
     via :func:`overlay_diff` for the model-vs-reality attribution.
     """
     spans = list(tracer.spans)
-    makespan = float(tracer.makespan())
-    n_lanes = tracer.worker_count if spans else 0
-    durations = np.array([s.duration for s in spans], dtype=np.float64)
-    workers = np.array([s.worker for s in spans], dtype=np.int64)
     counts = np.array([s.count for s in spans], dtype=np.int64)
-    total_busy = float(durations.sum()) if spans else 0.0
-    lanes = (_lane_stats(workers, durations, makespan, n_lanes, counts)
-             if spans else [])
-    utilization = (total_busy / (n_lanes * makespan)
-                   if n_lanes and makespan > 0 else None)
-    kernels = _kernel_pivot([s.kernel for s in spans], durations.tolist(),
-                            counts.tolist())
     waits = np.repeat([max(0.0, s.queue_delay) for s in spans], counts)
-    return ScheduleReport(source="measured", label=label, makespan=makespan,
-                          processors=n_lanes or None,
-                          tasks=int(counts.sum()),
-                          total_busy=total_busy, utilization=utilization,
-                          lanes=lanes, kernels=kernels,
-                          queue_wait=_wait_summary(waits))
+    return _measured_report(
+        "measured", label, [s.kernel for s in spans],
+        np.array([s.duration for s in spans], dtype=np.float64), counts,
+        float(tracer.makespan()),
+        np.array([s.worker for s in spans], dtype=np.int64),
+        tracer.worker_count, queue_wait=_wait_summary(waits))
 
 
 # ----------------------------------------------------------------------
@@ -897,36 +915,20 @@ def analyze_chrome_trace(source: Union[str, dict]) -> list[ScheduleReport]:
     reports = []
     for pid in sorted(set(names) | set(by_pid)):
         xs = by_pid.get(pid, [])
-        label = names.get(pid, str(pid))
-        if not xs:
-            reports.append(ScheduleReport(
-                source="trace", label=label, makespan=0.0, processors=None,
-                tasks=0, total_busy=0.0, utilization=None, problem=problem))
-            continue
         ts = np.array([float(e["ts"]) for e in xs]) / 1e6
         dur = np.array([float(e.get("dur", 0.0)) for e in xs]) / 1e6
-        # a group span covers args.count tasks
+        # a group span covers args.count tasks; each thread is a lane
         counts = np.array([int(e.get("args", {}).get("count", 1))
                            for e in xs], dtype=np.int64)
-        tids = sorted({int(e.get("tid", 0)) for e in xs})
-        lane_of = {t: i for i, t in enumerate(tids)}
-        workers = np.array([lane_of[int(e.get("tid", 0))] for e in xs],
-                           dtype=np.int64)
-        makespan = float((ts + dur).max() - ts.min())
-        total_busy = float(dur.sum())
-        kernels = _kernel_pivot(
+        tids, lanes = np.unique(np.array([int(e.get("tid", 0)) for e in xs],
+                                         dtype=np.int64),
+                                return_inverse=True)
+        reports.append(_measured_report(
+            "trace", names.get(pid, str(pid)),
             [e.get("args", {}).get("kernel") or e["name"].split("(")[0]
-             for e in xs],
-            dur.tolist(), counts.tolist())
-        lanes = _lane_stats(workers, dur, makespan, len(tids), counts)
-        utilization = (total_busy / (len(tids) * makespan)
-                       if tids and makespan > 0 else None)
-        reports.append(ScheduleReport(
-            source="trace", label=label, makespan=makespan,
-            processors=len(tids), tasks=int(counts.sum()),
-            total_busy=total_busy,
-            utilization=utilization, lanes=lanes, kernels=kernels,
-            problem=problem))
+             for e in xs], dur, counts,
+            float((ts + dur).max() - ts.min()) if xs else 0.0,
+            lanes, len(tids), problem=problem))
     return reports
 
 
@@ -945,43 +947,26 @@ def analyze_events(events, label: str = "events") -> ScheduleReport:
     problem = next((e.problem for e in events
                     if e.kind == "run_start" and e.problem), "")
     done = [e for e in events if e.kind in ("task_done", "group_done")]
-    if not done:
-        return ScheduleReport(source="trace", label=label, makespan=0.0,
-                              processors=None, tasks=0, total_busy=0.0,
-                              utilization=None, problem=problem)
     ts = np.array([e.t for e in done], dtype=np.float64)
     dur = np.array([max(0.0, e.value) for e in done], dtype=np.float64)
     counts = np.array([max(1, e.count) for e in done], dtype=np.int64)
-    makespan = float(ts.max() - (ts - dur).min())
-    total_busy = float(dur.sum())
-    ntasks = int(counts.sum())
-
-    kernels = _kernel_pivot([e.kernel or "?" for e in done], dur.tolist(),
-                            counts.tolist())
-
-    lanes: list[LaneStats] = []
-    utilization = None
-    wids = sorted({e.worker for e in done if e.worker >= 0})
-    if wids:
-        lane_of = {w: i for i, w in enumerate(wids)}
-        mask = np.array([e.worker >= 0 for e in done])
-        workers = np.array([lane_of[e.worker] for e in done
-                            if e.worker >= 0], dtype=np.int64)
-        lanes = _lane_stats(workers, dur[mask], makespan, len(wids),
-                            counts[mask])
-        if makespan > 0:
-            utilization = total_busy / (len(wids) * makespan)
-    return ScheduleReport(source="trace", label=label, makespan=makespan,
-                          processors=len(wids) or None, tasks=ntasks,
-                          total_busy=total_busy, utilization=utilization,
-                          lanes=lanes, kernels=kernels, problem=problem)
+    # events without a worker (worker < 0) count towards busy time only
+    workers = np.array([e.worker for e in done], dtype=np.int64)
+    on = workers >= 0
+    wids, inverse = np.unique(workers[on], return_inverse=True)
+    lanes = np.full(len(done), -1, dtype=np.int64)
+    lanes[on] = inverse
+    return _measured_report(
+        "trace", label, [e.kernel or "?" for e in done], dur, counts,
+        float(ts.max() - (ts - dur).min()) if done else 0.0,
+        lanes, len(wids), problem=problem)
 
 
 def analyze_trace_file(path) -> list[ScheduleReport]:
     """Analyze a trace file of either format, sniffing which it is.
 
     Accepts the Chrome trace-event JSON documents written by ``repro
-    profile --trace`` *and* the JSONL event logs written by ``repro
+    profile --out`` *and* the JSONL event logs written by ``repro
     profile --events`` (either gzipped when the name ends in ``.gz``).
     A file whose first line parses as an object with a ``kind`` key is
     JSONL; anything else goes through :func:`analyze_chrome_trace`.

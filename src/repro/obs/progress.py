@@ -1,4 +1,4 @@
-"""Live progress rendering: ``--progress`` bars and ``repro top`` (S21).
+"""Live progress rendering: the ``--progress`` dashboard (S21).
 
 A :class:`ProgressRenderer` watches a
 :class:`~repro.obs.stream.LiveState` (the event-bus reduction) on a
@@ -6,8 +6,8 @@ background thread and paints:
 
 * per-kernel completion bars (done/total per GEQRT..TTMQR, totals from
   the plan's DAG);
-* worker utilization (busy workers out of the pool) and the live
-  ready-frontier depth;
+* worker utilization (busy workers out of the pool), the live
+  ready-frontier depth, and each worker's current kernel;
 * a live ETA from :class:`~repro.planner.replay.ScheduleReplay` —
   realized progress replayed against the plan's memoized simulated
   schedule — including the predicted-vs-first-prediction **drift**.
@@ -31,6 +31,9 @@ __all__ = ["ProgressRenderer", "kernel_totals", "render_bar"]
 
 #: canonical kernel display order
 _KERNELS = tuple(k.value for k in Kernel)
+
+#: seconds between repaints on a TTY
+_REPAINT_S = 0.1
 
 
 def kernel_totals(graph) -> dict[str, int]:
@@ -80,30 +83,26 @@ class ProgressRenderer:
     tty : bool or None
         Force TTY (ANSI repaint) or non-TTY (line) mode; ``None``
         autodetects via ``stream.isatty()``.
-    interval, nontty_interval : float
-        Repaint cadence, and the (slower) line cadence when not a TTY.
+    nontty_interval : float
+        Seconds between progress lines when not a TTY (a TTY repaints
+        every 0.1 s).
     label : str
         Header label (scheme/grid description).
-    show_workers : bool
-        Also render the per-worker kernel row (the ``repro top`` view).
     """
 
     def __init__(self, state: LiveState, replay=None, *, clock=None,
                  totals: dict | None = None, stream=None,
-                 tty: bool | None = None, interval: float = 0.1,
-                 nontty_interval: float = 1.0, label: str = "",
-                 bar_width: int = 24, show_workers: bool = False) -> None:
+                 tty: bool | None = None, nontty_interval: float = 1.0,
+                 label: str = "", bar_width: int = 24) -> None:
         self.state = state
         self.replay = replay
         self.totals = totals or {}
         self.stream = stream if stream is not None else sys.stderr
         isatty = getattr(self.stream, "isatty", lambda: False)
         self.tty = bool(isatty()) if tty is None else bool(tty)
-        self.interval = float(interval)
         self.nontty_interval = float(nontty_interval)
         self.label = label
         self.bar_width = int(bar_width)
-        self.show_workers = show_workers
         self._epoch = time.perf_counter()
         self.clock = clock if clock is not None else (
             lambda: time.perf_counter() - self._epoch)
@@ -144,7 +143,7 @@ class ProgressRenderer:
         status = (f"workers {render_bar(busy / nw, self.bar_width)} "
                   f"{busy}/{nw} busy | frontier {v['frontier']}")
         out.append(status)
-        if self.show_workers and v["worker_kernel"]:
+        if v["worker_kernel"]:
             cells = [f"w{w}:{k or 'idle'}"
                      for w, k in sorted(v["worker_kernel"].items())[:16]]
             out.append("  ".join(cells))
@@ -171,7 +170,7 @@ class ProgressRenderer:
         self.stream.flush()
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(_REPAINT_S):
             self.render_once()
 
     def start(self) -> "ProgressRenderer":

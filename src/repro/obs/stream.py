@@ -4,8 +4,8 @@ The tracer and metrics registry (PR 1) observe a run *after* it
 finishes — spans and histograms are read back once the executor
 returns.  This module adds the third leg: a bounded, thread-safe
 **event bus** that both executors publish typed :class:`Event`
-records into *while the factorization runs*, so progress bars, the
-``repro top`` dashboard, the background
+records into *while the factorization runs*, so the ``--progress``
+dashboard, the background
 :class:`~repro.obs.sampler.Sampler`, and (next) per-job telemetry
 channels of a factorization service can all watch one stream.
 

@@ -224,8 +224,8 @@ class Plan:
     def replay(self, processors: Optional[int] = None,
                priority: str = "critical-path"):
         """A :class:`~repro.planner.replay.ScheduleReplay` over the
-        plan's memoized schedule — the live-ETA primitive of
-        ``--progress`` and ``repro top``: realized (done, elapsed)
+        plan's memoized schedule — the live-ETA primitive of the
+        ``--progress`` dashboard: realized (done, elapsed)
         progress maps onto the simulated schedule to predict the wall
         makespan while the run is still going.
         """

@@ -36,14 +36,16 @@ core's drain order restricted to the panel kernels (the Plan's
 memoized ``level_groups()``, or ``drain_groups`` of a bare graph, run
 once per context), ``Q^H`` forward and ``Q`` backward.  With the
 reference kernels, each group whose tiles are all full runs as one
-stacked kernel call on the gathered row blocks of a right-hand side
-at most :data:`REPLAY_STACK_TILES` tiles wide; LAPACK's compact ``T``,
-custom backends, ragged tiles, wider right-hand sides and
-:meth:`~ExecutionContext.apply_q_right` run per tile in the same
-order.  Either way the bytes equal a per-task replay in emission
-order: a group's members are independent, the DAG orders every two
-panel tasks sharing a row block, and the reference per-tile applies
-are the stacked applies on one-tile views.
+stacked kernel call on the gathered row blocks of a left-hand-side
+operand at most :data:`REPLAY_STACK_TILES` tiles wide, or on the
+gathered column blocks of a right-side one
+(:meth:`~ExecutionContext.apply_q_right`) at most that many tiles
+tall; LAPACK's compact ``T``, custom backends, ragged tiles and
+larger operands run per tile in the same order.  Either way the bytes
+equal a per-task replay in emission order: a group's members are
+independent, the DAG orders every two panel tasks sharing a row
+block, and the reference per-tile applies are the stacked applies on
+one-tile views.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ __all__ = ["ExecutionContext", "ExecOptions", "REPLAY_STACK_TILES",
 logger = logging.getLogger(__name__)
 
 #: ``apply_q`` stacks a panel group only for right-hand sides at most
-#: this many tiles wide: wider blocks gather more than the saved
-#: per-call overhead (docs/performance.md, "Least squares: replaying Q
-#: in drain groups")
+#: this many tiles wide (``apply_q_right``: operands at most this many
+#: tiles tall): larger blocks gather more than the saved per-call
+#: overhead (docs/performance.md, "Least squares: replaying Q in drain
+#: groups")
 REPLAY_STACK_TILES = 2
 
 
@@ -157,7 +160,11 @@ class ExecutionContext:
 
         ``c`` must have ``m`` columns.  ``C @ Q`` replays the panel
         groups in drain order (``Q = Q_1 Q_2 ...``), ``C @ Q^H`` in
-        reverse with adjoints, one per-tile call per panel task.
+        reverse with adjoints.  As in :meth:`apply_q`, a full-tile
+        group runs as one stacked call, here on the gathered column
+        blocks of ``c`` when ``c`` is at most
+        :data:`REPLAY_STACK_TILES` tiles tall; the bytes equal the
+        per-task replay in emission order.
         """
         if c.shape[1] != self.tiled.m:
             raise ValueError(
@@ -219,8 +226,10 @@ class ExecutionContext:
         of ``c`` for ``side="L"``, column blocks for ``"R"``)."""
         nb, m = self.tiled.nb, self.tiled.m
         bk, tiles, tf = self.backend, self.tiled, self.tfactors
-        stack = (side == "L" and bk is REFERENCE
-                 and c.shape[1] <= REPLAY_STACK_TILES * nb)
+        # each gathered block is nb by c's width (from the left) or by
+        # c's height (from the right)
+        extent = c.shape[1] if side == "L" else c.shape[0]
+        stack = bk is REFERENCE and extent <= REPLAY_STACK_TILES * nb
 
         def block(i: int) -> np.ndarray:
             rows = slice(i * nb, min((i + 1) * nb, m))
@@ -232,7 +241,7 @@ class ExecutionContext:
             groups = groups[::-1]
         for grp in groups:
             if stack and grp.full:
-                self._apply_stacked(grp, c, adjoint)
+                self._apply_stacked(grp, c, adjoint, side)
                 continue
             kind = KIND[grp.code]
             for row, piv, col in zip(grp.rows.tolist(), grp.pivs.tolist(),
@@ -251,9 +260,10 @@ class ExecutionContext:
         return c
 
     def _apply_stacked(self, grp: "_PanelGroup", c: np.ndarray,
-                       adjoint: bool) -> None:
-        """One full-tile panel group as one stacked left-side apply on
-        the gathered row blocks of ``c``."""
+                       adjoint: bool, side: str) -> None:
+        """One full-tile panel group as one stacked apply on the
+        gathered row blocks of ``c`` (``side="L"``) or its column
+        blocks (``"R"``)."""
         tiled, nb = self.tiled, self.tiled.nb
         kind, rows, cols = KIND[grp.code], grp.rows, grp.cols
         pf, qf = tiled.m // nb, tiled.n // nb
@@ -264,15 +274,19 @@ class ExecutionContext:
               for r, k in zip(rows.tolist(), cols.tolist())]
         t = TFactor([np.array(blks) for blks in zip(*(x.blocks for x in ts))],
                     ts[0].ib)
-        c3 = c[:pf * nb].reshape(pf, nb, c.shape[1])
+        # a view of c's blocks indexed by tile row: (pf, nb, k) row
+        # blocks, or (pf, k, nb) column blocks
+        c3 = (c[:pf * nb].reshape(pf, nb, c.shape[1]) if side == "L" else
+              c[:, :pf * nb].reshape(c.shape[0], pf, nb).transpose(1, 0, 2))
         bot = c3[rows]
         if kind == "ge":
-            unmqr_batched(v, t, bot, adjoint=adjoint)
+            unmqr_batched(v, t, bot, adjoint=adjoint, side=side)
         else:
             top = c3[grp.pivs]
             apply_stacked_batched(v, t, top, bot,
                                   tt_support if kind == "tt" else ts_support,
-                                  adjoint=adjoint, mask=kind == "tt")
+                                  adjoint=adjoint, mask=kind == "tt",
+                                  side=side)
             c3[grp.pivs] = top
         c3[rows] = bot
 

@@ -99,7 +99,9 @@ class GroupExecutor:
         self.q, self.ib = q, ib
         self.bk = get_backend(backend)
         self.stacked = stacked
-        self.compact = not stacked and self.bk is LAPACK
+        # the layout the per-tile applies read: a wrapped LAPACK backend
+        # (checked_backend) keeps LAPACK's applies and so its compact T
+        self.compact = not stacked and self.bk.unmqr is LAPACK.unmqr
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
         #: fslot -> TFactor of 2-D *views* into the T store.  A T

@@ -11,8 +11,8 @@ everything else derives from its fields:
   :func:`~repro.runtime.execute_process` and
   :meth:`ProcessPool.run <repro.runtime.ProcessPool.run>` take only the
   bundle;
-* the CLI's ``factor``, ``profile``, ``overhead`` and ``top``
-  subcommands generate one flag per field from the field's metadata
+* the CLI's ``factor`` and ``profile`` subcommands generate one
+  flag per field from the field's metadata
   (its help text, choices and type; a field without metadata, such as
   ``pool``, has no flag).
 

@@ -41,14 +41,18 @@ class TestAssertions:
 
 
 class TestCheckedBackend:
-    @pytest.mark.parametrize("base", ["reference", "lapack"])
-    def test_full_factorization_passes_checks(self, rng, base):
-        """A correct run triggers no contract violation."""
+    @pytest.mark.parametrize("base,workers", [
+        pytest.param(base, workers,
+                     id=base if workers is None else f"{base}-workers{workers}")
+        for workers in (None, 2) for base in ("reference", "lapack")])
+    def test_full_factorization_passes_checks(self, rng, base, workers):
+        """A correct run triggers no contract violation, sequentially
+        and on the thread transport."""
         a = random_matrix(rng, 40, 24)
         tiled = TiledMatrix(a.copy(), 8)
         g = build_dag(greedy(tiled.p, tiled.q), "TT")
-        execute_graph(g, tiled, ExecOptions(backend=checked_backend(base)),
-                      ib=4)
+        execute_graph(g, tiled, ExecOptions(backend=checked_backend(base),
+                                            workers=workers), ib=4)
         r = np.triu(tiled.array[:24])
         _, r_np = np.linalg.qr(a)
         assert np.allclose(np.abs(r), np.abs(r_np), atol=1e-11)

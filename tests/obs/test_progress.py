@@ -64,7 +64,7 @@ class TestLines:
         assert bars[1].startswith("TSMQR") and "3/6" in bars[1]
 
     def test_worker_and_frontier_status(self):
-        bus, r, _ = _wired(tty=False, show_workers=True)
+        bus, r, _ = _wired(tty=False)
         bus.publish("run_start", total=10, count=2)
         bus.publish("task_start", tid=0, kernel="GEQRT", worker=0)
         bus.publish("task_start", tid=1, kernel="TSMQR", worker=1)

@@ -4,7 +4,8 @@
 panel tasks group by group in the frontier core's drain order and
 stacks each full-tile group into one kernel call when the context
 replays with the reference kernels and the right-hand side is at most
-``REPLAY_STACK_TILES`` tiles wide.  Every case here compares its bytes
+``REPLAY_STACK_TILES`` tiles wide (``apply_q_right``: the left-hand
+operand at most that many tiles tall).  Every case here compares its bytes
 with the emission-order loop it replaced (``tests/runtime/reference.py``),
 over every transport, kernel family, elimination tree, dtype, exact and
 ragged tilings, and right-hand-side widths on both sides of the limit.
@@ -73,7 +74,8 @@ def same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
 
 def assert_replays_match(ctx, rng, dtype=np.float64) -> None:
     """Both directions from the left at every width, and both from
-    the right, byte for byte against the emission-order oracle."""
+    the right at every height, byte for byte against the
+    emission-order oracle."""
     m = ctx.tiled.m
     for w in WIDTHS:
         c = random_matrix(rng, m, w, dtype)
@@ -81,11 +83,12 @@ def assert_replays_match(ctx, rng, dtype=np.float64) -> None:
             got = ctx.apply_q(c.copy(), adjoint=adjoint)
             want = reference_replay(ctx, c.copy(), adjoint)
             assert same_bytes(got, want), (w, adjoint)
-    c = random_matrix(rng, 5, m, dtype)
-    for adjoint in (True, False):
-        got = ctx.apply_q_right(c.copy(), adjoint=adjoint)
-        want = reference_replay(ctx, c.copy(), adjoint, side="R")
-        assert same_bytes(got, want), ("R", adjoint)
+    for h in WIDTHS:
+        c = random_matrix(rng, h, m, dtype)
+        for adjoint in (True, False):
+            got = ctx.apply_q_right(c.copy(), adjoint=adjoint)
+            want = reference_replay(ctx, c.copy(), adjoint, side="R")
+            assert same_bytes(got, want), ("R", h, adjoint)
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -134,17 +137,28 @@ def test_bare_task_graph_context(rng, family):
 @pytest.mark.parametrize("family", ["TT", "TS"])
 @pytest.mark.parametrize("mode", list(MODES))
 def test_factorization_calls(rng, pool, monkeypatch, mode, family):
-    """``qh_matmul``, ``q_matmul`` and ``solve_lstsq`` equal the same
-    calls with the context's ``apply_q`` swapped for the oracle."""
+    """``qh_matmul``, ``q_matmul``, ``solve_lstsq`` and ``matmul_q``
+    equal the same calls with the context's ``apply_q`` and
+    ``apply_q_right`` swapped for the oracle."""
     a = random_matrix(rng, 45, 21)
     f = factor(a, nb=NB, ib=IB, family=family, **keywords(mode, pool))
     rhs = [random_matrix(rng, 45, 1, a.dtype)[:, 0],
            random_matrix(rng, 45, LIMIT), random_matrix(rng, 45, 4 * NB)]
-    got = [(f.qh_matmul(b), f.q_matmul(b), f.solve_lstsq(b)) for b in rhs]
+    lhs = [random_matrix(rng, h, 45) for h in (1, LIMIT, 4 * NB)]
+
+    def calls():
+        return ([(f.qh_matmul(b), f.q_matmul(b), f.solve_lstsq(b))
+                 for b in rhs]
+                + [(f.matmul_q(c), f.matmul_q(c, adjoint=True))
+                   for c in lhs])
+
+    got = calls()
     ctx = f.context
     monkeypatch.setattr(ctx, "apply_q", lambda c, adjoint=True:
                         reference_replay(ctx, c, adjoint))
-    want = [(f.qh_matmul(b), f.q_matmul(b), f.solve_lstsq(b)) for b in rhs]
+    monkeypatch.setattr(ctx, "apply_q_right", lambda c, adjoint=False:
+                        reference_replay(ctx, c, adjoint, side="R"))
+    want = calls()
     for g3, w3 in zip(got, want):
         for g, w in zip(g3, w3):
             assert same_bytes(g, w)
@@ -158,9 +172,9 @@ class TestWhichGroupsStack:
         calls = []
         real = ExecutionContext._apply_stacked
 
-        def spy(self, grp, c, adjoint):
+        def spy(self, grp, *args):
             calls.append(grp)
-            return real(self, grp, c, adjoint)
+            return real(self, grp, *args)
 
         monkeypatch.setattr(ExecutionContext, "_apply_stacked", spy)
         return calls
@@ -173,9 +187,12 @@ class TestWhichGroupsStack:
             stacked.clear()
             ctx.apply_q(random_matrix(rng, 48, w))
             assert len(stacked) == len(groups)
+            stacked.clear()
+            ctx.apply_q_right(random_matrix(rng, w, 48))
+            assert len(stacked) == len(groups)
         stacked.clear()
         ctx.apply_q(random_matrix(rng, 48, LIMIT + 1))
-        ctx.apply_q_right(random_matrix(rng, 2, 48))
+        ctx.apply_q_right(random_matrix(rng, LIMIT + 1, 48))
         assert not stacked
 
     def test_ragged_groups_stay_per_tile(self, rng, stacked):

@@ -1,13 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import argparse
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import plan
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, render_reference
 from repro.runtime import ExecOptions
 
 
@@ -160,13 +162,18 @@ class TestProfile:
 
 
 class TestOverhead:
-    ARGS = ["overhead", "greedy", "3", "2", "--nb", "8", "--ib", "4",
-            "--workers", "2", "--start-method", "fork"]
+    """``profile`` prints the overhead report in every mode: six phases
+    from process mode's distributed tracer, the two-phase view from the
+    plain spans of the other modes."""
+
+    ARGS = ["profile", "greedy", "3", "2", "--nb", "8", "--ib", "4",
+            "--mode", "process", "--workers", "2", "--start-method", "fork",
+            "--no-sim"]
 
     def test_process_mode_phase_breakdown(self, tmp_path, capsys):
         import json
         json_path = tmp_path / "overhead.json"
-        assert main(self.ARGS + ["--json", str(json_path)]) == 0
+        assert main(self.ARGS + ["--overhead-json", str(json_path)]) == 0
         out = capsys.readouterr().out
         assert "overhead report" in out
         assert "IPC tax" in out
@@ -183,7 +190,7 @@ class TestOverhead:
         assert 0 < doc["max_residual_s"] < 1e-3
 
     def test_task_mode_degenerates(self, capsys):
-        assert main(["overhead", "greedy", "3", "2", "--nb", "8",
+        assert main(["profile", "greedy", "3", "2", "--nb", "8",
                      "--ib", "4", "--mode", "task", "--workers", "2"]) == 0
         assert "two-phase fallback" in capsys.readouterr().out
 
@@ -261,6 +268,23 @@ class TestAnalyze:
         assert main(["analyze", "plasma(bs=5)", "15", "6",
                      "--workers", "8"]) == 0
         assert "schedule report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["cholesky(t=8)", "lu(p=8,q=8)",
+                                      "qr(p=8,q=4)"])
+    def test_problem_spec_bounds(self, capsys, spec):
+        """A problem spec reports its makespan against every lower
+        bound that applies, ALAP included."""
+        assert main(["analyze", spec, "--workers", "4"]) == 0
+        out = capsys.readouterr().out
+        for line in ("makespan", "DAG critical path", "work / P",
+                     "ALAP area bound", "best lower bound", "efficiency"):
+            assert line in out, (spec, line)
+        assert ("paper 22q - 30" in out) == spec.startswith("qr")
+
+    def test_bad_spec_fails_cleanly(self, capsys):
+        assert main(["analyze", "cholesky(t=0)"]) == 2
+        assert main(["analyze", "no-such-tree", "4", "2"]) == 2
+        assert "analyze:" in capsys.readouterr().err
 
 
 class TestSweepCacheLine:
@@ -360,9 +384,7 @@ class TestExecFlags:
     every subcommand that executes, with the fields' choices and help,
     and the fields' defaults except for these overrides."""
 
-    OVERRIDES = {"factor": {}, "profile": {"workers": 4},
-                 "overhead": {"mode": "process", "workers": 4},
-                 "top": {"workers": 4}}
+    OVERRIDES = {"factor": {}, "profile": {"workers": 4}}
 
     def _flags(self, command):
         sub = next(a for a in build_parser()._actions
@@ -387,7 +409,7 @@ class TestExecFlags:
                 assert act.help == f.metadata["help"]
 
     def test_simulation_workers_is_a_processor_count(self):
-        for command in ("trace", "sim", "analyze"):
+        for command in ("trace", "analyze"):
             sub = next(a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
             dests = {a.dest for a in sub.choices[command]._actions}
@@ -460,17 +482,20 @@ class TestProfileExports:
 
 
 class TestTop:
+    """``profile --progress`` is the live dashboard: the final paint on
+    stderr, the drift and summary lines on stdout."""
+
     def test_headless_run_summarizes(self, capsys):
-        assert main(["top", "greedy", "4", "4", "--nb", "16",
-                     "--ib", "16", "--mode", "batched"]) == 0
+        assert main(["profile", "greedy", "4", "4", "--nb", "16",
+                     "--ib", "16", "--mode", "batched", "--progress"]) == 0
         res = capsys.readouterr()
         assert "retired 50/50 tasks" in res.out
         assert "published" in res.out and "dropped" in res.out
         assert "tasks (100.0%)" in res.err   # dashboard final paint
 
     def test_threaded_mode(self, capsys):
-        assert main(["top", "greedy", "3", "3", "--nb", "16",
-                     "--ib", "16", "--workers", "2"]) == 0
+        assert main(["profile", "greedy", "3", "3", "--nb", "16",
+                     "--ib", "16", "--workers", "2", "--progress"]) == 0
         assert "drift" in capsys.readouterr().out
 
 
@@ -487,3 +512,39 @@ class TestAnalyzeFromTrace:
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["analyze", "--from-trace", "/nonexistent.jsonl"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestReference:
+    """docs/cli.md is the parser's own ``--help`` text; each command
+    is one job."""
+
+    DOC = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
+
+    def test_docs_match_the_parser(self):
+        assert self.DOC.read_text(encoding="utf-8") == render_reference(), (
+            "docs/cli.md is stale; regenerate it with PYTHONPATH=src "
+            "python -c \"from repro.cli import render_reference; "
+            "print(render_reference(), end='')\" > docs/cli.md")
+
+    def test_render_ignores_columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = render_reference()
+        monkeypatch.setenv("COLUMNS", "40")
+        assert render_reference() == wide
+        assert max(len(line) for line in wide.splitlines()) <= 80
+
+    def test_examples_parse(self):
+        parser = build_parser()
+        text = parser.epilog.replace("\\\n", " ")
+        examples = [shlex.split(line) for line in text.splitlines()
+                    if line.strip().startswith("python -m repro")]
+        assert len(examples) >= 10
+        for argv in examples:
+            parser.parse_args(argv[3:])
+
+    @pytest.mark.parametrize("command", ["overhead", "top", "sim"])
+    def test_folded_commands_are_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "greedy", "4", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
