@@ -395,6 +395,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    import json
+
     from .obs.analyze import analyze_sim, analyze_trace_file, render_report
 
     if args.from_trace:
@@ -416,7 +418,15 @@ def _cmd_analyze(args) -> int:
             print(f"analyze: no trace events in {args.from_trace}",
                   file=sys.stderr)
             return 1
-        print("\n\n".join(render_report(r, args.format) for r in reports))
+        if args.format == "json":
+            # one document: the report of a single process, else an
+            # array of every process's report
+            docs = [r.to_dict() for r in reports]
+            print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=1,
+                             sort_keys=True))
+        else:
+            print("\n\n".join(render_report(r, args.format)
+                              for r in reports))
         return 0
     if args.scheme is None:
         print("analyze: need SCHEME P Q, a problem spec such as "

@@ -20,13 +20,16 @@ The stacked applies here are the only implementation of the update
 kernels: the per-tile :func:`~repro.kernels.geqrt.unmqr`,
 :func:`~repro.kernels.tsqrt.tsmqr` and :func:`~repro.kernels.ttqrt.ttmqr`
 call them on one-tile views, so per-tile and grouped execution agree
-bitwise by construction.  A :class:`~repro.kernels.householder.TFactor`
-with 2-D blocks (one tile's ``T``) broadcasts over the whole stack.
-The stacked factor kernels mirror :mod:`repro.kernels.geqrt` and
-:mod:`repro.kernels.stacked` step for step (same formulas, same
-conditional writes on zero-norm columns), so each batch slice agrees
-with the per-tile factor kernel to rounding; they are *not* bitwise
-identical because batched reductions may associate differently.
+bitwise by construction, and the runtime runs every apply group of
+every transport through them, on either backend's ``T``.  A
+:class:`~repro.kernels.householder.TFactor` with 2-D blocks (one
+tile's ``T``) broadcasts over the whole stack.  The stacked factor
+kernels run only the inline transport's reference groups; they
+mirror :mod:`repro.kernels.geqrt` and :mod:`repro.kernels.stacked`
+step for step (same formulas, same conditional writes on zero-norm
+columns), so each batch slice agrees with the per-tile factor kernel
+to rounding; they are *not* bitwise identical because batched
+reductions may associate differently.
 
 Tiles are expected zero-padded to a uniform ``nb x nb`` (see
 :class:`repro.tiles.pool.TilePool`): zero padding is exact — padded
@@ -40,7 +43,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .householder import TFactor, panel_starts
 from .stacked import ts_support, tt_support
@@ -54,9 +56,6 @@ __all__ = [
     "ttmqr_batched",
     "factor_stacked_batched",
     "apply_stacked_batched",
-    "lapack_batched_supported",
-    "geqrt_lapack_pool",
-    "factor_stacked_lapack_pool",
 ]
 
 
@@ -379,141 +378,3 @@ def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
     """Batched :func:`repro.kernels.ttqrt.ttmqr` (masked)."""
     apply_stacked_batched(v, t, c_top, c_bot, tt_support,
                           adjoint=adjoint, mask=True, side=side)
-
-
-# ---------------------------------------------------------------------------
-# LAPACK-accelerated factor kernels (per-slice ?geqrt / ?tpqrt)
-# ---------------------------------------------------------------------------
-#
-# The stacked NumPy *update* kernels above are a handful of large
-# ``np.matmul`` calls and run at BLAS speed, but the *factor* kernels
-# keep a per-column Python loop whose interpreter constants dominate on
-# small tiles.  LAPACK's ``?geqrt``/``?tpqrt`` do the same panel
-# factorization in compiled code (~100 us per 64 x 64 tile vs ~2.5 ms
-# for the column loop), so the inline transport calls them slice by
-# slice, in place on the tile pool's slots (the per-slice loop needs no
-# contiguous gathered operand, unlike the stacked NumPy kernels), and
-# still hands back a :class:`TFactor` with exactly the layout the
-# stacked applies expect (``?geqrt``/``?tpqrt`` store ``T`` as
-# side-by-side ``(ib, jb)`` panel blocks).
-#
-# One convention difference needs patching: LAPACK's ``?larfg``
-# early-outs with ``tau = 0`` (identity) when a column's tail is
-# exactly zero, while :func:`repro.kernels.householder.reflector`
-# always applies ``H = -I`` there (``tau = 2``, ``beta = -alpha``).
-# The fix-up below rewrites those columns to the reference convention
-# (flip the ``R`` row, recompute the ``T`` column from the stored
-# ``V``), so this path reproduces the reference ``R`` to rounding —
-# including on zero-padded ragged tiles, where zero tails are routine.
-# Real dtypes only: ``?larfg``'s complex branch also rotates ``alpha``
-# to the real axis, which is not expressible in our real-``tau``
-# convention, so complex stacks stay on the NumPy kernels.
-
-
-def lapack_batched_supported(dtype) -> bool:
-    """Whether the per-slice LAPACK factor path can handle ``dtype``."""
-    return np.dtype(dtype).type in (np.float32, np.float64)
-
-
-def _fix_zero_tail_geqrt_pool(stack: np.ndarray, slots: np.ndarray,
-                              tstack: np.ndarray, ib: int, k: int) -> None:
-    """Rewrite LAPACK's zero-tail ``tau = 0`` columns of the pool
-    slots ``slots`` to the reference ``H = -I`` convention, in place
-    (see the section comment above)."""
-    for j0, jb in _panels(k, ib):
-        cols = j0 + np.arange(jb)
-        taud = tstack[:, np.arange(jb), cols]
-        diag = stack[slots[:, None], cols, cols]
-        hits = (taud == 0.0) & (diag != 0.0)
-        if not hits.any():
-            continue
-        for jj in np.nonzero(hits.any(axis=0))[0]:
-            j = j0 + int(jj)
-            idx = np.nonzero(hits[:, jj])[0]
-            sl = slots[idx]
-            if jj:
-                # T[:jj, j] = -tau * T[:jj, :jj] @ (V[:, :jj]^H e_jj);
-                # the inner product collapses to stored V row j.
-                g = stack[sl, j, j0:j]
-                tsub = tstack[idx, :jj, j0:j]
-                tstack[idx, :jj, j] = -2.0 * np.matmul(
-                    tsub, g[:, :, None])[:, :, 0]
-            tstack[idx, jj, j] = 2.0
-            stack[sl, j, j:] *= -1.0
-
-
-def geqrt_lapack_pool(stack: np.ndarray, slots: np.ndarray,
-                      ib: int) -> TFactor:
-    """Per-slice LAPACK ``?geqrt``, in place on pool slots.
-
-    ``stack`` is a :class:`~repro.tiles.pool.TilePool`'s backing array;
-    ``slots[i]`` names the tile of batch element ``i``.  Same return
-    type and numerical convention as :func:`geqrt_batched` (zero-tail
-    columns are fixed up to the reference reflector), so the two are
-    interchangeable.  No gather or scatter copies are made.
-    """
-    nb = stack.shape[1]
-    nbq = max(1, min(ib, nb))
-    (geqrt,) = get_lapack_funcs(("geqrt",), (stack,))
-    nbatch = len(slots)
-    tstack = np.empty((nbatch, nbq, nb), dtype=stack.dtype)
-    for i in range(nbatch):
-        s = slots[i]
-        out, tl, info = geqrt(nbq, stack[s])
-        if info != 0:  # pragma: no cover - only on invalid arguments
-            raise RuntimeError(f"?geqrt failed with info={info}")
-        stack[s] = out
-        tstack[i] = tl
-    _fix_zero_tail_geqrt_pool(stack, slots, tstack, nbq, nb)
-    t = TFactor(ib=nbq)
-    for j0, jb in _panels(nb, nbq):
-        t.blocks.append(tstack[:, :jb, j0:j0 + jb])
-    return t
-
-
-def factor_stacked_lapack_pool(stack: np.ndarray, rslots: np.ndarray,
-                               bslots: np.ndarray, ib: int,
-                               triangular: bool) -> TFactor:
-    """Per-slice LAPACK ``?tpqrt`` over ``[R; B]`` pairs of pool slots.
-
-    Drop-in for :func:`factor_stacked_batched` with ``ts_support``
-    (``triangular=False``, pentagon height ``L = 0``) or ``tt_support``
-    (``triangular=True``, ``L = nb``), in place on the slots ``rslots``
-    (``R``) and ``bslots`` (``B``).  As in the per-tile kernel, the
-    strictly lower triangle of each TT bottom tile (the co-resident
-    GEQRT vectors) is preserved — ``?tpqrt`` never references it.
-    """
-    nb = stack.shape[1]
-    l = nb if triangular else 0
-    nbq = max(1, min(ib, nb))
-    (tpqrt,) = get_lapack_funcs(("tpqrt",), (stack, stack))
-    nbatch = len(rslots)
-    tstack = np.empty((nbatch, nbq, nb), dtype=stack.dtype)
-    for i in range(nbatch):
-        rs, bs = rslots[i], bslots[i]
-        a_out, b_out, tl, info = tpqrt(l, nbq, stack[rs], stack[bs])
-        if info != 0:  # pragma: no cover - only on invalid arguments
-            raise RuntimeError(f"?tpqrt failed with info={info}")
-        stack[rs] = a_out
-        stack[bs] = b_out
-        tstack[i] = tl
-    # Zero-tail fix-up: v_j = [e_j; 0] is orthogonal to every earlier
-    # reflector's top e-vector *and* bottom support, so the T column is
-    # just tau on the diagonal.
-    for j0, jb in _panels(nb, nbq):
-        cols = j0 + np.arange(jb)
-        taud = tstack[:, np.arange(jb), cols]
-        diag = stack[rslots[:, None], cols, cols]
-        hits = (taud == 0.0) & (diag != 0.0)
-        if not hits.any():
-            continue
-        for jj in np.nonzero(hits.any(axis=0))[0]:
-            j = j0 + int(jj)
-            idx = np.nonzero(hits[:, jj])[0]
-            tstack[idx, :, j] = 0.0
-            tstack[idx, jj, j] = 2.0
-            stack[rslots[idx], j, j:] *= -1.0
-    t = TFactor(ib=nbq)
-    for j0, jb in _panels(nb, nbq):
-        t.blocks.append(tstack[:, :jb, j0:j0 + jb])
-    return t

@@ -13,6 +13,14 @@ backend is the performance-faithful substitute for the paper's MKL
 kernels.  The wrappers keep the same in-place calling convention as the
 reference backend (:mod:`repro.kernels`): tiles are modified in place
 and an opaque ``T`` object is returned for the matching update kernel.
+Every transport factors with these kernels one tile at a time; the
+runtime's grouped applies read the returned ``T`` as side-by-side
+``(jb, jb)`` panel blocks, the layout LAPACK stores it in.
+
+For real dtypes the factor kernels give ``R`` the reference kernels'
+row signs: a column whose tail is already zero gets the reference
+reflector instead of LAPACK's identity (:func:`_reflect_zero_tails`).
+Complex dtypes keep LAPACK's phases.
 
 Note on ``TTQRT`` sharing a tile with GEQRT vectors: LAPACK's ``tpqrt``
 with ``L = n`` reads/writes only the upper triangle of ``b``, exactly
@@ -27,7 +35,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 __all__ = ["lapack_geqrt", "lapack_unmqr", "lapack_tsqrt", "lapack_tsmqr",
-           "lapack_ttqrt", "lapack_ttmqr", "LapackT"]
+           "lapack_ttqrt", "lapack_ttmqr", "LapackT",
+           "lapack_batched_supported"]
 
 
 class LapackT:
@@ -52,14 +61,65 @@ def _fc(a: np.ndarray) -> np.ndarray:
     return np.asfortranarray(a)
 
 
+def lapack_batched_supported(dtype) -> bool:
+    """Whether ``dtype`` is real: the dtypes whose ``R`` these kernels
+    give the reference row signs, and so the ones batched and process
+    mode run the LAPACK backend on."""
+    return np.dtype(dtype).type in (np.float32, np.float64)
+
+
+_TAU_INDEX: dict = {}
+
+
+def _reflect_zero_tails(r: np.ndarray, t: np.ndarray, ib: int,
+                        geqrt: bool) -> None:
+    """Give every zero-tail column the reference reflector, in place.
+
+    ``?larfg`` leaves a column whose tail is already zero unreflected
+    (``tau = 0``, the diagonal keeps its sign), where
+    :func:`~repro.kernels.householder.reflector` applies
+    ``H_j = I - 2 e_j e_j^T`` (``tau = 2``, ``beta = -alpha``).  Every
+    later reflector is zero in row ``j``, so ``H_j`` commutes with
+    them: switching to it negates row ``j`` of ``R`` from the diagonal
+    on and sets column ``j`` of ``T`` to ``-2 T[:, :j] V^H e_j``.  For
+    GEQRT (``r`` the factored tile) that product reads the stored
+    ``V`` row ``j`` within the panel; for the stacked pair it is zero
+    (earlier reflectors are ``e_i`` on top, and ``e_j``'s tail is
+    zero).  The square tiles' last column, whose tail is empty, is
+    such a column in every GEQRT.  Real dtypes only: complex
+    ``?larfg`` also rotates ``alpha`` onto the real axis, a phase no
+    sign flip undoes.
+    """
+    if t.dtype.kind == "c":
+        return
+    k = t.shape[1]
+    idx = _TAU_INDEX.get((ib, k))
+    if idx is None:
+        cols = np.arange(k)
+        idx = _TAU_INDEX[(ib, k)] = (cols % ib, cols)
+    taus = t[idx].tolist()  # tau_j is T[j % ib, j]: panels side by side
+    if 0.0 not in taus:
+        return
+    for j in range(taus.index(0.0), k):
+        if taus[j] or r[j, j] == 0:
+            continue  # reflected, or a zero column: the identity in both
+        jj = j % ib
+        if jj:
+            j0 = j - jj
+            t[:jj, j] = -2.0 * (t[:jj, j0:j] @ r[j, j0:j]) if geqrt else 0.0
+        t[jj, j] = 2.0
+        r[j, j:] *= -1.0
+
+
 def lapack_geqrt(a: np.ndarray, ib: int) -> LapackT:
     """In-place blocked QR of tile ``a``; returns the ``T`` factor."""
     m, n = a.shape
     nb = max(1, min(ib, min(m, n)))
     (geqrt,) = get_lapack_funcs(("geqrt",), (a,))
-    out, t, info = geqrt(nb, _fc(a))
+    out, t, info = geqrt(nb, a)
     if info != 0:
         raise RuntimeError(f"?geqrt failed with info={info}")
+    _reflect_zero_tails(out, t, nb, geqrt=True)
     a[...] = out
     return LapackT(t, nb, l=0)
 
@@ -95,16 +155,14 @@ def _tpqrt(r: np.ndarray, b: np.ndarray, ib: int, triangular: bool) -> LapackT:
         l = 0
         bb = b
     (tpqrt,) = get_lapack_funcs(("tpqrt",), (r, b))
-    a_out, b_out, t, info = tpqrt(l, nb, _fc(r[:n, :]), _fc(bb))
+    a_out, b_out, t, info = tpqrt(l, nb, r[:n, :], bb)
     if info != 0:
         raise RuntimeError(f"?tpqrt failed with info={info}")
+    _reflect_zero_tails(a_out, t, nb, geqrt=False)
     r[:n, :] = a_out
-    if not triangular:
-        b[...] = b_out
-    else:
-        # Preserve the strictly-lower GEQRT vectors sharing the tile.
-        iu = np.triu_indices_from(bb)
-        bb[iu] = b_out[iu]
+    # whole: ?tpqrt never references a TT trapezoid's strictly lower
+    # triangle, so b_out carries the co-resident GEQRT vectors through
+    bb[...] = b_out
     return LapackT(t, nb, l=l)
 
 

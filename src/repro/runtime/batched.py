@@ -15,13 +15,17 @@ run as *one* stacked kernel.  It
    TilePool` (ragged border tiles zero-padded — exact, see the pool
    docs), and
 3. runs each group through the
-   :class:`~repro.runtime.group_executor.GroupExecutor` as one
-   sequence of stacked 3-D operations (:mod:`repro.kernels.batched`).
+   :class:`~repro.runtime.group_executor.GroupExecutor`: every apply
+   group as stacked 3-D operations (:mod:`repro.kernels.batched`),
+   factor groups as stacked NumPy kernels with the reference backend
+   and slice by slice with the per-tile LAPACK kernels otherwise.
 
 Numerical contract: each task's result agrees with the reference
 backend to rounding (``~1e-12 * ||A||`` for the reconstructed
-``Q @ R``); bitwise identity is *not* guaranteed because batched
-reductions may associate differently.
+``Q @ R``).  With the reference backend bitwise identity is *not*
+guaranteed because the stacked factor kernels' reductions may
+associate differently; with LAPACK a group runs exactly as in the
+thread and process transports, so ``R`` is byte-equal to theirs.
 
 The returned :class:`~repro.runtime.executor.ExecutionContext` carries
 per-task ``T`` factors sliced to each tile's valid shape, so
@@ -65,12 +69,12 @@ def execute_batched(
     :class:`~repro.dag.tasks.TaskGraph` or a
     :class:`~repro.planner.Plan` (whose memoized drain order is
     reused).  Of ``options`` only ``backend`` applies: it picks the
-    stacked factor kernels (:func:`~repro.runtime.options.
-    resolve_backend`).
+    factor kernels (:func:`~repro.runtime.options.resolve_backend`).
     """
     opts = ExecOptions() if options is None else options
     bk = resolve_backend(opts.backend, "batched", tiled.array.dtype)
-    # the T store is in panel layout: Q replays with the reference kernels
+    # Q replays with the reference kernels: the stacked applies read
+    # either backend's T as panel blocks
     plan, ctx, life = _prepare(graph, tiled, REFERENCE, ib, tracer,
                                metrics, bus, on_task_done, 1)
     g, metrics = ctx.graph, ctx.metrics
@@ -84,7 +88,8 @@ def execute_batched(
         groups, da = drain_groups(g), dispatch_arrays(g)
 
     pool = TilePool(tiled)
-    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk, stacked=True)
+    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk,
+                               stacked=bk is REFERENCE)
     if life is not None:
         life.run_start(1)
     for code, tids in groups:
@@ -99,7 +104,7 @@ def execute_batched(
             metrics.histogram("batched.group_size",
                               buckets=SIZE_BUCKETS).observe(len(tids))
     pool.scatter()
-    record_tfactors(ctx, da, ex.tstore, ex.compact)
+    record_tfactors(ctx, da, ex.tstore)
     if life is not None:
         life.run_done()
     return ctx

@@ -459,9 +459,9 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     run.  Groups execute outside the lock on a
     :class:`~repro.tiles.pool.TilePool` through the
     :class:`~repro.runtime.group_executor.GroupExecutor`, with the
-    context's per-tile backend for factor kernels and for groups of
-    one, and are recorded into ``life`` outside the lock too.  The
-    calling thread serves as worker 0.
+    context's per-tile backend for the factor kernels, and are
+    recorded into ``life`` outside the lock too.  The calling thread
+    serves as worker 0.
     """
     graph, tiled, metrics = ctx.graph, ctx.tiled, ctx.metrics
     n, W = len(graph), workers
@@ -563,4 +563,4 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     if errors:
         raise errors[0]
     pool.scatter()
-    record_tfactors(ctx, da, ex.tstore, ex.compact)
+    record_tfactors(ctx, da, ex.tstore)

@@ -10,29 +10,26 @@ per factor task, so apply kernels find their source ``T`` by slot.
 Ragged border tiles are zero-padded to full slots, which is exact for
 every kernel (see :mod:`repro.tiles.pool`).
 
-Execution splits by kernel class:
+A group runs the same way in every transport, so its result does not
+depend on the transport, the group's size or its other members:
 
-* **factor kernels** (GEQRT/TSQRT/TTQRT) run per slice with the
-  per-tile backend's kernels — exactly the calls ungrouped dispatch
-  makes, so grouping never changes their results bitwise.  The inline
-  transport (``stacked=True``) instead factors a whole group in one
-  pool-level step with the backend's stacked kernels of
-  :mod:`repro.kernels.batched`: stacked NumPy for ``"reference"``,
-  fixed-up per-slice LAPACK for ``"lapack"``;
-* **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
-  (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
-  stacked apply (:func:`apply_group_pool`): the V tile and its 2-D
-  ``T`` blocks are processed once per run instead of once per task.
-  The reference backend's per-tile applies are these stacked applies
-  on one-tile views, so the numpy path is bit-exact under grouping by
-  construction.  Groups of one run the per-tile backend's apply,
-  except inline, where every apply is stacked.
+* **factor kernels** (GEQRT/TSQRT/TTQRT) run one slice at a time with
+  the backend's per-tile kernels — exactly the calls ungrouped
+  dispatch makes.  Only the inline transport's reference groups
+  (``stacked=True``) factor a whole group in one step with the
+  stacked NumPy kernels of :mod:`repro.kernels.batched`;
+* **apply kernels** (UNMQR/TSMQR/TTMQR), groups of one included, sort
+  the group by source (V/T) tile — :func:`v_runs` — and execute each
+  run as one broadcast stacked apply (:func:`apply_group_pool`): the
+  V tile and its 2-D ``T`` blocks are processed once per run instead
+  of once per task.  The stacked applies compute each slice alone,
+  so grouping never changes an apply's bytes either.
 
-The T store has one of two layouts: ``(nfactor, npanels, ib, ib)``
-panel blocks (reference kernels, and every inline run) or
-``(nfactor, ib, nb)`` — the compact-WY ``T`` LAPACK returns for a
-padded tile (per-tile LAPACK kernels).  :func:`record_tfactors` copies
-either into :attr:`ExecutionContext.tfactors
+The T store has one layout, LAPACK's compact ``(nfactor, ib, nb)``:
+panel ``p``'s ``(jb, jb)`` block sits at columns ``p * ib`` on, which
+is how ``?geqrt``/``?tpqrt`` return ``T`` and where the reference
+kernels' blocks are filed.  :func:`record_tfactors` files views of it
+into :attr:`ExecutionContext.tfactors
 <repro.runtime.executor.ExecutionContext.tfactors>` once the run ends.
 """
 
@@ -45,9 +42,7 @@ from ..kernels.backend import LAPACK, get_backend
 from ..kernels.batched import (
     apply_stacked_batched,
     factor_stacked_batched,
-    factor_stacked_lapack_pool,
     geqrt_batched,
-    geqrt_lapack_pool,
     unmqr_batched,
 )
 from ..kernels.costs import Kernel
@@ -73,25 +68,24 @@ class GroupExecutor:
     stack : ndarray, shape (p * q, nb, nb)
         Slot-addressed tile stack, updated in place.
     tstore : ndarray
-        T store of :meth:`tstore_shape` (``compact`` for per-tile
-        LAPACK kernels).
+        T store of :meth:`tstore_shape`.
     q : int
         Tile-grid width (slot of tile ``(i, j)`` is ``i * q + j``).
     ib : int
         Inner blocking size.
     backend : str or KernelBackend
-        Kernel library, ``"reference"`` or ``"lapack"`` (per-tile
-        kernels also any :class:`~repro.kernels.backend.KernelBackend`).
+        Kernel library whose per-tile factor kernels run the factor
+        groups, ``"reference"`` or ``"lapack"`` (also any
+        :class:`~repro.kernels.backend.KernelBackend` whose factor
+        kernels return a :class:`~repro.kernels.lapack.LapackT` or a
+        :class:`TFactor`).
     stacked : bool
-        Inline transport only: factor whole groups with the backend's
-        stacked pool kernels, and run every apply group through the
-        stacked applies, groups of one included.  Only the LAPACK
-        backend's applies change by this: the reference per-tile
-        applies are the stacked ones already.
+        Factor each group in one step with the stacked NumPy kernels
+        instead (the inline transport's reference runs).
     """
 
-    __slots__ = ("stack", "tstore", "q", "ib", "bk", "stacked",
-                 "compact", "panels", "_tf_cache")
+    __slots__ = ("stack", "tstore", "q", "ib", "bk", "stacked", "panels",
+                 "_tf_cache")
 
     def __init__(self, stack: np.ndarray, tstore: np.ndarray, q: int,
                  ib: int, backend="reference", stacked: bool = False):
@@ -99,9 +93,6 @@ class GroupExecutor:
         self.q, self.ib = q, ib
         self.bk = get_backend(backend)
         self.stacked = stacked
-        # the layout the per-tile applies read: a wrapped LAPACK backend
-        # (checked_backend) keeps LAPACK's applies and so its compact T
-        self.compact = not stacked and self.bk.unmqr is LAPACK.unmqr
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
         #: fslot -> TFactor of 2-D *views* into the T store.  A T
@@ -115,53 +106,35 @@ class GroupExecutor:
                 stacked: bool = False) -> "GroupExecutor":
         """An executor over a private :class:`~repro.tiles.pool.TilePool`
         with a zeroed T store for ``nfactor`` factor tasks."""
-        ex = cls(pool.stack, None, pool.q, ib, backend, stacked)
-        ex.tstore = np.zeros(
-            cls.tstore_shape(nfactor, pool.nb, ib, ex.compact),
-            dtype=pool.stack.dtype)
-        return ex
+        tstore = np.zeros(cls.tstore_shape(nfactor, pool.nb, ib),
+                          dtype=pool.stack.dtype)
+        return cls(pool.stack, tstore, pool.q, ib, backend, stacked)
 
     @staticmethod
-    def tstore_shape(nfactor: int, nb: int, ib: int,
-                     compact: bool) -> tuple:
+    def tstore_shape(nfactor: int, nb: int, ib: int) -> tuple:
         """T-store shape for ``nfactor`` factor tasks (at least one
         slot, so empty graphs still get a valid array)."""
-        if compact:
-            return (max(1, nfactor), ib, nb)
-        return (max(1, nfactor), len(panel_starts(nb, ib)), ib, ib)
+        return (max(1, nfactor), ib, nb)
 
     # ------------------------------------------------------------------
-    def tfactor(self, fslot: int, tt_height: int = 0):
-        """The T factor the per-tile backend takes for slot ``fslot``:
-        a :class:`LapackT` view in the compact layout (with the TT
-        trapezoid height, ``nb`` on padded slots), else
-        :meth:`panel_tfactor`."""
-        if self.compact:
-            return LapackT(self.tstore[fslot], self.ib, tt_height)
-        return self.panel_tfactor(fslot)
-
     def panel_tfactor(self, fslot: int) -> TFactor:
         """The T factor of slot ``fslot`` as 2-D panel blocks, which the
-        stacked applies broadcast over a run (memoized views; the
-        compact layout is sliced into its side-by-side panels)."""
+        stacked applies broadcast over a run (memoized views)."""
         tf = self._tf_cache.get(fslot)
         if tf is None:
             t = self.tstore[fslot]
-            if self.compact:
-                blocks = [t[:jb, j0:j0 + jb] for j0, jb in self.panels]
-            else:
-                blocks = [t[pi, :jb, :jb]
-                          for pi, (_, jb) in enumerate(self.panels)]
-            tf = self._tf_cache[fslot] = TFactor(blocks, self.ib)
+            tf = self._tf_cache[fslot] = TFactor(
+                [t[:jb, j0:j0 + jb] for j0, jb in self.panels], self.ib)
         return tf
 
-    def _store_t(self, fslot: int, t) -> None:
-        if self.compact:
+    def _store_t(self, fslot, t) -> None:
+        """File a factor kernel's ``T`` in slot ``fslot`` (or, with 3-D
+        blocks, in the slots of the array ``fslot``)."""
+        if isinstance(t, LapackT):
             self.tstore[fslot, : t.t.shape[0], : t.t.shape[1]] = t.t
             return
-        for pi, blk in enumerate(t.blocks):
-            jb = blk.shape[0]
-            self.tstore[fslot, pi, :jb, :jb] = blk
+        for (j0, jb), blk in zip(self.panels, t.blocks):
+            self.tstore[fslot, :jb, j0:j0 + jb] = blk
 
     # ------------------------------------------------------------------
     def run(self, code: int, rows, pivs, cols, js, fslots, srcs) -> None:
@@ -171,96 +144,69 @@ class GroupExecutor:
         has no such coordinate); ``fslots`` are the factor tasks' T
         slots, ``srcs`` the apply tasks' source slots.
         """
-        if code in FACTOR_CODES and self.stacked:
-            self._factor_group(code, np.asarray(rows, dtype=np.int64),
-                               np.asarray(pivs, dtype=np.int64),
-                               np.asarray(cols, dtype=np.int64),
-                               np.asarray(fslots, dtype=np.int64))
-        elif code in FACTOR_CODES or (len(rows) == 1 and not self.stacked):
-            for i in range(len(rows)):
-                self._run_task(code, rows[i], pivs[i], cols[i], js[i],
-                               fslots[i], srcs[i])
-        else:
-            q = self.q
-            rows_a = np.asarray(rows, dtype=np.int64)
-            js_a = np.asarray(js, dtype=np.int64)
-            srcs_a = np.asarray(srcs, dtype=np.int64)
-            vslots = rows_a * q + np.asarray(cols, dtype=np.int64)
+        q = self.q
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if code not in FACTOR_CODES:
+            js = np.asarray(js, dtype=np.int64)
+            srcs = np.asarray(srcs, dtype=np.int64)
             top = (None if code == _UNMQR
-                   else np.asarray(pivs, dtype=np.int64) * q + js_a)
-            apply_group_pool(self.stack, code, vslots, top, rows_a * q + js_a,
-                             lambda b: self.panel_tfactor(int(srcs_a[b])))
-
-    def _run_task(self, code: int, row: int, piv: int, col: int, j: int,
-                  fslot: int, src: int) -> None:
-        """One kernel with the per-tile backend on padded slots."""
-        stack, q, ib, bk = self.stack, self.q, self.ib, self.bk
-        if code == _GEQRT:
-            self._store_t(fslot, bk.geqrt(stack[row * q + col], ib))
-        elif code == _UNMQR:
-            bk.unmqr(stack[row * q + col], self.tfactor(src),
-                     stack[row * q + j])
-        elif code == _TSQRT:
-            self._store_t(fslot, bk.tsqrt(stack[piv * q + col],
-                                          stack[row * q + col], ib))
-        elif code == _TSMQR:
-            bk.tsmqr(stack[row * q + col], self.tfactor(src),
-                     stack[piv * q + j], stack[row * q + j])
-        elif code == _TTQRT:
-            self._store_t(fslot, bk.ttqrt(stack[piv * q + col],
-                                          stack[row * q + col], ib))
-        else:
-            bk.ttmqr(stack[row * q + col],
-                     self.tfactor(src, tt_height=stack.shape[1]),
-                     stack[piv * q + j], stack[row * q + j])
-
-    def _factor_group(self, code: int, rows, pivs, cols, fslots) -> None:
-        """Inline transport: factor a whole group in one pool-level step.
-
-        The LAPACK kernels loop per slice in place; the stacked NumPy
-        kernels gather the group's tiles, factor them as 3-D stacks
-        and scatter them back.  Either way the group's T blocks land
-        in the panel-layout T store.
-        """
-        stack, ib, q = self.stack, self.ib, self.q
+                   else np.asarray(pivs, dtype=np.int64) * q + js)
+            apply_group_pool(self.stack, code, rows * q + cols, top,
+                             rows * q + js,
+                             lambda b: self.panel_tfactor(int(srcs[b])))
+            return
         bslots = rows * q + cols
-        lapack = self.bk is LAPACK
+        rslots = None if code == _GEQRT else (
+            np.asarray(pivs, dtype=np.int64) * q + cols)
+        if self.stacked:
+            self._factor_group(code, rslots, bslots,
+                               np.asarray(fslots, dtype=np.int64))
+            return
+        # one slice at a time: plain ints index the stack fastest
+        stack, ib, bk, store = self.stack, self.ib, self.bk, self._store_t
+        fslots = np.asarray(fslots).tolist()
         if code == _GEQRT:
-            if lapack:
-                bt = geqrt_lapack_pool(stack, bslots, ib)
-            else:
-                a = stack[bslots]
-                bt = geqrt_batched(a, ib)
-                stack[bslots] = a
+            for b, fs in zip(bslots.tolist(), fslots):
+                store(fs, bk.geqrt(stack[b], ib))
+            return
+        kernel = bk.tsqrt if code == _TSQRT else bk.ttqrt
+        for r, b, fs in zip(rslots.tolist(), bslots.tolist(), fslots):
+            store(fs, kernel(stack[r], stack[b], ib))
+
+    def _factor_group(self, code: int, rslots, bslots, fslots) -> None:
+        """Factor a whole group in one step: gather the group's tiles,
+        factor them as 3-D stacks with the stacked NumPy kernels and
+        scatter them back."""
+        stack, ib = self.stack, self.ib
+        if code == _GEQRT:
+            a = stack[bslots]
+            bt = geqrt_batched(a, ib)
+            stack[bslots] = a
         else:
-            rslots = pivs * q + cols
-            triangular = code == _TTQRT
-            if lapack:
-                bt = factor_stacked_lapack_pool(stack, rslots, bslots, ib,
-                                                triangular=triangular)
-            else:
-                r, b = stack[rslots], stack[bslots]
-                bt = factor_stacked_batched(
-                    r, b, ib, tt_support if triangular else ts_support)
-                stack[rslots] = r
-                stack[bslots] = b
-        for pi, blk in enumerate(bt.blocks):
-            jb = blk.shape[1]
-            self.tstore[fslots, pi, :jb, :jb] = blk
+            r, b = stack[rslots], stack[bslots]
+            bt = factor_stacked_batched(
+                r, b, ib, tt_support if code == _TTQRT else ts_support)
+            stack[rslots] = r
+            stack[bslots] = b
+        self._store_t(fslots, bt)
 
 
-def record_tfactors(ctx, da, tstore: np.ndarray, compact: bool) -> None:
+def record_tfactors(ctx, da, tstore: np.ndarray) -> None:
     """File every factor task's T into ``ctx.tfactors``.
 
-    Each entry is sliced to the tile's valid reflector count (``min``
-    of the tile's height and width for GEQRT, its width for the
-    stacked kernels) as views into ``tstore``, so ``apply_q`` replays
-    against the ragged tile views with the context's per-tile backend.
-    In ``compact`` (LAPACK) form, reflectors past ``k`` have
-    ``tau = 0``, so the ``[:min(ib, k), :k]`` corner is the T of the
-    valid reflectors.
+    Each entry is sliced to the tile's valid reflector count ``k``
+    (``min`` of the tile's height and width for GEQRT, its width for
+    the stacked kernels) as views into ``tstore``, so ``apply_q``
+    replays against the ragged tile views with the context's per-tile
+    backend: :class:`LapackT` views when it runs LAPACK's applies,
+    else :class:`TFactor` panel blocks.  Reflectors past ``k`` have
+    ``tau = 0`` and come after the valid ones in their panel, so the
+    ``[:min(ib, k), :k]`` corner is the T of the valid reflectors.
     """
     tiled, ib, tf = ctx.tiled, ctx.ib, ctx.tfactors
+    # a wrapped LAPACK backend (checked_backend) keeps LAPACK's applies
+    lapack = ctx.backend.unmqr is LAPACK.unmqr
     fids = np.flatnonzero(da.fslot >= 0)
     for code, row, col, fs in zip(da.codes[fids].tolist(),
                                   da.rows[fids].tolist(),
@@ -269,15 +215,14 @@ def record_tfactors(ctx, da, tstore: np.ndarray, compact: bool) -> None:
         kind = KIND[code]
         h, w = tiled.row_height(row), tiled.col_width(col)
         k = min(h, w) if kind == "ge" else w
-        if compact:
+        t = tstore[fs]
+        if lapack:
             ibk = max(1, min(ib, k))
             tf[(row, col, kind)] = LapackT(
-                tstore[fs, :ibk, :k], ibk, min(h, w) if kind == "tt" else 0)
+                t[:ibk, :k], ibk, min(h, w) if kind == "tt" else 0)
         else:
-            t = TFactor(ib=ib)
-            t.blocks = [tstore[fs, pi, :jb, :jb]
-                        for pi, (_, jb) in enumerate(panel_starts(k, ib))]
-            tf[(row, col, kind)] = t
+            tf[(row, col, kind)] = TFactor(
+                [t[:jb, j0:j0 + jb] for j0, jb in panel_starts(k, ib)], ib)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from ..kernels.backend import BACKENDS, LAPACK, REFERENCE, KernelBackend, \
     get_backend
-from ..kernels.batched import lapack_batched_supported
+from ..kernels.lapack import lapack_batched_supported
 
 __all__ = ["ExecOptions", "exec_keywords", "pop_options", "resolve_backend"]
 

@@ -38,7 +38,11 @@ tile accesses is DAG-ordered (the completion round-trip through the
 parent gives cross-process happens-before), and zero-padded slots are
 exact for every kernel (see :mod:`repro.tiles.pool`).  Results match
 the per-tile kernels of the same backend to rounding, bitwise on the
-numpy path with exactly tiled shapes.
+numpy path with exactly tiled shapes.  A group runs the same way
+whichever worker takes it and whatever else it holds, so with LAPACK
+(the default for real dtypes) ``R`` is byte-equal at every batch
+size, worker count and start method, and to the inline and thread
+transports' LAPACK runs.
 
 Reached via ``execute_graph`` with ``ExecOptions(mode="process")`` /
 ``repro.api.factor(..., mode="process")`` / ``repro factor --mode
@@ -58,7 +62,6 @@ from typing import Optional
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES
-from ..kernels.backend import LAPACK
 from ..kernels.geqrt import panel_starts
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import DistributedTracer, estimate_clock_sync
@@ -477,21 +480,20 @@ class ProcessPool:
         """Execute a factorization DAG on the worker pool.
 
         Parameters mirror :func:`~repro.runtime.execute_graph`.  Of
-        ``options`` the pool reads ``backend`` (the per-tile kernels
-        the workers run, :func:`~repro.runtime.options.
+        ``options`` the pool reads ``backend`` (the per-tile factor
+        kernels the workers run, :func:`~repro.runtime.options.
         resolve_backend`) and ``batch`` (frontier micro-batching: see
         :func:`repro.runtime.groups.resolve_batch`); its own worker
         count and start method stand.  Compatible ready tasks ship as
-        one group descriptor and execute through the stacked kernels,
-        amortizing the queue round-trip and deserialization across
-        the group.  Returns an
+        one group descriptor, amortizing the queue round-trip and
+        deserialization across the group; its applies run as stacked
+        kernels.  Returns an
         :class:`~repro.runtime.executor.ExecutionContext` whose T
         factors were copied out of shared memory, so ``apply_q``
         replay works exactly as for the other backends.
         """
         opts = ExecOptions() if options is None else options
         bk = resolve_backend(opts.backend, "process", tiled.array.dtype)
-        compact = bk is LAPACK
         plan, ctx, life = _prepare(graph, tiled, bk, ib, tracer, metrics,
                                    bus, on_task_done, self.workers)
         g, metrics, ib = ctx.graph, ctx.metrics, ctx.ib
@@ -517,8 +519,9 @@ class ProcessPool:
         da = core.da
 
         pool = SharedTilePool(tiled)
-        tstore = SharedArray(GroupExecutor.tstore_shape(
-            da.nfactor, tiled.nb, ib, compact=compact), tiled.array.dtype)
+        tstore = SharedArray(
+            GroupExecutor.tstore_shape(da.nfactor, tiled.nb, ib),
+            tiled.array.dtype)
         try:
             dtracer = (ctx.tracer if isinstance(ctx.tracer,
                                                 DistributedTracer)
@@ -561,7 +564,7 @@ class ProcessPool:
                 life.run_done()
             # one copy of the T store out of shared memory before the
             # unlink; the context's T factors are views into it
-            record_tfactors(ctx, da, np.array(tstore.array), compact)
+            record_tfactors(ctx, da, np.array(tstore.array))
             pool.scatter()
         finally:
             pool.close()

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+
+
+def shm_entries():
+    """The names under ``/dev/shm`` (``None`` where it does not exist),
+    to check that a run left no shared-memory segment behind."""
+    if not os.path.isdir("/dev/shm"):
+        return None
+    return set(os.listdir("/dev/shm"))
 
 
 def random_matrix(rng, m, n, dtype=np.float64):

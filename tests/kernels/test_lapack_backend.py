@@ -98,3 +98,59 @@ class TestCrossBackendAgreement:
             get_backend(name).ttmqr(v, t, ct, cb)
             assert np.allclose(ct, r2, atol=1e-10), name
             assert np.allclose(np.triu(cb[:n]), 0, atol=1e-10), name
+
+
+@pytest.mark.parametrize("real", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+class TestReferenceRowSigns:
+    """For real dtypes the LAPACK factor kernels reflect a column whose
+    tail is already zero (``?larfg`` leaves it alone) like the reference
+    kernels, so R agrees entry for entry, not only in magnitude, and the
+    returned T still applies the factorization's Q."""
+
+    def tol(self, real):
+        return 1e-12 if real == np.float64 else 1e-5
+
+    @pytest.mark.parametrize("m,n,ib", [(8, 8, 4), (6, 6, 3), (5, 8, 4),
+                                        (8, 5, 2), (1, 1, 1)])
+    def test_geqrt(self, rng, real, m, n, ib):
+        a = random_matrix(rng, m, n, real)
+        # columns 0 and 1 have no entries below row 1, so after the
+        # first reflector column 1's tail is exactly zero
+        a[2:, :2] = 0.0
+        ws = {}
+        for name in BACKENDS:
+            w = a.copy()
+            t = get_backend(name).geqrt(w, ib)
+            c = a.copy()
+            get_backend(name).unmqr(w, t, c)
+            k = min(m, n)
+            assert np.allclose(c[:k], np.triu(w)[:k], atol=self.tol(real))
+            ws[name] = np.triu(w)
+        assert np.allclose(ws["lapack"], ws["reference"], atol=self.tol(real))
+
+    @pytest.mark.parametrize("kernel", ["ts", "tt"])
+    def test_stacked_pair(self, rng, real, kernel):
+        n, mb, ib = 6, 6, 4
+        r0 = np.triu(random_matrix(rng, n, n, real))
+        r0[1, 1] = 0.0  # a zero column: the identity in both libraries
+        b0 = random_matrix(rng, mb, n, real)
+        b0[:, :3] = 0.0  # three zero tails in the first panel
+        if kernel == "tt":
+            g = np.tril(random_matrix(rng, mb, n, real), -1)
+            b0 = np.triu(b0) + g
+        rs = {}
+        for name in BACKENDS:
+            bk = get_backend(name)
+            factor, apply = ((bk.tsqrt, bk.tsmqr) if kernel == "ts"
+                             else (bk.ttqrt, bk.ttmqr))
+            r2, v = r0.copy(), b0.copy()
+            t = factor(r2, v, ib)
+            ct, cb = r0.copy(), b0.copy()
+            if kernel == "tt":
+                cb = np.triu(cb)
+                assert np.array_equal(np.tril(v, -1), g), name
+            apply(v, t, ct, cb)
+            assert np.allclose(ct, r2, atol=self.tol(real)), name
+            rs[name] = r2
+        assert np.allclose(rs["lapack"], rs["reference"], atol=self.tol(real))

@@ -24,7 +24,7 @@ from repro.runtime.groups import (
     resolve_batch,
 )
 from repro.runtime.options import ExecOptions
-from tests.conftest import random_matrix
+from tests.conftest import random_matrix, shm_entries
 
 NB = 8
 
@@ -268,24 +268,35 @@ class TestDispatchMechanics:
             self, rng, monkeypatch):
         """A kernel failure mid-descriptor must surface with the worker
         traceback and release every in-flight member, leaving the pool
-        usable."""
-        import dataclasses
+        usable and no shared-memory segment behind."""
+        import multiprocessing
 
-        from repro.kernels import backend as backend_mod
+        from repro.runtime import group_executor
 
-        def boom(v, t, c):
-            raise FloatingPointError("injected apply failure")
+        # the stacked apply every apply group runs, patched before the
+        # fork workers start; the flag is shared memory, so disarming
+        # it reaches the workers for the reuse run
+        armed = multiprocessing.get_context("fork").Value("b", 1,
+                                                          lock=False)
+        apply_group_pool = group_executor.apply_group_pool
 
-        broken = dataclasses.replace(backend_mod.BACKENDS["reference"],
-                                     unmqr=boom)
-        monkeypatch.setitem(backend_mod.BACKENDS, "reference", broken)
+        def boom(*args):
+            if armed.value:
+                raise FloatingPointError("injected apply failure")
+            apply_group_pool(*args)
+
+        monkeypatch.setattr(group_executor, "apply_group_pool", boom)
         a = random_matrix(rng, 96, 96, np.float64)
+        before = shm_entries()
         with ProcessPool(workers=2, start_method="fork") as p:
             with pytest.raises(RuntimeError,
                                match="injected apply failure"):
                 factor(a, nb=NB, ib=4, mode="process", pool=p,
                        backend="reference", batch=8)
+            if before is not None:
+                assert shm_entries() - before == set()
             monkeypatch.undo()
+            armed.value = 0
             f = factor(a, nb=NB, ib=4, mode="process", pool=p,
                        backend="lapack", batch=8)
             assert f.residual(a) < 1e-12

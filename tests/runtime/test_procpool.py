@@ -19,7 +19,7 @@ from repro.api import factor, plan
 from repro.obs import MetricsRegistry
 from repro.runtime import ExecOptions, ProcessPool, execute_process, procpool
 from repro.tiles import TiledMatrix
-from tests.conftest import random_matrix
+from tests.conftest import random_matrix, shm_entries
 
 NB = 8
 SCHEMES = ["greedy", "fibonacci", "flat-tree", "binary-tree",
@@ -40,9 +40,8 @@ def rel_err(x, y, a):
 def assert_equivalent(a, pool, nb=NB, ib=4, backend="lapack", **kw):
     """Process run vs the task-mode run of the *same kernel backend*.
 
-    Each backend keeps its own R row signs (docs/api.md), so R is
-    compared against the task-mode run of the same backend; the Q @ R
-    residual and orthogonality bounds hold regardless.  The default
+    R is compared against the task-mode run of the same backend; the
+    Q @ R residual and orthogonality bounds hold regardless.  The default
     is what process mode runs by default on real matrices.
     """
     f_ref = factor(a, nb=nb, ib=ib, backend=backend, **kw)
@@ -241,6 +240,38 @@ class TestFailurePropagation:
         rep = overhead_report(traced, f.graph)
         assert rep.unmeasured == 0 and rep.aborted == 0
         assert rep.tasks == len(f.graph)
+
+    def test_worker_death_closes_the_pool(self, rng, monkeypatch):
+        """A worker killed mid-group breaks the run with an error naming
+        the dead worker, closes the pool and leaves no shared-memory
+        segment behind."""
+        import dataclasses
+        import os
+        import signal
+
+        from repro.kernels import backend as backend_mod
+
+        before = shm_entries()
+        if before is None:
+            pytest.skip("no /dev/shm")
+
+        def die(a, ib):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        # every QR DAG starts with GEQRTs: each worker that gets work
+        # dies in its first kernel, before it sends any completion
+        broken = dataclasses.replace(backend_mod.BACKENDS["reference"],
+                                     geqrt=die)
+        monkeypatch.setitem(backend_mod.BACKENDS, "reference", broken)
+        a = random_matrix(rng, 64, 64, np.float64)
+        with ProcessPool(workers=2, start_method="fork") as p:
+            with pytest.raises(RuntimeError,
+                               match=r"worker process\(es\) died: "
+                                     r"\[\('repro-worker-\d"):
+                factor(a, nb=NB, ib=4, mode="process", pool=p,
+                       backend="reference")
+            assert not p.started
+        assert shm_entries() - before == set()
 
     def test_on_task_done_exception_aborts(self, rng, pool):
         a = random_matrix(rng, 48, 24, np.float64)

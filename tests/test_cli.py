@@ -513,6 +513,29 @@ class TestAnalyzeFromTrace:
         assert main(["analyze", "--from-trace", "/nonexistent.jsonl"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_json_is_one_document(self, tmp_path, capsys):
+        """A profile trace holds a measured and a simulated process:
+        --format json prints one array of their reports, and a
+        single-process trace prints the report object itself."""
+        import json
+        trace = tmp_path / "t.json"
+        assert main(["profile", "greedy", "4", "2", "--nb", "8", "--ib",
+                     "4", "--backend", "reference", "--workers", "2",
+                     "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--from-trace", str(trace),
+                     "--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert isinstance(docs, list) and len(docs) == 2
+        assert all(d["makespan"] > 0 for d in docs)
+        single = tmp_path / "sim.json"
+        assert main(["trace", "greedy", "6", "2", "--workers", "3",
+                     "--format", "chrome"]) == 0
+        single.write_text(capsys.readouterr().out)
+        assert main(["analyze", "--from-trace", str(single),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["processors"] == 3
+
 
 class TestReference:
     """docs/cli.md is the parser's own ``--help`` text; each command
