@@ -19,8 +19,8 @@ Quick start (the :mod:`repro.api` facade)::
     f = factor(a, nb=50, scheme="greedy")
     assert f.residual(a) < 1e-12
 
-The legacy entry points (:func:`tiled_qr`, :func:`critical_path`)
-remain and route through the same plan cache.
+The QR-shaped entry points (:func:`tiled_qr`, :func:`critical_path`)
+remain and plan through the same :func:`plan` and cache.
 """
 
 from .api import ExecOptions, analyze, factor, plan, plan_problem, simulate

@@ -4,13 +4,15 @@ One import surface for the things users do with this package:
 
 - :func:`plan` — build (or fetch from the process-wide cache) the
   planning artifacts of one problem shape: a QR grid, or any
-  registered problem family (``"cholesky(t=8)"``, ``"lu(p=8,q=8)"``);
+  registered problem family (``"cholesky(t=8)"``, ``"lu(p=8,q=8)"``).
+  Every spelling resolves to one :class:`~repro.problems.Problem` and
+  one cache lookup; :func:`plan_problem` is the same function;
 - :func:`factor` — numerically factor a matrix (QR only), optionally
   from a prebuilt plan; the same function as :func:`repro.tiled_qr`,
   its execution keywords the fields of
   :class:`~repro.runtime.ExecOptions`;
-- :func:`simulate` — schedule a plan's DAG on ``P`` processors (or
-  unbounded) and return the timing result;
+- :func:`simulate` — plan any of those spellings and schedule the
+  DAG on ``P`` processors (or unbounded);
 - :func:`analyze` — turn a simulation, plan, or trace into a
   :class:`~repro.obs.analyze.ScheduleReport` with Theorem-1 and ALAP
   lower bounds;
@@ -24,9 +26,9 @@ One import surface for the things users do with this package:
 These compose: a :class:`~repro.planner.Plan` built once can be
 passed to both :func:`factor` and :func:`simulate`, and everything a
 scheme or problem name can express is also writable as a spec string
-(``"plasma(bs=5)"``, ``"cholesky(t=8)"``).  All legacy entry points
-(:func:`repro.tiled_qr`, :func:`repro.critical_path`, the CLI) route
-through the same plan cache, so mixing styles never rebuilds a DAG.
+(``"plasma(bs=5)"``, ``"cholesky(t=8)"``).  The QR-shaped entry
+points (:func:`repro.tiled_qr`, :func:`repro.critical_path`, the CLI)
+call :func:`plan` too, so mixing styles never rebuilds a DAG.
 
 >>> import numpy as np
 >>> from repro.api import plan, factor, simulate
@@ -94,15 +96,6 @@ __all__ = [
 factor = tiled_qr
 
 
-def _is_problem_spec(spec: str) -> bool:
-    """Whether a bare string names a problem family (vs a scheme)."""
-    try:
-        name, _ = parse_problem_spec(spec)
-    except (TypeError, ValueError):
-        return False
-    return name in available_problems()
-
-
 def simulate(
     scheme: Union[str, EliminationList, Plan, Problem],
     p: Optional[int] = None,
@@ -110,11 +103,15 @@ def simulate(
     *,
     processors: Optional[int] = None,
     priority: str = "critical-path",
-    family: KernelFamily | str = KernelFamily.TT,
+    family: KernelFamily | str | None = None,
     costs=None,
     **params,
 ) -> SimResult:
     """Schedule one problem shape and return its timing.
+
+    Takes every spelling of a shape that :func:`plan` takes, the grid
+    and ``family`` as keywords (``None`` = not given), and schedules
+    the plan.
 
     Parameters
     ----------
@@ -135,8 +132,9 @@ def simulate(
     priority : str
         Ready-queue policy for the bounded case (see
         :func:`repro.sim.priorities.priority_vector`).
-    family : {"TT", "TS"}
-        Kernel family; QR only, ignored when ``scheme`` is a Plan.
+    family : {"TT", "TS"}, optional
+        Kernel family; QR only (``TT`` when not given), checked
+        against a Plan's when given.
     costs : mapping of Kernel -> float, optional
         Per-kernel weight overrides (distinct cache entries).
     **params
@@ -148,34 +146,5 @@ def simulate(
     SimResult
         Memoized on the plan for named priorities — treat as read-only.
     """
-    if isinstance(scheme, Problem) or (
-            isinstance(scheme, str) and _is_problem_spec(scheme)):
-        if isinstance(scheme, str):
-            if p is not None:
-                params.setdefault("p", p)
-            if q is not None:
-                params.setdefault("q", q)
-            if parse_problem_spec(scheme)[0] == "qr":
-                params.setdefault("family", family)
-        pl = plan_problem(scheme, costs=costs, **params)
-        return pl.schedule(processors, priority)
-    if isinstance(scheme, Plan):
-        if p is not None and (p, q) != (scheme.p, scheme.q):
-            raise ValueError(
-                f"plan is for a {scheme.p} x {scheme.q} grid, "
-                f"requested {p} x {q}")
-        if costs is not None or params:
-            raise ValueError(
-                "a Plan already carries its costs and parameters; "
-                "pass them to plan() instead")
-        return scheme.schedule(processors, priority)
-    if isinstance(scheme, EliminationList):
-        sp, sq = scheme.p, scheme.q
-        if p is not None and (p, q) != (sp, sq):
-            raise ValueError(
-                f"scheme is for a {sp} x {sq} grid, requested {p} x {q}")
-        p, q = sp, sq
-    elif p is None or q is None:
-        raise ValueError("p and q are required when scheme is a name")
-    pl = plan(p, q, scheme, family, costs=costs, **params)
-    return pl.schedule(processors, priority)
+    return plan(scheme, p=p, q=q, family=family, costs=costs,
+                **params).schedule(processors, priority)

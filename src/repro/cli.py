@@ -20,8 +20,8 @@ __all__ = ["build_parser", "main", "render_reference"]
 
 def _add_grid(p: argparse.ArgumentParser, optional: bool = False) -> None:
     """Scheme, grid and tree parameters; ``optional`` (``analyze``)
-    lets a problem spec stand without a grid, and ``--from-trace``
-    without either."""
+    lets a problem spec stand without a grid or family, and
+    ``--from-trace`` without either."""
     opt = {"nargs": "?", "default": None} if optional else {}
     p.add_argument("scheme", **opt,
                    help="elimination tree name or spec, e.g. greedy or "
@@ -30,7 +30,8 @@ def _add_grid(p: argparse.ArgumentParser, optional: bool = False) -> None:
                                             if optional else ""))
     p.add_argument("p", type=int, **opt, help="tile rows")
     p.add_argument("q", type=int, **opt, help="tile columns")
-    p.add_argument("--family", default="TT", choices=["TT", "TS"])
+    p.add_argument("--family", default=None if optional else "TT",
+                   choices=["TT", "TS"])
     p.add_argument("--bs", type=int, default=None,
                    help="domain size (plasma-tree / hadri-tree)")
     p.add_argument("--k", type=int, default=None,
@@ -433,35 +434,15 @@ def _cmd_analyze(args) -> int:
               "'cholesky(t=8)', or --from-trace FILE", file=sys.stderr)
         return 2
 
-    from .api import plan
-    from .problems import available_problems, parse_problem_spec
+    from .api import simulate
 
     try:
-        problem_name = parse_problem_spec(args.scheme)[0]
-    except (TypeError, ValueError):
-        problem_name = None
-    try:
-        if problem_name in available_problems():
-            # problem-centric form: analyze "cholesky(t=8)" [--workers N]
-            kwargs = {}
-            if args.p is not None:
-                kwargs["p"] = args.p
-            if args.q is not None:
-                kwargs["q"] = args.q
-            if problem_name == "qr":
-                kwargs.setdefault("family", args.family)
-            pl = plan(args.scheme, **kwargs)
-        elif args.p is None or args.q is None:
-            print("analyze: need SCHEME P Q (or a problem spec, or "
-                  "--from-trace FILE)", file=sys.stderr)
-            return 2
-        else:
-            pl = plan(args.p, args.q, args.scheme, args.family,
-                      **_scheme_params(args))
+        res = simulate(args.scheme, args.p, args.q, processors=args.workers,
+                       priority=args.priority, family=args.family,
+                       **_scheme_params(args))
     except (TypeError, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
-    res = pl.schedule(args.workers, args.priority)
     report = analyze_sim(res)
     print(render_report(report, args.format))
     return 0

@@ -231,10 +231,6 @@ def tiled_qr(
                 f"{scheme.problem!r} plan; use repro.sim/analyze for "
                 f"other problem families")
         family = scheme.family  # the plan's DAG decides
-    elif not isinstance(scheme, (str, EliminationList)):
-        raise TypeError(
-            "scheme must be a scheme name/spec string, an EliminationList, "
-            f"or a Plan, got {type(scheme).__name__}")
     pl = build_plan(tiled.p, tiled.q, scheme, family, **params)
     # pass the Plan itself: the frontier core reuses its memoized
     # bottom levels and dispatch arrays, batched mode its drain order

@@ -33,10 +33,10 @@ Design points:
 :class:`LiveState` is the standard consumer: a lock-protected
 reduction of the stream into "what is happening right now" — done
 counts per kernel, busy workers, ready-frontier depth, cumulative
-flops — consumed by the sampler and the progress renderers.  It runs
-in push mode (:meth:`LiveState.attach`, a synchronous subscriber) or,
-cheaper for the executor, pull mode (:meth:`LiveState.connect`, the
-readers drain the ring on their own cadence).
+flops — consumed by the sampler and the progress renderers.  It
+pulls: :meth:`LiveState.connect` remembers the bus, and the readers
+drain the ring on their own cadence, so the publisher pays only the
+ring append.
 """
 
 from __future__ import annotations
@@ -141,11 +141,7 @@ class EventBus:
     """Bounded, thread-safe ring buffer of :class:`Event` records.
 
     Publishers call :meth:`publish` (one short lock); readers poll
-    :meth:`events_since` with their last-seen sequence number, or
-    register a :meth:`subscribe` callback invoked synchronously after
-    each publish (keep callbacks tiny — they run on the publisher's
-    thread; exceptions are swallowed and counted in
-    :attr:`subscriber_errors`, never propagated into the executor).
+    :meth:`events_since` with their last-seen sequence number.
     """
 
     enabled: bool = True
@@ -156,13 +152,11 @@ class EventBus:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.epoch = time.perf_counter() if epoch is None else float(epoch)
-        self.subscriber_errors = 0
         #: compact event records in Event field order (tuples, not
         #: Event objects: cheap to write on the publisher's hot path)
         self._buf: list[tuple | None] = [None] * self.capacity
         self._seq = 0
         self._lock = threading.Lock()
-        self._subs: tuple = ()
         _LIVE_LOCKED.add(self)
 
     # ------------------------------------------------------------------
@@ -182,9 +176,8 @@ class EventBus:
         events per run and explicit parameters keep each call free of
         throwaway dicts).  The ring stores compact records and
         :meth:`events_since` materializes :class:`Event` objects on
-        read, so with no subscribers the publisher pays well under a
-        microsecond per event; push-mode subscribers cost one
-        :class:`Event` construction plus their callbacks.
+        read, so the publisher pays well under a microsecond per
+        event.
         """
         if t is None:
             t = time.perf_counter() - self.epoch
@@ -194,15 +187,6 @@ class EventBus:
                 kind, t, seq, tid, kernel, worker, count, total, value,
                 problem)
             self._seq = seq + 1
-            subs = self._subs
-        if subs:
-            ev = Event(kind, t, seq, tid, kernel, worker, count, total,
-                       value, problem)
-            for fn in subs:
-                try:
-                    fn(ev)
-                except Exception:
-                    self.subscriber_errors += 1
         return seq
 
     # ------------------------------------------------------------------
@@ -235,18 +219,6 @@ class EventBus:
         """Every event still in the ring, oldest first."""
         return self.events_since(0)[0]
 
-    def subscribe(self, fn) -> None:
-        """Register ``fn(event)`` to run synchronously on each publish."""
-        with self._lock:
-            if fn not in self._subs:
-                self._subs = self._subs + (fn,)
-
-    def unsubscribe(self, fn) -> None:
-        # equality, not identity: a bound method like ``state.on_event``
-        # is a fresh object on every attribute access
-        with self._lock:
-            self._subs = tuple(s for s in self._subs if s != fn)
-
 
 class NullBus(EventBus):
     """Event bus disabled: ``enabled`` is ``False`` and publishing is a
@@ -268,13 +240,13 @@ NULL_BUS = NullBus()
 
 
 # ----------------------------------------------------------------------
-# the standard subscriber: reduce the stream to "now"
+# the standard consumer: reduce the stream to "now"
 # ----------------------------------------------------------------------
 
 class LiveState:
     """Running reduction of a bus stream into current-progress state.
 
-    Attach to a bus with :meth:`attach`; every field is maintained
+    Connect to a bus with :meth:`connect`; every field is maintained
     under one lock and read via :meth:`view` (a consistent dict
     snapshot) by the sampler and the progress renderers.
 
@@ -312,34 +284,20 @@ class LiveState:
         self.run_finished = False
 
     # ------------------------------------------------------------------
-    def attach(self, bus: EventBus) -> "LiveState":
-        """Push mode: reduce every event synchronously on publish.
-
-        Costs the *publisher* a callback per event — use
-        :meth:`connect` instead when the publisher is an executor hot
-        loop and the consumers (renderer, sampler) tick on their own
-        cadence anyway.
-        """
-        bus.subscribe(self.on_event)
-        return self
-
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(self.on_event)
-
     def connect(self, bus: EventBus) -> "LiveState":
-        """Pull mode: remember the bus; :meth:`pump` (called
-        automatically by :meth:`view`) drains and reduces the events
-        published since the last pump.  The publisher pays only the
-        ring append; the reduction runs in warm-cache batches on the
-        reader's thread.  Measured against push mode on the batched
-        512x512 case this halves the telemetry overhead — see
+        """Remember the bus; :meth:`pump` (called automatically by
+        :meth:`view`) drains and reduces the events published since
+        the last pump.  The publisher pays only the ring append; the
+        reduction runs in warm-cache batches on the reader's thread.
+        Measured against a synchronous per-event subscriber on the
+        batched 512x512 case this halves the telemetry overhead — see
         docs/performance.md ("telemetry overhead")."""
         self._bus = bus
         self._cursor = 0
         return self
 
     def pump(self) -> int:
-        """Reduce events published since the last pump (pull mode).
+        """Reduce events published since the last pump.
 
         Returns the number of events consumed; 0 when no bus is
         connected.  If the ring lapped us the gap is skipped — counts
@@ -392,8 +350,8 @@ class LiveState:
     def view(self) -> dict:
         """Consistent snapshot of every field.
 
-        In pull mode (:meth:`connect`) the pending events are pumped
-        first, so a view is always current as of the call."""
+        The pending events are pumped first, so a view is always
+        current as of the call."""
         self.pump()
         with self._lock:
             return {

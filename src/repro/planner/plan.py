@@ -4,10 +4,13 @@ Everything a tiled-QR run needs ahead of the numeric kernels —
 elimination list → task DAG → CSR graph index → (optionally) a
 schedule — depends only on the *shape* of the problem:
 ``(scheme, params, p, q, kernel family, costs)``.  A :class:`Plan`
-bundles those artifacts; :func:`plan` produces one, consulting the
-process-wide cache (:mod:`repro.planner.cache`) so CLI sweeps and
-repeated :func:`~repro.core.tiled_qr.tiled_qr` calls on same-shaped
-grids skip DAG construction entirely.  This mirrors the plan/execute
+bundles those artifacts; :func:`plan` produces one.  It resolves
+every spelling of a shape — a QR grid and scheme, a problem spec, a
+:class:`~repro.problems.Problem` — to one problem, keys it, consults
+the process-wide cache (:mod:`repro.planner.cache`) once and builds
+on a miss with ``problem.build()``, so CLI sweeps and repeated
+:func:`~repro.core.tiled_qr.tiled_qr` calls on same-shaped grids skip
+DAG construction entirely.  This mirrors the plan/execute
 separation of PLASMA's dynamic scheduler and the QUARK runtime
 (PAPERS.md [12]): dependency analysis is a property of the algorithm,
 not of the matrix.
@@ -21,6 +24,7 @@ cached) to bypass sharing, e.g. when you intend to mutate the graph.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,13 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..dag.build import build_dag
 from ..dag.index import GraphIndex
 from ..dag.tasks import TaskGraph
 from ..kernels.costs import KERNEL_WEIGHTS, Kernel, KernelFamily
-from ..problems import Problem, QRProblem, get_problem
+from ..problems import (PROBLEMS, Problem, QRProblem, get_problem,
+                        parse_problem_spec)
 from ..schemes.elimination import Elimination, EliminationList
-from ..schemes.registry import canonical_scheme_spec, get_scheme
+from ..schemes.registry import canonical_scheme_spec
 from ..sim.simulate import (SimResult, bottom_levels, simulate_bounded,
                             simulate_unbounded)
 from . import cache as _cache
@@ -72,17 +76,21 @@ def plan_signature(
     different families (a ``15 x 6`` QR vs LU grid, say) from ever
     aliasing in the LRU or the disk tier.
     """
-    payload = {
-        "v": _FORMAT_VERSION,
-        "problem": str(problem),
-        "scheme": spec,
-        "p": int(p),
-        "q": int(q),
-        "family": None if family is None else str(KernelFamily(family)),
-        "costs": None if not costs else
-                 {k.value: float(v) for k, v in sorted(
-                     costs.items(), key=lambda kv: kv[0].value)},
-    }
+    return _signature(
+        str(problem), spec, int(p), int(q),
+        None if family is None else str(KernelFamily(family)),
+        None if not costs else
+        tuple(sorted((k.value, float(v)) for k, v in costs.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _signature(problem: str, spec: str, p: int, q: int,
+               family: Optional[str], costs: Optional[tuple]) -> str:
+    # memoized: every factor() call keys its plan, and the JSON and
+    # sha256 are most of a cache hit
+    payload = {"v": _FORMAT_VERSION, "problem": problem, "scheme": spec,
+               "p": p, "q": q, "family": family,
+               "costs": None if costs is None else dict(costs)}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     return digest[:32]
@@ -251,130 +259,115 @@ class Plan:
 # building and caching
 # ----------------------------------------------------------------------
 
-def _build(spec_or_elims, p: int, q: int, family: KernelFamily,
-           costs: Optional[dict[Kernel, float]], key: Optional[str],
-           **params) -> Plan:
-    t0 = time.perf_counter()
-    if isinstance(spec_or_elims, EliminationList):
-        elims, scheme = spec_or_elims, None
-    else:
-        elims = get_scheme(spec_or_elims, p, q, **params)
-        scheme = spec_or_elims
-    graph = build_dag(elims, family)
-    if costs:
-        merged = dict(KERNEL_WEIGHTS)
-        merged.update(costs)
-        graph = graph.rescale(merged)
-    graph.index()  # part of the plan: simulations reuse it for free
-    built = time.perf_counter() - t0
-    _cache.PLAN_METRICS.histogram("plan.build.seconds").observe(built)
-    return Plan(p=p, q=q, family=family, scheme=scheme, elims=elims,
-                graph=graph, costs=costs, key=key, built_seconds=built)
+#: the QR-shaped form's arguments, in positional order
+_GRID = ("p", "q", "scheme", "family")
 
 
-def _build_problem(problem: Problem,
-                   costs: Optional[dict[Kernel, float]],
-                   key: Optional[str]) -> Plan:
+def _problem_of(args: tuple, kwargs: dict, costs) -> "Problem | Plan":
+    """The one :class:`Problem` a :func:`plan` call spells (or the
+    :class:`Plan` it passes through).  A ``None`` grid keyword counts
+    as not given."""
+    grid = {n: v for n in _GRID if (v := kwargs.pop(n, None)) is not None}
+    head = args[0] if args else None
+    if isinstance(head, (str, Problem, Plan, EliminationList)):
+        if len(args) > 1:
+            raise TypeError(
+                "plan(spec) takes no positional grid; pass parameters "
+                "as keywords, e.g. plan('lu', p=8, q=8)")
+        if isinstance(head, Problem) or (
+                isinstance(head, str)
+                and parse_problem_spec(head)[0] in PROBLEMS):
+            return get_problem(head, **grid, **kwargs)
+        args = (None, None, head)  # a scheme first, its grid as keywords
+    if len(args) > len(_GRID):
+        raise TypeError(
+            f"plan() takes at most {len(_GRID)} positional arguments "
+            f"({len(args)} given)")
+    for name, value in zip(_GRID, args):
+        if value is not None:
+            if name in grid:
+                raise TypeError(
+                    f"plan() got multiple values for argument {name!r}")
+            grid[name] = value
+    scheme = grid.get("scheme", "greedy")
+    if isinstance(scheme, (Plan, EliminationList)):
+        grid = {"p": scheme.p, "q": scheme.q, **grid}  # its own grid
+    p, q = grid.get("p"), grid.get("q")
+    if p is None or q is None:
+        raise ValueError(
+            "p and q are required when scheme is a name (a problem spec "
+            "such as 'cholesky(t=8)' carries its own)")
+    if isinstance(scheme, Plan):
+        if (scheme.p, scheme.q) != (p, q):
+            raise ValueError(
+                f"plan is for a {scheme.p} x {scheme.q} grid, "
+                f"requested {p} x {q}")
+        family = grid.get("family")
+        if family is not None and scheme.family is not KernelFamily(family):
+            raise ValueError(
+                f"plan was built for family {scheme.family}, "
+                f"requested {KernelFamily(family)}")
+        if costs is not None or kwargs:
+            raise ValueError(
+                "a Plan already carries its costs and parameters; "
+                "pass them to plan() instead")
+        return scheme
+    if not isinstance(scheme, (str, EliminationList)):
+        raise TypeError(
+            "scheme must be a scheme name/spec string, an EliminationList, "
+            f"or a Plan, got {type(scheme).__name__}")
+    if kwargs:
+        scheme = canonical_scheme_spec(scheme, kwargs)
+    return QRProblem(p, q, scheme, grid.get("family", KernelFamily.TT))
+
+
+def _build(problem: Problem, costs: Optional[dict[Kernel, float]],
+           key: Optional[str]) -> Plan:
     t0 = time.perf_counter()
     elims, graph = problem.build()
     if costs:
-        merged = dict(KERNEL_WEIGHTS)
-        merged.update(costs)
-        graph = graph.rescale(merged)
+        graph = graph.rescale({**KERNEL_WEIGHTS, **costs})
     graph.index()  # part of the plan: simulations reuse it for free
     built = time.perf_counter() - t0
     _cache.PLAN_METRICS.histogram("plan.build.seconds").observe(built)
     return Plan(p=problem.p, q=problem.q, family=problem.family,
-                scheme=problem.spec(), elims=elims, graph=graph,
+                scheme=problem.plan_spec, elims=elims, graph=graph,
                 problem=problem.name, costs=costs, key=key,
                 built_seconds=built)
 
 
-def plan_problem(
-    problem,
-    *,
-    costs=None,
-    cache: bool = True,
-    disk_cache=None,
-    **params,
-) -> Plan:
-    """Build (or fetch from cache) the :class:`Plan` of any problem.
-
-    The problem-generic planning entry point: accepts a
-    :class:`~repro.problems.Problem`, a problem spec string
-    (``"cholesky(t=8)"``, ``"lu(p=8, q=8)"``, ``"qr(p=8, q=4,
-    scheme='greedy')"``), or a family name plus keyword parameters.
-    QR problems route through the legacy QR cache key, so
-    ``plan_problem("qr", p=8, q=4)`` and ``plan(8, 4)`` share one
-    cache entry.
-
-    ``costs`` / ``cache`` / ``disk_cache`` behave exactly as in
-    :func:`plan`.
-    """
-    problem = get_problem(problem, **params)
-
-    if isinstance(problem, QRProblem):
-        # one canonical key per QR shape, shared with the legacy path
-        return plan(problem.p, problem.q, problem.scheme,
-                    problem.kernel_family, costs=costs, cache=cache,
-                    disk_cache=disk_cache)
-
-    costs = _normalize_costs(costs)
-    spec = problem.spec()
-    key = plan_signature(spec, problem.p, problem.q, problem.family,
-                         costs, problem=problem.name)
-
-    if not cache:
-        return _build_problem(problem, costs, key=key)
-
-    cached = _cache.memory_get(key)
-    if cached is not None:
-        return cached
-
-    cache_dir = _cache.plan_cache_dir(disk_cache)
-    if cache_dir is not None:
-        loaded = _load_from_dir(cache_dir, key)
-        if loaded is not None:
-            _cache.memory_put(key, loaded)
-            return loaded
-
-    built = _build_problem(problem, costs, key=key)
-    _cache.memory_put(key, built)
-    if cache_dir is not None:
-        _save_to_dir(cache_dir, built)
-    return built
-
-
 def plan(*args, costs=None, cache: bool = True, disk_cache=None,
          **kwargs) -> Plan:
-    """Build (or fetch from cache) the :class:`Plan` for one shape.
+    """Build (or fetch from cache) the :class:`Plan` of one problem.
 
-    Two calling conventions:
+    Every spelling of a shape resolves to one
+    :class:`~repro.problems.Problem`, whose key picks the cache entry:
 
-    * **problem-centric** — first argument is a problem spec string or
-      :class:`~repro.problems.Problem`::
+    * a problem spec string or :class:`~repro.problems.Problem`::
 
           plan("cholesky(t=8)")
           plan("lu", p=8, q=8)
           plan("qr(p=8, q=4, scheme='greedy')")
 
-    * **QR-shaped (legacy)** — first two arguments are the grid::
+    * a QR grid and scheme, positionally or by keyword::
 
           plan(8, 4, "greedy")
+          plan("greedy", p=8, q=4)
 
-      which is exactly ``plan("qr", p=8, q=4, scheme="greedy")``; the
-      two forms share one cache entry per shape.
+      both exactly ``plan("qr", p=8, q=4, scheme="greedy")``, one
+      cache entry per shape.
 
     Parameters
     ----------
     p, q : int
-        Tile-grid dimensions, ``p >= q >= 1`` (QR-shaped form).
+        Tile-grid dimensions, ``p >= q >= 1`` (QR form).
     scheme : str, EliminationList, or Plan
         Scheme name or spec (``"greedy"``, ``"plasma(bs=5)"``), a
         prebuilt elimination list (never cached), or an existing Plan
         (validated against ``p``/``q``/``family`` and returned as-is).
+        The grid defaults to a list's or Plan's own.
     family : {"TT", "TS"}
-        Kernel family (Section 2.1).
+        Kernel family (Section 2.1); ``TT`` when not given.
     costs : mapping of Kernel -> float, optional
         Per-kernel weight overrides (e.g. measured seconds).  Part of
         the cache key — plans with different costs never alias.
@@ -386,95 +379,43 @@ def plan(*args, costs=None, cache: bool = True, disk_cache=None,
         location), ``False`` (disable).  ``None`` defers to the
         ``REPRO_PLAN_CACHE`` environment variable.
     **params
-        Scheme parameters (``bs=...``, ``k=...``) in the QR-shaped
-        form; problem parameters (``t=...``, ``p=...``) in the
-        problem-centric form.  They override identically named inline
-        spec parameters.
+        Scheme parameters (``bs=...``, ``k=...``) in the QR form;
+        problem parameters (``t=...``, ``p=...``) with a problem spec.
+        They override identically named inline spec parameters.  A
+        ``None`` ``p``, ``q``, ``scheme`` or ``family`` counts as not
+        given.
 
     Returns
     -------
     Plan
         Shared with other callers when cached — treat as immutable.
     """
-    if args and isinstance(args[0], (str, Problem)):
-        if len(args) > 1:
-            raise TypeError(
-                "plan(problem_spec) takes no positional grid; pass "
-                "parameters as keywords, e.g. plan('lu', p=8, q=8)")
-        return plan_problem(args[0], costs=costs, cache=cache,
-                            disk_cache=disk_cache, **kwargs)
-
-    # QR-shaped (legacy) form: bind p, q, scheme, family by hand so the
-    # problem form above may reuse the names p/q as *problem* keywords.
-    names = ("p", "q", "scheme", "family")
-    if len(args) > len(names):
-        raise TypeError(
-            f"plan() takes at most {len(names)} positional arguments "
-            f"({len(args)} given)")
-    bound: dict = {"scheme": "greedy", "family": KernelFamily.TT}
-    for name, value in zip(names, args):
-        bound[name] = value
-    for name in names:
-        if name in kwargs:
-            if name in dict(zip(names, args)):
-                raise TypeError(
-                    f"plan() got multiple values for argument {name!r}")
-            bound[name] = kwargs.pop(name)
-    if "p" not in bound or "q" not in bound:
-        raise TypeError(
-            "plan() needs a problem spec (plan('cholesky(t=8)')) or a "
-            "grid (plan(p, q, scheme))")
-    p, q, scheme = bound["p"], bound["q"], bound["scheme"]
-    params = kwargs
-
-    family = KernelFamily(bound["family"])
+    problem = _problem_of(args, kwargs, costs)
+    if isinstance(problem, Plan):
+        return problem
     costs = _normalize_costs(costs)
-
-    if isinstance(scheme, Plan):
-        if (scheme.p, scheme.q) != (p, q):
-            raise ValueError(
-                f"plan is for a {scheme.p} x {scheme.q} grid, "
-                f"requested {p} x {q}")
-        if scheme.family is not family:
-            raise ValueError(
-                f"plan was built for family {scheme.family}, "
-                f"requested {family}")
-        return scheme
-
-    if isinstance(scheme, EliminationList):
-        if (scheme.p, scheme.q) != (p, q):
-            raise ValueError(
-                f"elimination list is for a {scheme.p} x {scheme.q} grid, "
-                f"requested {p} x {q}")
-        return _build(scheme, p, q, family, costs, key=None)
-
-    if not isinstance(scheme, str):
-        raise TypeError(
-            "scheme must be a scheme name/spec string, an EliminationList, "
-            f"or a Plan, got {type(scheme).__name__}")
-
-    spec = canonical_scheme_spec(scheme, params)
-    key = plan_signature(spec, p, q, family, costs)
-
-    if not cache:
-        return _build(spec, p, q, family, costs, key=key)
+    spec = problem.plan_spec
+    key = None if spec is None else plan_signature(
+        spec, problem.p, problem.q, problem.family, costs,
+        problem=problem.name)
+    if key is None or not cache:
+        return _build(problem, costs, key)
 
     cached = _cache.memory_get(key)
     if cached is not None:
         return cached
-
     cache_dir = _cache.plan_cache_dir(disk_cache)
-    if cache_dir is not None:
-        loaded = _load_from_dir(cache_dir, key)
-        if loaded is not None:
-            _cache.memory_put(key, loaded)
-            return loaded
-
-    built = _build(spec, p, q, family, costs, key=key)
+    built = None if cache_dir is None else _load_from_dir(cache_dir, key)
+    if built is None:
+        built = _build(problem, costs, key)
+        if cache_dir is not None:
+            _save_to_dir(cache_dir, built)
     _cache.memory_put(key, built)
-    if cache_dir is not None:
-        _save_to_dir(cache_dir, built)
     return built
+
+
+#: the problem-first name of :func:`plan`, the same function
+plan_problem = plan
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,12 @@ class Problem:
         from . import canonical_problem_spec
         return canonical_problem_spec(self.name, self.params())
 
+    @property
+    def plan_spec(self) -> Optional[str]:
+        """The spec that keys this problem's plan (its ``Plan.scheme``);
+        ``None`` for a problem that is never cached."""
+        return self.spec()
+
     def label(self) -> str:
         """Short human label for report headers (``"qr[TT]"``)."""
         return self.name

@@ -240,8 +240,10 @@ def v_runs(vslots: np.ndarray):
     """
     order = np.argsort(vslots, kind="stable")
     sv = vslots[order]
-    bounds = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
-    return order, bounds
+    edge = np.empty(sv.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(sv[1:], sv[:-1], out=edge[1:-1])
+    return order, np.flatnonzero(edge)
 
 
 def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,

@@ -231,7 +231,7 @@ class GroupFrontier:
     """
 
     __slots__ = ("_codes", "_src", "batch", "_buckets", "_border",
-                 "_seq", "_n")
+                 "_seq", "_n", "_popped", "_oldest")
 
     def __init__(self, codes: np.ndarray, batch: int = 1, src=None):
         if batch < 1:
@@ -247,6 +247,9 @@ class GroupFrontier:
         self._border: dict[int, list] = {}
         self._seq = 0
         self._n = 0
+        #: popped flag per push, and the first push not yet popped
+        self._popped = bytearray()
+        self._oldest = 0
 
     def __len__(self) -> int:
         return self._n
@@ -266,6 +269,7 @@ class GroupFrontier:
         entry = (key, self._seq, tid)
         heapq.heappush(heap, entry)
         heapq.heappush(self._border[code], (key, self._seq, s))
+        self._popped.append(0)
         self._seq += 1
         self._n += 1
 
@@ -298,10 +302,15 @@ class GroupFrontier:
 
     def inverted(self) -> bool:
         """Whether the next pop skips an older ready task — i.e. FIFO
-        order would have run a different task first.  O(frontier)."""
+        order would have run a different task first.  Amortized O(1)
+        past :meth:`_best`: pushes are numbered in order, so the
+        oldest ready task is the first push not yet popped, and that
+        pointer only moves forward."""
         _, head = self._best()
-        oldest = min(e[1] for buckets in self._buckets.values()
-                     for heap in buckets.values() for e in heap)
+        popped, oldest = self._popped, self._oldest
+        while popped[oldest]:
+            oldest += 1
+        self._oldest = oldest
         return oldest < head[1]
 
     def pop_group(self, limit: int | None = None) -> tuple[int, list[int]]:
@@ -319,6 +328,7 @@ class GroupFrontier:
         size = self.batch
         if limit is not None:
             size = max(1, min(size, limit))
+        popped = self._popped
         tids: list[int] = []
         while len(tids) < size:
             head = self._head(best_code)
@@ -326,7 +336,9 @@ class GroupFrontier:
                 break
             heap = buckets[head[2]]
             while heap and len(tids) < size:
-                tids.append(heapq.heappop(heap)[2])
+                _, seq, tid = heapq.heappop(heap)
+                popped[seq] = 1
+                tids.append(tid)
         self._n -= len(tids)
         return best_code, tids
 

@@ -125,41 +125,6 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# subscribers (push mode)
-# ----------------------------------------------------------------------
-
-class TestSubscribers:
-    def test_subscriber_sees_each_event(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe(got.append)
-        bus.publish("run_start", total=9)
-        assert len(got) == 1 and got[0].total == 9
-
-    def test_failing_subscriber_is_counted_not_raised(self):
-        bus = EventBus()
-
-        def boom(ev):
-            raise RuntimeError("subscriber bug")
-
-        good = []
-        bus.subscribe(boom)
-        bus.subscribe(good.append)
-        bus.publish("run_start")
-        bus.publish("run_done")
-        assert bus.subscriber_errors == 2
-        assert len(good) == 2  # the healthy subscriber still ran
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe(got.append)
-        bus.unsubscribe(got.append)
-        bus.publish("run_start")
-        assert got == []
-
-
-# ----------------------------------------------------------------------
 # NullBus
 # ----------------------------------------------------------------------
 
@@ -180,7 +145,7 @@ class TestNullBus:
 
 
 # ----------------------------------------------------------------------
-# LiveState reduction: push and pull
+# LiveState reduction
 # ----------------------------------------------------------------------
 
 class TestLiveState:
@@ -191,15 +156,6 @@ class TestLiveState:
                     value=0.01)
         bus.publish("frontier", value=3.0)
 
-    def test_push_mode(self):
-        bus = EventBus()
-        state = LiveState().attach(bus)
-        self._feed(state, bus)
-        v = state.view()
-        assert v["total"] == 4 and v["done"] == 1 and v["workers"] == 2
-        assert v["frontier"] == 3
-        assert v["kernel_done"] == {"geqrt": 1}
-
     def test_pull_mode_drains_on_view(self):
         bus = EventBus()
         state = LiveState().connect(bus)
@@ -207,6 +163,8 @@ class TestLiveState:
         assert state.done == 0  # nothing reduced until a pump
         v = state.view()        # view() auto-pumps
         assert v["done"] == 1 and v["total"] == 4
+        assert v["workers"] == 2 and v["frontier"] == 3
+        assert v["kernel_done"] == {"geqrt": 1}
 
     def test_pump_is_incremental(self):
         bus = EventBus()

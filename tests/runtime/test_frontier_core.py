@@ -98,6 +98,22 @@ class TestCorePriority:
             core.retire(tids)
         assert m.counter("scheduler.priority_inversions_avoided").value > 0
 
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("shape", [(12, 6, "TT"), (16, 4, "TS")])
+    def test_inversion_check_matches_a_full_scan(self, shape, batch):
+        """The oldest ready task is the first push not yet popped: the
+        check agrees, pop by pop, with a scan of every ready task."""
+        p, q, family = shape
+        core = FrontierCore(plan(p, q, "greedy", family), batch=batch)
+        fr = core.frontier
+        while len(core):
+            _, head = fr._best()
+            oldest = min(e[1] for buckets in fr._buckets.values()
+                         for heap in buckets.values() for e in heap)
+            assert fr.inverted() == (oldest < head[1])
+            _, tids = core.pop()
+            core.retire(tids)
+
     def test_fifo_core_on_raw_graph_never_inverts(self):
         g = plan(12, 6, "greedy").graph
         m = MetricsRegistry()
