@@ -1,11 +1,11 @@
 """Span-based tracing of real kernel executions (S17, S23).
 
 A :class:`Tracer` records one :class:`Span` per retired group of
-tasks — a group of one in the sequential executor, a stacked group in
-the transports: which kernel ran on which tile coordinates, for which
-member tasks, on which worker, and the three wall-clock timestamps of
-its life cycle — *submit* (ready), *start* (kernel entry), *finish*
-(kernel return).  All timestamps come from :func:`time.perf_counter`
+tasks — in the sequential executor a factor task or the stretch of
+updates that follows it, in the transports a stacked group: which
+kernel ran on which tile coordinates, for which member tasks, on which
+worker, and the three wall-clock timestamps of its life cycle —
+*submit* (ready), *start* (kernel entry), *finish* (kernel return).  All timestamps come from :func:`time.perf_counter`
 and are stored relative to the tracer's epoch, so a capture starts
 near ``t = 0``.  The runtimes record through one
 :class:`~repro.runtime.lifecycle.Lifecycle`.

@@ -21,12 +21,16 @@ transports:
   a shared-memory tile pool).
 
 Sequential task mode (``workers`` ``None`` or 1) stays outside the
-core: tasks run in emission (topological) order as per-tile kernels
-on the tile views — the numerical reference every transport is tested
-against.  NumPy/LAPACK kernels release the GIL inside BLAS, so the
-thread transport runs genuinely in parallel, though Python-level
-overhead limits scaling for small tiles (the documented substitution
-for the paper's 48-core C runtime; see DESIGN.md §2).
+core: tasks run in emission (topological) order on the tile views —
+the numerical reference every transport is tested against.  Each
+factor task is one per-tile call; each stretch of its updates (same
+kernel, ``row``, ``piv`` and ``col``, ``j`` rising by one: the rest of
+the paper's elimination block, §2.1) is one apply call on the row
+block(s), with the bytes of one call per tile.  NumPy/LAPACK kernels
+release the GIL inside BLAS, so the thread transport runs genuinely
+in parallel, though Python-level overhead limits scaling for small
+tiles (the documented substitution for the paper's 48-core C runtime;
+see DESIGN.md §2).
 
 Every run returns an :class:`ExecutionContext` holding the ``T``
 factors the factor kernels produced, so the Q factor can later be
@@ -60,8 +64,8 @@ import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.backend import REFERENCE, KernelBackend
-from ..kernels.batched import apply_stacked_batched, unmqr_batched
-from ..kernels.costs import Kernel
+from ..kernels.batched import (apply_stacked_batched, tsmqr_batched,
+                               ttmqr_batched, unmqr_batched)
 from ..kernels.geqrt import TFactor
 from ..kernels.stacked import ts_support, tt_support
 from ..obs.metrics import MetricsRegistry
@@ -69,8 +73,8 @@ from ..obs.tracer import Tracer
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .group_executor import GroupExecutor, record_tfactors
-from .groups import (FACTOR_CODES, KIND, FrontierCore, drain_groups,
-                     resolve_batch, unwrap_graph)
+from .groups import (APPLY_CODES, FACTOR_CODES, KIND, FrontierCore,
+                     drain_groups, resolve_batch, unwrap_graph)
 from .lifecycle import Lifecycle
 from .options import ExecOptions, resolve_backend
 
@@ -85,6 +89,12 @@ logger = logging.getLogger(__name__)
 #: overhead (docs/performance.md, "Least squares: replaying Q in drain
 #: groups")
 REPLAY_STACK_TILES = 2
+
+#: each apply kernel code's :class:`KernelBackend` field, and the
+#: stacked apply the reference backend's field calls on one-tile views
+_APPLIES = {c: (KERNEL_CODES[c].value.lower(),
+                {"ge": unmqr_batched, "ts": tsmqr_batched,
+                 "tt": ttmqr_batched}[KIND[c]]) for c in APPLY_CODES}
 
 
 def _clamp_ib(ib: int, nb: int, metrics: MetricsRegistry | None) -> int:
@@ -127,31 +137,48 @@ class ExecutionContext:
                                           repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    def run_task(self, code: int, row: int, piv: int, col: int,
-                 j: int) -> None:
-        """Execute one kernel task against the tile views, given by its
-        graph columns (kernel code; ``-1`` for no ``piv``/``j``)."""
-        bk, tiles, tf, kernel = (self.backend, self.tiled, self.tfactors,
-                                 KERNEL_CODES[code])
-        if kernel is Kernel.GEQRT:
-            tf[(row, col, "ge")] = bk.geqrt(tiles.tile(row, col), self.ib)
-        elif kernel is Kernel.UNMQR:
-            bk.unmqr(tiles.tile(row, col), tf[(row, col, "ge")],
-                     tiles.tile(row, j))
-        elif kernel is Kernel.TSQRT:
-            tf[(row, col, "ts")] = bk.tsqrt(
-                tiles.tile(piv, col), tiles.tile(row, col), self.ib)
-        elif kernel is Kernel.TSMQR:
-            bk.tsmqr(tiles.tile(row, col), tf[(row, col, "ts")],
-                     tiles.tile(piv, j), tiles.tile(row, j))
-        elif kernel is Kernel.TTQRT:
-            tf[(row, col, "tt")] = bk.ttqrt(
-                tiles.tile(piv, col), tiles.tile(row, col), self.ib)
-        elif kernel is Kernel.TTMQR:
-            bk.ttmqr(tiles.tile(row, col), tf[(row, col, "tt")],
-                     tiles.tile(piv, j), tiles.tile(row, j))
+    def run_task(self, code: int, row: int, piv: int, col: int) -> None:
+        """Execute one factor task against the tile views, given by its
+        graph columns (kernel code; ``piv`` is ``-1`` for GEQRT)."""
+        bk, tiles, kind = self.backend, self.tiled, KIND[code]
+        if kind == "ge":
+            t = bk.geqrt(tiles.tile(row, col), self.ib)
         else:
-            raise ValueError(f"unknown kernel {kernel}")
+            t = (bk.tsqrt if kind == "ts" else bk.ttqrt)(
+                tiles.tile(piv, col), tiles.tile(row, col), self.ib)
+        self.tfactors[(row, col, kind)] = t
+
+    def run_updates(self, code: int, row: int, piv: int, col: int,
+                    j0: int, j1: int) -> None:
+        """Apply the transformation of factor task ``(row, piv, col)``
+        to tile columns ``j0 .. j1 - 1`` of its row (and pivot row) as
+        one ``code`` apply call.
+
+        The reference applies run the stacked apply on zero-copy
+        ``(j1 - j0, h, nb)`` views of the row blocks, which computes
+        every slice exactly as the one-tile call does; a ragged last
+        tile column runs as a one-tile call of its own.  Any other
+        backend's apply takes the 2-D row-block views, of any width
+        (LAPACK's ``?gemqrt``/``?tpmqrt``).
+        """
+        tiled, nb, kind = self.tiled, self.tiled.nb, KIND[code]
+        name, stacked_apply = _APPLIES[code]
+        v, t = tiled.tile(row, col), self.tfactors[(row, col, kind)]
+        apply = getattr(self.backend, name)
+        stacked = apply is getattr(REFERENCE, name)
+        spans = [(j0, j1)]
+        if stacked:
+            # a ragged last tile column does not fit the stack's shape
+            full = tiled.n // nb
+            spans = [(a, b) for a, b in ((j0, min(j1, full)), (full, j1))
+                     if a < b]
+            apply, v = stacked_apply, v[None]
+        for a, b in spans:
+            bot = _row_block(tiled, row, a, b, stacked)
+            if kind == "ge":
+                apply(v, t, bot)
+            else:
+                apply(v, t, _row_block(tiled, piv, a, b, stacked), bot)
 
     # ------------------------------------------------------------------
     def apply_q_right(self, c: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -309,13 +336,17 @@ def _prepare(graph, tiled: TiledMatrix, backend: KernelBackend, ib: int,
     """The entry every executor shares: ``(plan or None, context,
     lifecycle or None)``.
 
-    Unwraps a Plan, drops disabled observers (so ``ctx.tracer`` /
-    ``ctx.metrics`` are ``None`` unless they record), clamps ``ib``,
-    counts the run into ``metrics`` and builds the run's one
-    :class:`~repro.runtime.lifecycle.Lifecycle` — ``None`` when
+    Unwraps a Plan, rejects a graph of another problem than QR (the
+    kernels here are QR's), drops disabled observers (so
+    ``ctx.tracer`` / ``ctx.metrics`` are ``None`` unless they record),
+    clamps ``ib``, counts the run into ``metrics`` and builds the run's
+    one :class:`~repro.runtime.lifecycle.Lifecycle` — ``None`` when
     nothing observes the run.
     """
     g, plan = unwrap_graph(graph)
+    if g.problem != "qr":
+        raise ValueError(f"the runtime executes QR task graphs, not "
+                         f"{g.problem!r} ones")
     if tracer is not None and not tracer.enabled:
         tracer = None
     if bus is not None and not getattr(bus, "enabled", True):
@@ -376,8 +407,9 @@ def execute_graph(
         timestamps and placement.
     tracer : Tracer or None
         Span tracer recording one :class:`~repro.obs.tracer.Span` per
-        group the kernels ran — one task in sequential mode — with
-        its member ids, ready/start/finish wall-times and worker.
+        group the kernels ran — in sequential mode a factor task or
+        the stretch of updates that follows it — with its member ids,
+        ready/start/finish wall-times and worker.
         ``None`` or a disabled tracer
         (:data:`~repro.obs.tracer.NULL_TRACER`) keeps the hot path
         free of any tracing work.
@@ -428,21 +460,59 @@ def execute_graph(
     return ctx
 
 
+def _row_block(tiled: TiledMatrix, i: int, a: int, b: int,
+               stacked: bool) -> np.ndarray:
+    """Tile columns ``a .. b - 1`` of tile row ``i``: a 2-D view, or
+    with ``stacked`` a ``(b - a, h, w)`` stack of its tiles (splitting
+    the column axis is always a view)."""
+    nb = tiled.nb
+    x = tiled.array[i * nb:(i + 1) * nb, a * nb:b * nb]
+    return x.reshape(len(x), b - a, -1).swapaxes(0, 1) if stacked else x
+
+
+def _sequential_groups(graph: TaskGraph) -> np.ndarray:
+    """Group bounds of sequential task mode: group ``g`` is tasks
+    ``bounds[g] .. bounds[g + 1] - 1`` of the emission order.
+
+    A factor task is a group of one.  A maximal stretch of consecutive
+    update tasks that share kernel, ``row``, ``piv`` and ``col``, with
+    ``j`` rising by one, is one group: the updates of one elimination
+    block (:func:`~repro.dag.build.block_tables`).
+    """
+    codes, rows, pivs, cols, js = (graph.codes, graph.rows, graph.pivs,
+                                   graph.cols, graph.js)
+    upd = np.isin(codes, list(APPLY_CODES))
+    start = np.ones(len(codes), dtype=bool)
+    start[1:] = ~(upd[1:] & upd[:-1] & (codes[1:] == codes[:-1])
+                  & (rows[1:] == rows[:-1]) & (pivs[1:] == pivs[:-1])
+                  & (cols[1:] == cols[:-1]) & (js[1:] == js[:-1] + 1))
+    return np.append(np.flatnonzero(start), len(codes))
+
+
 def _run_sequential(ctx: ExecutionContext, life) -> None:
-    """Every task in emission order, per-tile kernels on tile views;
-    each task is its own group."""
+    """Emission order in the calling thread: each factor task one
+    per-tile call (:meth:`ExecutionContext.run_task`), each stretch of
+    its updates one apply call (:meth:`ExecutionContext.run_updates`),
+    each recorded as one group."""
     graph = ctx.graph
+    bounds = _sequential_groups(graph).tolist()
+    codes, rows, pivs, cols, js = (graph.codes.tolist(), graph.rows.tolist(),
+                                   graph.pivs.tolist(), graph.cols.tolist(),
+                                   graph.js.tolist())
     if life is not None:
         life.run_start(1)
-    for tid, cols in enumerate(zip(graph.codes.tolist(), graph.rows.tolist(),
-                                   graph.pivs.tolist(), graph.cols.tolist(),
-                                   graph.js.tolist())):
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        code = codes[a]
         if life is not None:
-            life.group_start(cols[0], (tid,), 0)
+            life.group_start(code, range(a, b), 0)
             t0 = time.perf_counter()
-        ctx.run_task(*cols)
+        if code in FACTOR_CODES:
+            ctx.run_task(code, rows[a], pivs[a], cols[a])
+        else:
+            ctx.run_updates(code, rows[a], pivs[a], cols[a], js[a],
+                            js[b - 1] + 1)
         if life is not None:
-            life.group_done(cols[0], (tid,), 0, t0, time.perf_counter())
+            life.group_done(code, range(a, b), 0, t0, time.perf_counter())
     if life is not None:
         life.run_done()
 

@@ -18,12 +18,13 @@ depend on the transport, the group's size or its other members:
   dispatch makes.  Only the inline transport's reference groups
   (``stacked=True``) factor a whole group in one step with the
   stacked NumPy kernels of :mod:`repro.kernels.batched`;
-* **apply kernels** (UNMQR/TSMQR/TTMQR), groups of one included, sort
-  the group by source (V/T) tile — :func:`v_runs` — and execute each
-  run as one broadcast stacked apply (:func:`apply_group_pool`): the
-  V tile and its 2-D ``T`` blocks are processed once per run instead
-  of once per task.  The stacked applies compute each slice alone,
-  so grouping never changes an apply's bytes either.
+* **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
+  (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
+  stacked apply (:func:`apply_group_pool`): the V tile and its 2-D
+  ``T`` blocks are processed once per run instead of once per task.
+  A group of one makes the same call on one-slot views of the stack.
+  The stacked applies compute each slice alone, so grouping never
+  changes an apply's bytes either.
 
 The T store has one layout, LAPACK's compact ``(nfactor, ib, nb)``:
 panel ``p``'s ``(jb, jb)`` block sits at columns ``p * ib`` on, which
@@ -256,8 +257,20 @@ def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
     kernels (``None`` for UNMQR).  ``tfactor_of(i)`` returns the
     :class:`TFactor` of task ``i`` (pre-sort index) with 2-D blocks,
     broadcast over the task's run.  Gather and scatter are single
-    fancy-indexing copies; every run is one broadcast stacked apply.
+    fancy-indexing copies; every run is one broadcast stacked apply.  A
+    group of one makes the same call on one-slot views of the pool.
     """
+    if len(vslots) == 1:
+        v, bot = int(vslots[0]), int(bot_slots[0])
+        if code == _UNMQR:
+            unmqr_batched(stack[v:v + 1], tfactor_of(0), stack[bot:bot + 1])
+        else:
+            top = int(top_slots[0])
+            apply_stacked_batched(stack[v:v + 1], tfactor_of(0),
+                                  stack[top:top + 1], stack[bot:bot + 1],
+                                  tt_support if code == _TTMQR
+                                  else ts_support, mask=code == _TTMQR)
+        return
     order, bounds = v_runs(vslots)
     if code == _UNMQR:
         cslots = bot_slots[order]

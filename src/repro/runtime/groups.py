@@ -300,30 +300,33 @@ class GroupFrontier:
                 best_code, best_head = code, head
         return best_code, best_head
 
-    def inverted(self) -> bool:
+    def inverted(self, best=None) -> bool:
         """Whether the next pop skips an older ready task — i.e. FIFO
         order would have run a different task first.  Amortized O(1)
-        past :meth:`_best`: pushes are numbered in order, so the
-        oldest ready task is the first push not yet popped, and that
-        pointer only moves forward."""
-        _, head = self._best()
+        past :meth:`_best` (pass its answer as ``best`` when it is at
+        hand): pushes are numbered in order, so the oldest ready task
+        is the first push not yet popped, and that pointer only moves
+        forward."""
+        _, head = self._best() if best is None else best
         popped, oldest = self._popped, self._oldest
         while popped[oldest]:
             oldest += 1
         self._oldest = oldest
         return oldest < head[1]
 
-    def pop_group(self, limit: int | None = None) -> tuple[int, list[int]]:
+    def pop_group(self, limit: int | None = None,
+                  best=None) -> tuple[int, list[int]]:
         """Pop the best compatible group: ``(code, tids)``.
 
         ``limit`` additionally caps the group size (the process
         transport passes the target worker's remaining in-flight
         *task* capacity, so one giant group cannot blow past the cap
-        that exists to keep priority meaningful).
+        that exists to keep priority meaningful); ``best`` is
+        :meth:`_best`'s answer when the caller has it.
         """
         if not self._n:
             raise IndexError("pop from an empty frontier")
-        best_code, _ = self._best()
+        best_code, _ = self._best() if best is None else best
         buckets = self._buckets[best_code]
         size = self.batch
         if limit is not None:
@@ -393,9 +396,13 @@ class FrontierCore:
     def pop(self, limit: int | None = None) -> tuple[int, list[int]]:
         """The best ready group ``(code, tids)``; see
         :meth:`GroupFrontier.pop_group`."""
-        if self._inversions is not None and self.frontier.inverted():
+        fr = self.frontier
+        if self._inversions is None:
+            return fr.pop_group(limit)
+        best = fr._best()  # one scan of the borders serves both
+        if fr.inverted(best):
             self._inversions.inc()
-        return self.frontier.pop_group(limit)
+        return fr.pop_group(limit, best)
 
     def retire(self, tids) -> np.ndarray:
         """Release the successors of retired ``tids``; returns the

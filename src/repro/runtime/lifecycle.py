@@ -7,7 +7,8 @@ A run's observers — the span :class:`~repro.obs.tracer.Tracer`, the
 same-kernel tasks was handed to a worker, that group ran from one
 stamp to another, the ready frontier changed, the run ended.
 :class:`Lifecycle` takes those facts from the sequential executor
-(groups of one) and from the inline, thread and process transports,
+(a factor task, or one stretch of its updates, per group) and from the
+inline, thread and process transports,
 and feeds each observer from them, so no transport wires an observer
 by hand.
 

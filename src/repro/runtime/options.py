@@ -71,10 +71,10 @@ class ExecOptions:
 
     mode: str = field(default="task", metadata={
         "choices": _MODES,
-        "help": "task = per-tile kernels, sequential or on worker "
-                "threads; batched = stacked kernel groups in the calling "
-                "thread; process = worker processes over shared-memory "
-                "tiles"})
+        "help": "task = emission order in the calling thread, or "
+                "ready groups on worker threads; batched = stacked kernel "
+                "groups in the calling thread; process = worker processes "
+                "over shared-memory tiles"})
     workers: Optional[int] = field(default=None, metadata={
         "type": int,
         "help": "worker threads (task mode; omit for sequential) or "

@@ -11,6 +11,7 @@ from repro.obs import (EVENT_KINDS, NULL_BUS, Event, EventBus, LiveState,
                        NullBus)
 from repro.runtime import ExecOptions
 from repro.runtime.executor import execute_graph
+from repro.runtime.groups import FACTOR_CODES
 from repro.tiles.layout import TiledMatrix
 
 
@@ -219,10 +220,21 @@ class TestExecutorPublishing:
         kinds = [e.kind for e in events]
         n = len(pl.graph.tasks)
         assert kinds[0] == "run_start" and kinds[-1] == "run_done"
-        # every task is its own group
-        assert kinds.count("group_start") == n
-        assert kinds.count("group_done") == n
-        assert {e.count for e in events if e.kind == "group_done"} == {1}
+        # one group per factor task and one per stretch of a block's
+        # updates (same kernel, row, piv and col; j rising by one)
+        g = pl.graph
+        factor = np.isin(g.codes, list(FACTOR_CODES))
+        stretch = ~factor.copy()
+        same = ((g.codes[1:] == g.codes[:-1]) & (g.rows[1:] == g.rows[:-1])
+                & (g.pivs[1:] == g.pivs[:-1]) & (g.cols[1:] == g.cols[:-1])
+                & (g.js[1:] == g.js[:-1] + 1))
+        stretch[1:] &= ~(same & ~factor[:-1])
+        firsts = np.flatnonzero(factor | stretch).tolist()
+        assert len(firsts) < n
+        done = [e for e in events if e.kind == "group_done"]
+        assert kinds.count("group_start") == len(done) == len(firsts)
+        assert [e.tid for e in done] == firsts
+        assert sum(e.count for e in done) == n
         run_start = events[0]
         assert run_start.total == n and run_start.count == 1
         # per-task durations ride on group_done.value

@@ -116,6 +116,20 @@ class TestErrorPropagation:
             execute_graph(g, tiled, ib=0)
 
 
+    @pytest.mark.parametrize("opts", [
+        ExecOptions(), ExecOptions(workers=2), ExecOptions(mode="batched")],
+        ids=["sequential", "threads", "batched"])
+    def test_non_qr_graph_rejected(self, opts):
+        """Only QR's kernels run: a Cholesky graph is refused up front
+        in every mode, not run through QR kernels."""
+        from repro.api import plan
+
+        tiled = TiledMatrix(np.eye(24), 8)
+        with pytest.raises(ValueError, match="QR task graphs"):
+            execute_graph(plan("cholesky(t=3)"), tiled, opts, ib=4)
+        assert np.array_equal(tiled.array, np.eye(24))
+
+
 class TestProgressObserver:
     def test_sequential_callback(self, rng):
         a = random_matrix(rng, 24, 16)
