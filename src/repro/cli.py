@@ -218,15 +218,21 @@ _EXEC_COMMANDS = {"factor": {}, "profile": {"workers": 4}}
 
 def _add_exec_flags(p: argparse.ArgumentParser, command: str) -> None:
     """One flag per ExecOptions field with CLI metadata (its help,
-    choices and type), defaulting as :data:`_EXEC_COMMANDS` says."""
+    choices and type), defaulting as :data:`_EXEC_COMMANDS` says; the
+    help ends with that default (a ``None`` one as the field's
+    ``unset`` text)."""
     from .runtime.options import ExecOptions
 
     overrides = _EXEC_COMMANDS[command]
     for f in fields(ExecOptions):
         if f.metadata:
+            meta = dict(f.metadata)
+            unset = meta.pop("unset", None)
+            default = overrides.get(f.name, f.default)
+            meta["help"] += (f"; default: "
+                             f"{unset if default is None else default}")
             p.add_argument("--" + f.name.replace("_", "-"),
-                           default=overrides.get(f.name, f.default),
-                           **f.metadata)
+                           default=default, **meta)
 
 
 def _kernels(opts, dtype) -> str:

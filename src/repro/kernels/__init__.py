@@ -5,9 +5,12 @@ Two interchangeable backends are provided:
 * :mod:`repro.kernels` top level — pure NumPy reference kernels,
   implemented from scratch (Householder reflectors + compact WY), fully
   documented, supporting real and complex dtypes and ragged tiles.
-  The three update kernels (``unmqr``/``tsmqr``/``ttmqr``) are the
-  stacked applies of :mod:`repro.kernels.batched` called on one-tile
-  views; the three factor kernels run per tile.
+  Each is written once, in :mod:`repro.kernels.batched`: the three
+  factor kernels (``geqrt``/``tsqrt``/``ttqrt``) are its kernels over
+  any leading batch shape, which factor a 2-D tile or a stack of tiles
+  with the same bytes per tile, and the three update kernels
+  (``unmqr``/``tsmqr``/``ttmqr``) call its stacked applies on one-tile
+  views.
 * :mod:`repro.kernels.lapack` — thin wrappers over LAPACK's
   ``?geqrt/?gemqrt/?tpqrt/?tpmqrt`` via :mod:`scipy.linalg.lapack`, used
   for performance benchmarking.

@@ -1,4 +1,4 @@
-"""Batched (stacked 3-D) variants of the six tile kernels (S20).
+"""The six tile kernels, each written once over stacks of tiles (S20).
 
 At any moment of a factorization many ready tasks of the *same*
 kernel type are independent (the paper's whole point — Section 2.2's
@@ -8,28 +8,28 @@ to stack the operand tiles of one group of such tasks into a
 ``(batch, nb, nb)`` array and execute the group as *one* sequence of
 3-D operations:
 
-* the update kernels (``UNMQR``/``TSMQR``/``TTMQR``) become a handful
-  of ``np.matmul`` calls on ``(batch, nb, nb)`` stacks — BLAS-3 over
-  the whole group instead of one small GEMM per task;
-* the factor kernels (``GEQRT``/``TSQRT``/``TTQRT``) keep their inner
-  ``ib`` panel loop in Python but vectorize every step — reflector
+* the factor kernels (GEQRT/TSQRT/TTQRT) run over any leading batch
+  shape — a 2-D tile or a ``(batch, mb, nb)`` stack — with the inner
+  ``ib`` panel loop in Python and every step of it (reflector
   generation, the rank-1 panel updates, the ``larft`` accumulation and
-  the blocked trailing update — across the batch axis.
+  the blocked trailing update) one NumPy call across the batch;
+* the update kernels (UNMQR/TSMQR/TTMQR) become a handful of
+  ``np.matmul`` calls on ``(batch, nb, nb)`` stacks — BLAS-3 over the
+  whole group instead of one small GEMM per task.
 
-The stacked applies here are the only implementation of the update
-kernels: the per-tile :func:`~repro.kernels.geqrt.unmqr`,
-:func:`~repro.kernels.tsqrt.tsmqr` and :func:`~repro.kernels.ttqrt.ttmqr`
-call them on one-tile views, so per-tile and grouped execution agree
-bitwise by construction, and the runtime runs every apply group of
-every transport through them, on either backend's ``T``.  A
+These are the only implementation of the reference kernels.
+:func:`geqrt`, :func:`tsqrt` and :func:`ttqrt` *are* the public
+``repro.kernels.geqrt``/``tsqrt``/``ttqrt`` (and ``geqrt_batched``
+etc. are the same functions); the per-tile
+:func:`~repro.kernels.geqrt.unmqr`, :func:`~repro.kernels.tsqrt.tsmqr`
+and :func:`~repro.kernels.ttqrt.ttmqr` call the stacked applies on
+one-tile views.  Every reduction is a per-slice BLAS call or an
+elementwise product, so each slice is computed alone: a tile gives the
+same bytes factored on its own, as a strided view into a larger
+matrix, or as any slice of any stack, and the runtime runs every group
+of every transport through these kernels.  A
 :class:`~repro.kernels.householder.TFactor` with 2-D blocks (one
-tile's ``T``) broadcasts over the whole stack.  The stacked factor
-kernels run only the inline transport's reference groups; they
-mirror :mod:`repro.kernels.geqrt` and :mod:`repro.kernels.stacked`
-step for step (same formulas, same conditional writes on zero-norm
-columns), so each batch slice agrees with the per-tile factor kernel
-to rounding; they are *not* bitwise identical because batched
-reductions may associate differently.
+tile's ``T``) broadcasts over a whole stack in the applies.
 
 Tiles are expected zero-padded to a uniform ``nb x nb`` (see
 :class:`repro.tiles.pool.TilePool`): zero padding is exact — padded
@@ -44,44 +44,22 @@ from typing import Callable
 
 import numpy as np
 
-from .householder import TFactor, panel_starts
+from .householder import TFactor, larft, panel_starts
 from .stacked import ts_support, tt_support
 
 __all__ = [
+    "geqrt",
+    "tsqrt",
+    "ttqrt",
+    "factor_stacked",
     "geqrt_batched",
     "unmqr_batched",
     "tsqrt_batched",
     "tsmqr_batched",
     "ttqrt_batched",
     "ttmqr_batched",
-    "factor_stacked_batched",
     "apply_stacked_batched",
 ]
-
-
-def _batched_reflector(x: np.ndarray):
-    """Householder reflectors of each row of ``x`` (shape ``(B, s)``).
-
-    The batch-axis analogue of :func:`repro.kernels.householder.reflector`
-    — same formulas, same conventions (``v[:, 0] = 1``, real ``tau``,
-    ``beta = -phase * ||x||``), with zero-norm rows yielding the
-    identity reflector ``tau = 0``.
-    """
-    norm = np.linalg.norm(x, axis=1)
-    alpha = x[:, 0]
-    absa = np.abs(alpha)
-    phase = np.where(absa == 0.0, 1.0,
-                     alpha / np.where(absa == 0.0, 1.0, absa))
-    beta = -phase * norm
-    u0 = alpha - beta
-    nz = norm != 0.0
-    safe = np.where(nz, u0, 1.0)
-    v = x / safe[:, None]
-    v[:, 0] = 1.0
-    uhu = 2.0 * (norm * norm + absa * norm)
-    tau = np.where(nz, 2.0 * np.abs(safe) ** 2 / np.where(nz, uhu, 1.0), 0.0)
-    beta = np.where(nz, beta, 0.0)
-    return v, tau, beta
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -91,21 +69,18 @@ def _ct(a: np.ndarray) -> np.ndarray:
     strided view (``np.matmul`` handles transposed operands natively);
     complex dtypes pay one conjugated copy.
     """
-    if a.dtype.kind == "c":
-        a = a.conj()
-    return a.swapaxes(-1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 _MASK_CACHE: dict = {}
 
 
-def _strict_lower_mask(rows: int, cols: int) -> np.ndarray:
-    """Cached strictly-lower-triangular boolean mask (``rows x cols``)."""
-    key = (rows, cols)
+def _tril_mask(rows: int, cols: int, k: int) -> np.ndarray:
+    """Cached ``np.tril`` boolean mask (``rows x cols``, diagonal ``k``)."""
+    key = (rows, cols, k)
     m = _MASK_CACHE.get(key)
     if m is None:
-        m = np.tril(np.ones((rows, cols), dtype=bool), -1)
-        _MASK_CACHE[key] = m
+        m = _MASK_CACHE[key] = np.tril(np.ones((rows, cols), dtype=bool), k)
     return m
 
 
@@ -113,12 +88,13 @@ _PANEL_CACHE: dict = {}
 
 
 def _panels(k: int, ib: int) -> tuple:
-    """Cached :func:`~repro.kernels.geqrt.panel_starts` (hot path)."""
+    """Cached :func:`~repro.kernels.householder.panel_starts`, each
+    panel with its diagonal index ``np.arange(jb)`` (hot path)."""
     key = (k, ib)
     p = _PANEL_CACHE.get(key)
     if p is None:
-        p = tuple(panel_starts(k, ib))
-        _PANEL_CACHE[key] = p
+        p = _PANEL_CACHE[key] = tuple((j0, jb, np.arange(jb))
+                                      for j0, jb in panel_starts(k, ib))
     return p
 
 
@@ -139,43 +115,206 @@ def _support_mask(support, j0: int, jb: int, smax: int,
     return m
 
 
-def geqrt_batched(a: np.ndarray, ib: int) -> TFactor:
-    """Blocked QR of a ``(batch, mb, nb)`` stack of tiles, in place.
+# ----------------------------------------------------------------------
+# factor kernels
+# ----------------------------------------------------------------------
 
-    The batch-axis analogue of :func:`repro.kernels.geqrt.geqrt`: each
-    slice ``a[i]`` is overwritten with ``V`` below the diagonal and
-    ``R`` on and above it.
+def _reflect(alpha, tail: np.ndarray):
+    """Householder reflectors of the vectors ``[alpha; tail]``.
+
+    The batch-generic :func:`~repro.kernels.householder.reflector`:
+    same conventions (``v[0] = 1``, real ``tau``, ``beta = -phase *
+    ||x||``, the identity ``tau = 0`` for a zero vector), with
+    ``tau = 1 + |alpha| / ||x||``, which equals ``2|u0|^2 / u^H u``.
+    ``alpha`` is an array of the batch shape (0-d for one tile),
+    ``tail`` ``(..., s)``; ``tail`` is scaled in place to the tail of
+    ``v``.  Returns ``(tau, beta)``.
     """
-    nbatch, m, n = a.shape
-    k = min(m, n)
+    # |alpha| from the ufunc, which rounds alike for every shape (a
+    # complex scalar's abs does not); the rest on scalars for one tile
+    absa = abs(alpha)
+    nonzero = np.count_nonzero(alpha) == alpha.size
+    alpha = alpha[()]
+    norm = np.sqrt(absa * absa
+                   + np.matmul(tail[..., None, :].conj(),
+                               tail[..., :, None])[..., 0, 0].real)
+    if nonzero:
+        phase = alpha / absa
+        tau = 1 + absa / norm
+        beta = -phase * norm
+        u0 = alpha - beta  # = phase * (|alpha| + norm): no cancellation
+    else:
+        # a zero alpha takes phase 1; a zero vector the identity
+        zero, nz = absa == 0, norm != 0
+        phase = np.where(zero, 1, alpha / np.where(zero, 1, absa))
+        tau = np.where(nz, 1 + absa / np.where(nz, norm, 1), 0)
+        beta = np.where(nz, -phase * norm, 0)
+        u0 = np.where(nz, alpha - beta, 1)
+    tail /= u0[..., None]
+    return tau, beta
+
+
+def geqrt(a: np.ndarray, ib: int) -> TFactor:
+    """Blocked QR factorization of a tile or a stack of tiles, in place.
+
+    Parameters
+    ----------
+    a : ndarray, shape (..., mb, nb)
+        The tile (2-D) or a stack of tiles; each is overwritten with
+        ``V`` below the diagonal and ``R`` on and above it.
+    ib : int
+        Inner block size (the paper's ``ib = 32`` for ``nb = 200``).
+
+    Returns
+    -------
+    TFactor
+        The ``T`` blocks needed by :func:`~repro.kernels.geqrt.unmqr`,
+        ``(..., jb, jb)`` per panel.
+    """
+    m, n = a.shape[-2:]
+    rdtype = a.real.dtype
     t = TFactor(ib=ib)
-    for j0, jb in panel_starts(k, ib):
-        panel = a[:, j0:, j0 : j0 + jb]
-        tblk = np.zeros((nbatch, jb, jb), dtype=a.dtype)
-        vmat = np.zeros((nbatch, m - j0, jb), dtype=a.dtype)
+    for j0, jb, d in _panels(min(m, n), ib):
+        panel = a[..., j0:, j0:j0 + jb]
+        taus = np.empty(a.shape[:-2] + (jb,), dtype=rdtype)
+        betas = np.empty(a.shape[:-2] + (jb,), dtype=a.dtype)
         for jj in range(jb):
-            v, tau, beta = _batched_reflector(panel[:, jj:, jj])
-            panel[:, jj, jj] = beta
-            panel[:, jj + 1 :, jj] = v[:, 1:]
-            vmat[:, jj, jj] = 1.0
-            vmat[:, jj + 1 :, jj] = v[:, 1:]
+            x = panel[..., jj:, jj]
+            tau, betas[..., jj] = _reflect(x[..., 0], x[..., 1:])
+            taus[..., jj] = tau
+            # the unit diagonal stands in for beta until the panel ends
+            x[..., 0] = 1
             if jj + 1 < jb:
-                c = panel[:, jj:, jj + 1 :]
-                w = np.matmul(v.conj()[:, None, :], c)
-                c -= tau[:, None, None] * np.matmul(v[:, :, None], w)
-            tblk[:, jj, jj] = tau
-            if jj:
-                w = np.matmul(_ct(vmat[:, :, :jj]), vmat[:, :, jj : jj + 1])
-                tblk[:, :jj, jj : jj + 1] = -tau[:, None, None] * np.matmul(
-                    tblk[:, :jj, :jj], w)
+                c = panel[..., jj:, jj + 1:]
+                w = np.matmul(x[..., None, :].conj(), c)
+                w *= tau[..., None, None]
+                c -= x[..., :, None] * w
+        v = np.where(_tril_mask(m - j0, jb, 0), panel, 0)
+        panel[..., d, d] = betas
+        tblk = larft(v, taus)
         t.blocks.append(tblk)
         if j0 + jb < n:
-            c = a[:, j0:, j0 + jb :]
-            w = np.matmul(_ct(vmat), c)
-            w = np.matmul(_ct(tblk), w)
-            c -= np.matmul(vmat, w)
+            c = a[..., j0:, j0 + jb:]
+            c -= np.matmul(v, np.matmul(_ct(tblk), np.matmul(_ct(v), c)))
     return t
 
+
+def factor_stacked(
+    r: np.ndarray,
+    b: np.ndarray,
+    ib: int,
+    support: Callable[[int, int], int],
+) -> TFactor:
+    """Factor ``[R; B]`` in place, annihilating ``B`` (TSQRT and TTQRT).
+
+    Parameters
+    ----------
+    r : ndarray, shape (..., >=n, n)
+        Upper triangular top tile(s); receives the combined ``R``.
+        Only the leading ``n x n`` block is referenced.
+    b : ndarray, shape (..., mb, n)
+        Bottom tile(s); overwritten with the Householder vectors ``V``
+        (full for TS, upper trapezoidal for TT).  Rows below a
+        column's support are neither read nor written.
+    ib : int
+        Inner blocking size.
+    support : callable ``(j, mb) -> int``
+        Number of leading bottom rows the reflector of column ``j``
+        touches (:func:`~repro.kernels.stacked.ts_support`,
+        :func:`~repro.kernels.stacked.tt_support`).
+
+    Returns
+    -------
+    TFactor
+        ``T`` blocks for the matching update kernel.  The top parts of
+        the Householder vectors are the canonical vectors ``e_j``,
+        orthogonal to each other, so ``T`` needs only the bottom parts.
+    """
+    n = r.shape[-1]
+    mb = b.shape[-2]
+    rdtype = b.real.dtype
+    t = TFactor(ib=ib)
+    for j0, jb, _ in _panels(n, ib):
+        je = j0 + jb
+        taus = np.empty(b.shape[:-2] + (jb,), dtype=rdtype)
+        for jj in range(jb):
+            j = j0 + jj
+            s = support(j, mb)
+            v = b[..., :s, j]
+            tau, r[..., j, j] = _reflect(r[..., j, j], v)
+            taus[..., jj] = tau
+            if jj + 1 < jb:
+                rc = r[..., j, j + 1:je]
+                bc = b[..., :s, j + 1:je]
+                w = rc + np.matmul(v[..., None, :].conj(), bc)[..., 0, :]
+                w *= tau[..., None]
+                rc -= w
+                bc -= v[..., :, None] * w[..., None, :]
+        # the panel's V is a view of b, masked where a column's
+        # support is shorter than the panel's (TT)
+        smax = support(je - 1, mb)
+        v = b[..., :smax, j0:je]
+        if support(j0, mb) < smax:
+            v = np.where(_support_mask(support, j0, jb, smax, mb), v, 0)
+        tblk = larft(v, taus)
+        t.blocks.append(tblk)
+        if je < n:
+            rt, bt = r[..., j0:je, je:], b[..., :smax, je:]
+            w = np.matmul(_ct(tblk), rt + np.matmul(_ct(v), bt))
+            rt -= w
+            bt -= np.matmul(v, w)
+    return t
+
+
+def tsqrt(r: np.ndarray, a: np.ndarray, ib: int) -> TFactor:
+    """Factor ``[R; A]`` in place, zeroing the square tile ``a``.
+
+    Parameters
+    ----------
+    r : ndarray, shape (..., nb, nb)
+        Upper triangular tile(s) of the pivot row; receives the
+        combined ``R`` factor.
+    a : ndarray, shape (..., mb, nb)
+        Square (full) tile(s) being eliminated; overwritten with the
+        Householder vectors ``V``.
+    ib : int
+        Inner blocking size.
+
+    Returns
+    -------
+    TFactor
+        ``T`` blocks for :func:`~repro.kernels.tsqrt.tsmqr`.
+    """
+    return factor_stacked(r, a, ib, ts_support)
+
+
+def ttqrt(r: np.ndarray, r_bot: np.ndarray, ib: int) -> TFactor:
+    """Factor ``[R; R_bot]`` in place, zeroing the triangular ``r_bot``.
+
+    Parameters
+    ----------
+    r : ndarray, shape (..., nb, nb)
+        Upper triangular tile(s) of the pivot row; receives the
+        combined ``R`` factor.
+    r_bot : ndarray, shape (..., mb, nb)
+        Upper triangular/trapezoidal tile(s) being eliminated; the
+        upper triangle is overwritten with the Householder vectors
+        ``V`` (again upper triangular); the strictly lower triangle
+        (the tile's own GEQRT vectors) is neither read nor written.
+    ib : int
+        Inner blocking size.
+
+    Returns
+    -------
+    TFactor
+        ``T`` blocks for :func:`~repro.kernels.ttqrt.ttmqr`.
+    """
+    return factor_stacked(r, r_bot, ib, tt_support)
+
+
+# ----------------------------------------------------------------------
+# apply kernels
+# ----------------------------------------------------------------------
 
 def _order(npanels: int, adjoint: bool, side: str) -> range:
     """Panel order of an apply.  With ``Q = B_0 B_1 ...`` (one block
@@ -206,19 +345,17 @@ def unmqr_batched(
     stack of one broadcasts over ``c``.
     """
     _, m, n = v.shape
-    k = min(m, n)
-    panels = _panels(k, t.ib)
+    panels = _panels(min(m, n), t.ib)
     if len(panels) != len(t.blocks):
         raise ValueError(
             f"T factor has {len(t.blocks)} blocks but the tile implies "
             f"{len(panels)}")
     for idx in _order(len(panels), adjoint, side):
-        j0, jb = panels[idx]
+        j0, jb, d = panels[idx]
         # select, not multiply: keeps V's dtype (single precision stays
         # single) and zeroes exactly like np.tril
-        vmat = np.where(_strict_lower_mask(m - j0, jb),
+        vmat = np.where(_tril_mask(m - j0, jb, -1),
                         v[:, j0:, j0 : j0 + jb], 0)
-        d = np.arange(jb)
         vmat[:, d, d] = 1.0
         tblk = t.blocks[idx]
         tb = _ct(tblk) if adjoint else tblk
@@ -228,73 +365,6 @@ def unmqr_batched(
         else:
             w = np.matmul(c[:, :, j0:], vmat)
             c[:, :, j0:] -= np.matmul(np.matmul(w, tb), _ct(vmat))
-
-
-def factor_stacked_batched(
-    r: np.ndarray,
-    b: np.ndarray,
-    ib: int,
-    support: Callable[[int, int], int],
-) -> TFactor:
-    """Factor a batch of stacked ``[R; B]`` pairs in place.
-
-    Batch-axis analogue of :func:`repro.kernels.stacked.factor_stacked`
-    — ``r`` is a ``(batch, nb, nb)`` stack of upper triangular pivot
-    tiles, ``b`` the ``(batch, mb, nb)`` stack of tiles being zeroed,
-    ``support`` the per-column bottom-row reach (full for TS,
-    triangular for TT).
-    """
-    nbatch, _, n = r.shape
-    mb = b.shape[1]
-    t = TFactor(ib=ib)
-    for j0, jb in panel_starts(n, ib):
-        smax = support(j0 + jb - 1, mb)
-        vmat = np.zeros((nbatch, smax, jb), dtype=b.dtype)
-        tblk = np.zeros((nbatch, jb, jb), dtype=b.dtype)
-        for jj in range(jb):
-            j = j0 + jj
-            s = support(j, mb)
-            top = r[:, j, j].copy()
-            col = b[:, :s, j]
-            norm = np.sqrt(np.abs(top) ** 2
-                           + np.sum(np.abs(col) ** 2, axis=1))
-            absa = np.abs(top)
-            phase = np.where(absa == 0.0, 1.0,
-                             top / np.where(absa == 0.0, 1.0, absa))
-            beta = -phase * norm
-            u0 = top - beta
-            nz = norm != 0.0
-            safe = np.where(nz, u0, 1.0)
-            vb = col / safe[:, None]
-            uhu = 2.0 * (norm * norm + absa * norm)
-            tau = np.where(
-                nz, 2.0 * np.abs(safe) ** 2 / np.where(nz, uhu, 1.0), 0.0)
-            # conditional writes: zero-norm columns are left untouched,
-            # matching the reference kernel's norm == 0 early-out
-            r[:, j, j] = np.where(nz, beta, top)
-            b[:, :s, j] = np.where(nz[:, None], vb, col)
-            vmat[:, :s, jj] = np.where(nz[:, None], vb, 0.0)
-            if jj + 1 < jb:
-                cols = slice(j + 1, j0 + jb)
-                w = r[:, j, cols] + np.matmul(
-                    vmat[:, :s, jj].conj()[:, None, :], b[:, :s, cols])[:, 0]
-                r[:, j, cols] -= tau[:, None] * w
-                b[:, :s, cols] -= tau[:, None, None] * np.matmul(
-                    vmat[:, :s, jj : jj + 1], w[:, None, :])
-            tblk[:, jj, jj] = tau
-            if jj:
-                w = np.matmul(_ct(vmat[:, :, :jj]), vmat[:, :, jj : jj + 1])
-                tblk[:, :jj, jj : jj + 1] = -tau[:, None, None] * np.matmul(
-                    tblk[:, :jj, :jj], w)
-        t.blocks.append(tblk)
-        if j0 + jb < n:
-            cols = slice(j0 + jb, n)
-            w = r[:, j0 : j0 + jb, cols] + np.matmul(
-                _ct(vmat), b[:, :smax, cols])
-            w = np.matmul(_ct(tblk), w)
-            r[:, j0 : j0 + jb, cols] -= w
-            b[:, :smax, cols] -= np.matmul(vmat, w)
-    return t
 
 
 def apply_stacked_batched(
@@ -310,7 +380,7 @@ def apply_stacked_batched(
     """Apply a batch of stacked transformations to two tile stacks.
 
     ``v`` is the ``(batch, mb, n)`` stack of Householder vectors (the
-    ``b`` output of :func:`factor_stacked_batched`), ``t`` the matching
+    ``b`` output of :func:`factor_stacked`), ``t`` the matching
     :class:`TFactor` (3-D blocks, or 2-D blocks shared by every slice)
     and ``support`` the rule it was factored with.  ``side="L"``
     computes ``op(Q) @ [c_top; c_bot]`` on row blocks (``c_top`` has at
@@ -328,7 +398,7 @@ def apply_stacked_batched(
             f"T factor has {len(t.blocks)} blocks but width {n} implies "
             f"{len(panels)}")
     for idx in _order(len(panels), adjoint, side):
-        j0, jb = panels[idx]
+        j0, jb, _ = panels[idx]
         smax = support(j0 + jb - 1, mb)
         vblk = v[:, :smax, j0 : j0 + jb]
         if mask:
@@ -350,11 +420,6 @@ def apply_stacked_batched(
             c_bot[:, :, :smax] -= np.matmul(w, _ct(vblk))
 
 
-def tsqrt_batched(r: np.ndarray, a: np.ndarray, ib: int) -> TFactor:
-    """Batched :func:`repro.kernels.tsqrt.tsqrt`: zero square stacks."""
-    return factor_stacked_batched(r, a, ib, ts_support)
-
-
 def tsmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
                   side: str = "L") -> None:
     """Batched :func:`repro.kernels.tsqrt.tsmqr`."""
@@ -362,19 +427,12 @@ def tsmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
                           adjoint=adjoint, mask=False, side=side)
 
 
-def ttqrt_batched(r: np.ndarray, r_bot: np.ndarray,
-                  ib: int) -> TFactor:
-    """Batched :func:`repro.kernels.ttqrt.ttqrt`: zero triangular stacks.
-
-    As in the per-tile kernel, the strictly lower triangle of each
-    ``r_bot`` slice (holding that tile's GEQRT vectors) is neither read
-    nor written.
-    """
-    return factor_stacked_batched(r, r_bot, ib, tt_support)
-
-
 def ttmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,
                   side: str = "L") -> None:
     """Batched :func:`repro.kernels.ttqrt.ttmqr` (masked)."""
     apply_stacked_batched(v, t, c_top, c_bot, tt_support,
                           adjoint=adjoint, mask=True, side=side)
+
+
+#: the stacked names of the factor kernels (one implementation each)
+geqrt_batched, tsqrt_batched, ttqrt_batched = geqrt, tsqrt, ttqrt

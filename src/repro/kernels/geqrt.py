@@ -7,6 +7,10 @@ Householder vectors ``V`` (unit lower trapezoidal) below the diagonal;
 the compact-WY ``T`` factors are returned separately, one ``jb x jb``
 upper triangular block per panel of ``ib`` columns.  ``unmqr`` applies
 that transformation to a tile of the same row (LAPACK ``?unmqr``).
+Both are the stacked kernels of :mod:`repro.kernels.batched`:
+``geqrt`` is :func:`~repro.kernels.batched.geqrt` itself, which also
+factors a ``(batch, mb, nb)`` stack, and ``unmqr`` calls the stacked
+apply on one-tile views.
 
 Costs in the paper's unit (``nb^3/3`` flops, Table 1): ``GEQRT`` =
 **4**, ``UNMQR`` = **6**.
@@ -16,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batched import unmqr_batched
-from .householder import (TFactor, accumulate_t_column,
-                          apply_block_reflector, panel_starts, reflector)
+from .batched import geqrt, unmqr_batched
+from .householder import TFactor, panel_starts, reflector
 
 __all__ = ["TFactor", "geqr2", "geqrt", "panel_starts", "unmqr"]
 
@@ -45,50 +48,6 @@ def geqr2(a: np.ndarray, taus: np.ndarray | None = None) -> np.ndarray:
             w = v.conj() @ c
             c -= tau * np.outer(v, w)
     return taus
-
-
-def geqrt(a: np.ndarray, ib: int) -> TFactor:
-    """Blocked QR factorization of one tile, in place.
-
-    Parameters
-    ----------
-    a : ndarray, shape (mb, nb)
-        The tile; overwritten with ``V`` below the diagonal and ``R``
-        on and above it.
-    ib : int
-        Inner block size (the paper's ``ib = 32`` for ``nb = 200``).
-
-    Returns
-    -------
-    TFactor
-        The ``T`` blocks needed by :func:`unmqr`.
-    """
-    m, n = a.shape
-    k = min(m, n)
-    t = TFactor(ib=ib)
-    for j0, jb in panel_starts(k, ib):
-        panel = a[j0:, j0 : j0 + jb]
-        tblk = np.zeros((jb, jb), dtype=a.dtype)
-        # vmat mirrors the panel's Householder vectors with the unit
-        # diagonal made explicit, so larft-style accumulation can use
-        # plain matrix products over a common row space.
-        vmat = np.zeros((m - j0, jb), dtype=a.dtype)
-        for jj in range(jb):
-            v, tau, beta = reflector(panel[jj:, jj])
-            panel[jj, jj] = beta
-            panel[jj + 1 :, jj] = v[1:]
-            vmat[jj, jj] = 1.0
-            vmat[jj + 1 :, jj] = v[1:]
-            if tau != 0.0 and jj + 1 < jb:
-                c = panel[jj:, jj + 1 :]
-                w = v.conj() @ c
-                c -= tau * np.outer(v, w)
-            accumulate_t_column(tblk, vmat, vmat[:, jj], tau, jj)
-        t.blocks.append(tblk)
-        # Apply the block reflector to the trailing columns of the tile.
-        if j0 + jb < n:
-            apply_block_reflector(vmat, tblk, a[j0:, j0 + jb :])
-    return t
 
 
 def unmqr(

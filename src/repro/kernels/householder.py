@@ -1,12 +1,14 @@
 """Householder reflector substrate (S1).
 
-This module provides the elementary building blocks used by every tile
-kernel in :mod:`repro.kernels`: generation of a single Householder
-reflector, accumulation of a block of reflectors into a compact-WY
-``T`` factor (LAPACK ``larft``), application of a block reflector to
-a matrix (LAPACK ``larfb``), and the :class:`TFactor` container with
-its inner-panel split (:func:`panel_starts`) that every factor kernel
-returns and every apply kernel consumes.
+This module provides the elementary building blocks of the tile
+kernels in :mod:`repro.kernels`: generation of a single Householder
+reflector (:func:`reflector`, which :func:`~repro.kernels.geqrt.geqr2`
+uses; the factor kernels generate theirs over a batch axis with the
+same conventions), accumulation of a block of reflectors into a
+compact-WY ``T`` factor (LAPACK ``larft``, over any leading batch
+shape, which every factor kernel calls), and the :class:`TFactor`
+container with its inner-panel split (:func:`panel_starts`) that every
+factor kernel returns and every apply kernel consumes.
 
 Conventions
 -----------
@@ -43,8 +45,6 @@ __all__ = [
     "reflector",
     "apply_reflector",
     "larft",
-    "apply_block_reflector",
-    "accumulate_t_column",
 ]
 
 
@@ -138,70 +138,34 @@ def apply_reflector(v: np.ndarray, tau: float, c: np.ndarray) -> None:
     c -= tau * np.outer(v, w)
 
 
-def accumulate_t_column(
-    t: np.ndarray, v_panel: np.ndarray, v_new: np.ndarray, tau: float, j: int
-) -> None:
-    """Extend an upper triangular ``T`` factor by one reflector (larft step).
-
-    Given the compact-WY factor ``T[:j, :j]`` of reflectors
-    ``H_0 ... H_{j-1}`` whose vectors are the columns of
-    ``v_panel[:, :j]``, compute column ``j`` of ``T`` for the new
-    reflector ``(v_new, tau)`` so that
-    ``H_0 ... H_j = I - V T V^H`` continues to hold.
-
-    ``t`` is modified in place; it must be at least ``(j+1, j+1)``.
-    """
-    t[j, j] = tau
-    if j > 0:
-        # t[:j, j] = -tau * T[:j, :j] @ (V[:, :j]^H v_new)
-        w = v_panel[:, :j].conj().T @ v_new
-        t[:j, j] = -tau * (t[:j, :j] @ w)
-
-
 def larft(v: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Form the upper triangular ``T`` of the compact-WY representation.
 
+    LAPACK ``larft`` (forward, columnwise) over any leading batch
+    shape: ``T[j, j] = tau_j`` and ``T[:j, j] = -tau_j T[:j, :j]
+    V[:, :j]^H v_j``, with every ``V^H v`` product read from one Gram
+    matrix ``V^H V`` whose columns are pre-scaled by ``-tau``.
+
     Parameters
     ----------
-    v : ndarray, shape (m, k)
+    v : ndarray, shape (..., m, k)
         Householder vectors as columns (``v[j, j] == 1`` with zeros
         above is *not* required here; the caller passes vectors in
         whatever structured form the kernel uses, as long as the
         columns are the true reflector vectors).
-    taus : ndarray, shape (k,)
+    taus : ndarray, shape (..., k)
         The real ``tau`` scalars.
 
     Returns
     -------
-    t : ndarray, shape (k, k), upper triangular.
+    t : ndarray, shape (..., k, k), upper triangular.
     """
-    k = v.shape[1]
-    t = np.zeros((k, k), dtype=v.dtype)
-    for j in range(k):
-        accumulate_t_column(t, v, v[:, j], taus[j], j)
+    k = v.shape[-1]
+    g = np.matmul(v.conj().swapaxes(-1, -2), v)
+    g *= -taus[..., None, :]
+    t = np.zeros(g.shape, dtype=v.dtype)
+    d = np.arange(k)
+    t[..., d, d] = taus
+    for j in range(1, k):
+        t[..., :j, j:j + 1] = np.matmul(t[..., :j, :j], g[..., :j, j:j + 1])
     return t
-
-
-def apply_block_reflector(
-    v: np.ndarray, t: np.ndarray, c: np.ndarray, adjoint: bool = True
-) -> None:
-    """Apply ``Q = I - V T V^H`` (or its adjoint) to ``c`` in place.
-
-    ``Q^H C = C - V T^H (V^H C)`` — this is the workhorse of all update
-    kernels (LAPACK ``larfb`` with ``side='L'``).
-
-    Parameters
-    ----------
-    v : ndarray, shape (m, k)
-    t : ndarray, shape (k, k)
-    c : ndarray, shape (m, n), modified in place.
-    adjoint : bool
-        If True (default) apply :math:`Q^{\\mathsf H}`, the direction
-        used during factorization; otherwise apply :math:`Q`.
-    """
-    w = v.conj().T @ c  # (k, n)
-    if adjoint:
-        w = t.conj().T @ w
-    else:
-        w = t @ w
-    c -= v @ w

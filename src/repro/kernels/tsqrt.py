@@ -8,7 +8,9 @@ Tile analogues of LAPACK ``?tpqrt``/``?tpmqrt`` with pentagon height
 where the top tile is already upper triangular (output of ``GEQRT``)
 and the bottom tile is a full square.  Each Householder vector touches
 one top row plus *all* bottom rows, so the vectors are stored as a full
-tile in place of :math:`A_{i,k}`.
+tile in place of :math:`A_{i,k}`.  ``tsqrt`` is
+:func:`repro.kernels.batched.tsqrt`, which also factors stacks of
+tile pairs.
 
 Costs in the paper's unit (Table 1): ``TSQRT`` = **6**, ``TSMQR`` = **12**.
 """
@@ -17,33 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batched import tsmqr_batched
+from .batched import tsmqr_batched, tsqrt
 from .householder import TFactor
-from .stacked import factor_stacked, ts_support
 
 __all__ = ["tsqrt", "tsmqr"]
-
-
-def tsqrt(r: np.ndarray, a: np.ndarray, ib: int) -> TFactor:
-    """Factor ``[R; A]`` in place, zeroing the square tile ``a``.
-
-    Parameters
-    ----------
-    r : ndarray, shape (nb, nb)
-        Upper triangular tile of the pivot row; receives the combined
-        ``R`` factor.
-    a : ndarray, shape (mb, nb)
-        Square (full) tile being eliminated; overwritten with the
-        Householder vectors ``V``.
-    ib : int
-        Inner blocking size.
-
-    Returns
-    -------
-    TFactor
-        ``T`` blocks for :func:`tsmqr`.
-    """
-    return factor_stacked(r, a, ib, ts_support)
 
 
 def tsmqr(

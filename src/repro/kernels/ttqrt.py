@@ -13,6 +13,8 @@ crucially leaving the strictly lower triangle (which holds the GEQRT
 vectors of that tile) intact.  This disjointness is what makes the
 paper's V=NODEP dependency relaxation [12] sound, and it is why
 ``TTQRT`` can run concurrently with ``UNMQR`` updates of the same row.
+``ttqrt`` is :func:`repro.kernels.batched.ttqrt`, which also factors
+stacks of tile pairs.
 
 Costs in the paper's unit (Table 1): ``TTQRT`` = **2**, ``TTMQR`` = **6**.
 """
@@ -21,35 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batched import ttmqr_batched
+from .batched import ttmqr_batched, ttqrt
 from .householder import TFactor
-from .stacked import factor_stacked, tt_support
 
 __all__ = ["ttqrt", "ttmqr"]
-
-
-def ttqrt(r: np.ndarray, r_bot: np.ndarray, ib: int) -> TFactor:
-    """Factor ``[R; R_bot]`` in place, zeroing the triangular tile ``r_bot``.
-
-    Parameters
-    ----------
-    r : ndarray, shape (nb, nb)
-        Upper triangular tile of the pivot row; receives the combined
-        ``R`` factor.
-    r_bot : ndarray, shape (mb, nb)
-        Upper triangular/trapezoidal tile being eliminated; its upper
-        triangle is overwritten with the Householder vectors ``V``
-        (again upper triangular); its strictly lower triangle is
-        neither read nor written.
-    ib : int
-        Inner blocking size.
-
-    Returns
-    -------
-    TFactor
-        ``T`` blocks for :func:`ttmqr`.
-    """
-    return factor_stacked(r, r_bot, ib, tt_support)
 
 
 def ttmqr(

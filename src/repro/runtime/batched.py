@@ -17,15 +17,16 @@ run as *one* stacked kernel.  It
 3. runs each group through the
    :class:`~repro.runtime.group_executor.GroupExecutor`: every apply
    group as stacked 3-D operations (:mod:`repro.kernels.batched`),
-   factor groups as stacked NumPy kernels with the reference backend
-   and slice by slice with the per-tile LAPACK kernels otherwise.
+   factor groups as one stacked call with the reference backend and
+   slice by slice with the per-tile LAPACK kernels otherwise.
 
-Numerical contract: each task's result agrees with the reference
-backend to rounding (``~1e-12 * ||A||`` for the reconstructed
-``Q @ R``).  With the reference backend bitwise identity is *not*
-guaranteed because the stacked factor kernels' reductions may
-associate differently; with LAPACK a group runs exactly as in the
-thread and process transports, so ``R`` is byte-equal to theirs.
+Numerical contract: a group runs exactly as in the thread and process
+transports, so with either backend ``R`` is byte-equal to theirs.
+With the reference backend on an exactly tiled matrix it is also
+byte-equal to sequential task mode's, which runs the same per-slice
+arithmetic on the tile views; ragged border tiles run zero-padded
+here, and agree with the sequential run to rounding (``~1e-12 *
+||A||`` for the reconstructed ``Q @ R``), as LAPACK runs do.
 
 The returned :class:`~repro.runtime.executor.ExecutionContext` carries
 per-task ``T`` factors sliced to each tile's valid shape, so
@@ -88,8 +89,7 @@ def execute_batched(
         groups, da = drain_groups(g), dispatch_arrays(g)
 
     pool = TilePool(tiled)
-    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk,
-                               stacked=bk is REFERENCE)
+    ex = GroupExecutor.on_pool(pool, da.nfactor, ctx.ib, bk)
     if life is not None:
         life.run_start(1)
     for code, tids in groups:

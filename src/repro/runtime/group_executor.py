@@ -13,11 +13,13 @@ every kernel (see :mod:`repro.tiles.pool`).
 A group runs the same way in every transport, so its result does not
 depend on the transport, the group's size or its other members:
 
-* **factor kernels** (GEQRT/TSQRT/TTQRT) run one slice at a time with
-  the backend's per-tile kernels — exactly the calls ungrouped
-  dispatch makes.  Only the inline transport's reference groups
-  (``stacked=True``) factor a whole group in one step with the
-  stacked NumPy kernels of :mod:`repro.kernels.batched`;
+* **factor kernels** (GEQRT/TSQRT/TTQRT): the reference kernels of
+  :mod:`repro.kernels.batched` factor a whole group as one call on its
+  gathered stacks (a group of one on one-slot views of the stack);
+  any other backend's kernels run one slice at a time — exactly the
+  calls ungrouped dispatch makes.  The reference kernels compute each
+  slice alone, so either way a factor's bytes do not depend on the
+  group;
 * **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
   (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
   stacked apply (:func:`apply_group_pool`): the V tile and its 2-D
@@ -39,13 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES
-from ..kernels.backend import LAPACK, get_backend
-from ..kernels.batched import (
-    apply_stacked_batched,
-    factor_stacked_batched,
-    geqrt_batched,
-    unmqr_batched,
-)
+from ..kernels.backend import LAPACK, REFERENCE, get_backend
+from ..kernels.batched import apply_stacked_batched, unmqr_batched
 from ..kernels.costs import Kernel
 from ..kernels.geqrt import TFactor, panel_starts
 from ..kernels.lapack import LapackT
@@ -55,10 +52,8 @@ from .groups import FACTOR_CODES, KIND
 __all__ = ["GroupExecutor", "apply_group_pool", "record_tfactors",
            "v_runs"]
 
-_GEQRT, _UNMQR, _TSQRT, _TSMQR, _TTQRT, _TTMQR = (
-    KERNEL_CODES.index(k) for k in (
-        Kernel.GEQRT, Kernel.UNMQR, Kernel.TSQRT, Kernel.TSMQR,
-        Kernel.TTQRT, Kernel.TTMQR))
+_GEQRT, _UNMQR, _TTMQR = (KERNEL_CODES.index(k) for k in (
+    Kernel.GEQRT, Kernel.UNMQR, Kernel.TTMQR))
 
 
 class GroupExecutor:
@@ -75,25 +70,21 @@ class GroupExecutor:
     ib : int
         Inner blocking size.
     backend : str or KernelBackend
-        Kernel library whose per-tile factor kernels run the factor
-        groups, ``"reference"`` or ``"lapack"`` (also any
+        Kernel library whose factor kernels run the factor groups,
+        ``"reference"`` or ``"lapack"`` (also any
         :class:`~repro.kernels.backend.KernelBackend` whose factor
         kernels return a :class:`~repro.kernels.lapack.LapackT` or a
         :class:`TFactor`).
-    stacked : bool
-        Factor each group in one step with the stacked NumPy kernels
-        instead (the inline transport's reference runs).
     """
 
-    __slots__ = ("stack", "tstore", "q", "ib", "bk", "stacked", "panels",
+    __slots__ = ("stack", "tstore", "q", "ib", "bk", "panels",
                  "_tf_cache")
 
     def __init__(self, stack: np.ndarray, tstore: np.ndarray, q: int,
-                 ib: int, backend="reference", stacked: bool = False):
+                 ib: int, backend="reference"):
         self.stack, self.tstore = stack, tstore
         self.q, self.ib = q, ib
         self.bk = get_backend(backend)
-        self.stacked = stacked
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
         #: fslot -> TFactor of 2-D *views* into the T store.  A T
@@ -103,13 +94,13 @@ class GroupExecutor:
         self._tf_cache: dict = {}
 
     @classmethod
-    def on_pool(cls, pool, nfactor: int, ib: int, backend="reference",
-                stacked: bool = False) -> "GroupExecutor":
+    def on_pool(cls, pool, nfactor: int, ib: int,
+                backend="reference") -> "GroupExecutor":
         """An executor over a private :class:`~repro.tiles.pool.TilePool`
         with a zeroed T store for ``nfactor`` factor tasks."""
         tstore = np.zeros(cls.tstore_shape(nfactor, pool.nb, ib),
                           dtype=pool.stack.dtype)
-        return cls(pool.stack, tstore, pool.q, ib, backend, stacked)
+        return cls(pool.stack, tstore, pool.q, ib, backend)
 
     @staticmethod
     def tstore_shape(nfactor: int, nb: int, ib: int) -> tuple:
@@ -160,37 +151,36 @@ class GroupExecutor:
         bslots = rows * q + cols
         rslots = None if code == _GEQRT else (
             np.asarray(pivs, dtype=np.int64) * q + cols)
-        if self.stacked:
-            self._factor_group(code, rslots, bslots,
-                               np.asarray(fslots, dtype=np.int64))
+        name = KERNEL_CODES[code].value.lower()
+        kernel = getattr(self.bk, name)
+        if kernel is getattr(REFERENCE, name):
+            slots = (bslots,) if rslots is None else (rslots, bslots)
+            self._factor_group(kernel, slots, np.asarray(fslots))
             return
         # one slice at a time: plain ints index the stack fastest
-        stack, ib, bk, store = self.stack, self.ib, self.bk, self._store_t
+        stack, ib, store = self.stack, self.ib, self._store_t
         fslots = np.asarray(fslots).tolist()
         if code == _GEQRT:
             for b, fs in zip(bslots.tolist(), fslots):
-                store(fs, bk.geqrt(stack[b], ib))
+                store(fs, kernel(stack[b], ib))
             return
-        kernel = bk.tsqrt if code == _TSQRT else bk.ttqrt
         for r, b, fs in zip(rslots.tolist(), bslots.tolist(), fslots):
             store(fs, kernel(stack[r], stack[b], ib))
 
-    def _factor_group(self, code: int, rslots, bslots, fslots) -> None:
-        """Factor a whole group in one step: gather the group's tiles,
-        factor them as 3-D stacks with the stacked NumPy kernels and
-        scatter them back."""
-        stack, ib = self.stack, self.ib
-        if code == _GEQRT:
-            a = stack[bslots]
-            bt = geqrt_batched(a, ib)
-            stack[bslots] = a
-        else:
-            r, b = stack[rslots], stack[bslots]
-            bt = factor_stacked_batched(
-                r, b, ib, tt_support if code == _TTQRT else ts_support)
-            stack[rslots] = r
-            stack[bslots] = b
-        self._store_t(fslots, bt)
+    def _factor_group(self, kernel, slots, fslots) -> None:
+        """Factor a whole group as one call of a reference factor
+        kernel, on one-slot views of the tile stack for a group of one,
+        else on gathered stacks scattered back after (``slots`` holds
+        the operands' slots: the tiles, or the top then bottom tiles)."""
+        stack = self.stack
+        if len(fslots) == 1:
+            ops = [stack[s[0]:s[0] + 1] for s in slots]
+            self._store_t(fslots, kernel(*ops, self.ib))
+            return
+        ops = [stack[s] for s in slots]
+        self._store_t(fslots, kernel(*ops, self.ib))
+        for s, x in zip(slots, ops):
+            stack[s] = x
 
 
 def record_tfactors(ctx, da, tstore: np.ndarray) -> None:

@@ -13,8 +13,8 @@ everything else derives from its fields:
   bundle;
 * the CLI's ``factor`` and ``profile`` subcommands generate one
   flag per field from the field's metadata
-  (its help text, choices and type; a field without metadata, such as
-  ``pool``, has no flag).
+  (its help text, choices and type, and the command's default; a
+  field without metadata, such as ``pool``, has no flag).
 
 The values, defaults and readers of each field are tabulated once, in
 the execution-options table of docs/api.md.
@@ -65,8 +65,9 @@ class ExecOptions:
     """How to run a task graph: one frozen, validated bundle.
 
     Each field's metadata holds its CLI flag's ``help``, ``choices``,
-    ``type`` or ``metavar``; see the execution-options table in
-    docs/api.md for values, defaults and which transport reads each.
+    ``type`` or ``metavar``, and for a ``None`` default what leaving
+    the field unset means (``unset``); see the execution-options table
+    in docs/api.md for values, defaults and which transport reads each.
     """
 
     mode: str = field(default="task", metadata={
@@ -77,18 +78,18 @@ class ExecOptions:
                 "over shared-memory tiles"})
     workers: Optional[int] = field(default=None, metadata={
         "type": int,
-        "help": "worker threads (task mode; omit for sequential) or "
-                "worker processes (process mode; omit for one per core); "
-                "batched mode ignores it"})
+        "help": "worker threads (task mode; 1 runs sequentially) or "
+                "worker processes (process mode); batched mode ignores it",
+        "unset": "sequential in task mode, one per core in process mode"})
     backend: Any = field(default=None, metadata={
         "choices": tuple(BACKENDS),
-        "help": "kernel library; omit for the per-mode default: "
-                "reference in task mode, LAPACK factor kernels for real "
-                "dtypes in batched and process mode"})
+        "help": "kernel library",
+        "unset": "reference in task mode, LAPACK factor kernels for real "
+                 "dtypes in batched and process mode"})
     start_method: Optional[str] = field(default=None, metadata={
         "choices": ("fork", "spawn", "forkserver"),
-        "help": "multiprocessing start method of process mode (omit for "
-                "fork where available)"})
+        "help": "multiprocessing start method of process mode",
+        "unset": "fork where available"})
     pool: Any = None
     batch: Any = field(default="auto", metadata={
         "metavar": "auto|N|off",

@@ -36,13 +36,13 @@ the same groups on worker processes:
 Correctness rests on two established facts: every pair of conflicting
 tile accesses is DAG-ordered (the completion round-trip through the
 parent gives cross-process happens-before), and zero-padded slots are
-exact for every kernel (see :mod:`repro.tiles.pool`).  Results match
-the per-tile kernels of the same backend to rounding, bitwise on the
-numpy path with exactly tiled shapes.  A group runs the same way
-whichever worker takes it and whatever else it holds, so with LAPACK
-(the default for real dtypes) ``R`` is byte-equal at every batch
-size, worker count and start method, and to the inline and thread
-transports' LAPACK runs.
+exact for every kernel (see :mod:`repro.tiles.pool`).  A group runs
+the same way whichever worker takes it and whatever else it holds, so
+with either backend ``R`` is byte-equal at every batch size, worker
+count and start method, and to the inline and thread transports' runs
+of the same backend.  With the reference backend (the default for
+complex dtypes) on exactly tiled shapes it is also byte-equal to
+sequential task mode's; otherwise results match it to rounding.
 
 Reached via ``execute_graph`` with ``ExecOptions(mode="process")`` /
 ``repro.api.factor(..., mode="process")`` / ``repro factor --mode
@@ -480,9 +480,8 @@ class ProcessPool:
         """Execute a factorization DAG on the worker pool.
 
         Parameters mirror :func:`~repro.runtime.execute_graph`.  Of
-        ``options`` the pool reads ``backend`` (the per-tile factor
-        kernels the workers run, :func:`~repro.runtime.options.
-        resolve_backend`) and ``batch`` (frontier micro-batching: see
+        ``options`` the pool reads ``backend`` (the factor kernels the
+        workers run, :func:`~repro.runtime.options.resolve_backend`) and ``batch`` (frontier micro-batching: see
         :func:`repro.runtime.groups.resolve_batch`); its own worker
         count and start method stand.  Compatible ready tasks ship as
         one group descriptor, amortizing the queue round-trip and

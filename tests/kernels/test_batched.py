@@ -1,12 +1,12 @@
-"""Batched kernels vs the per-tile reference kernels, slice by slice.
+"""Batched kernels vs the per-tile oracle loops, slice by slice.
 
-Every batched factor kernel mirrors its per-tile counterpart step for
-step, so each batch slice must agree to rounding (not bitwise —
-reduction order may differ); the applies here run on those factors
-and are compared with the per-tile oracle of
-:mod:`tests.kernels.reference` (the public per-tile applies are the
-stacked ones, so comparing with them would test the kernel against
-itself; ``test_apply_oracle`` holds them to the oracle bit for bit).
+Each batch slice of a stacked factor kernel must agree with the
+per-tile loops of :mod:`tests.kernels.reference` to rounding (not
+bitwise — the kernels form norms and ``T`` with other reductions);
+the applies here run on those factors and are compared with the
+oracle's applies.  The public per-tile kernels are the stacked ones,
+so comparing with them would test the kernel against itself;
+``test_factor_oracle`` and ``test_apply_oracle`` pin their bytes.
 Ragged tiles are exercised through the zero-padding contract: a tile
 embedded in a zero-padded ``nb x nb`` slot must produce the reference
 result of the *unpadded* tile in the valid region, and
@@ -17,9 +17,7 @@ result of the *unpadded* tile in the valid region, and
 import numpy as np
 import pytest
 
-from repro.kernels import geqrt, tsqrt, ttqrt
 from repro.kernels.batched import (
-    _batched_reflector,
     geqrt_batched,
     tsmqr_batched,
     tsqrt_batched,
@@ -46,26 +44,6 @@ def pad(a, nb=NB):
     return out
 
 
-class TestBatchedReflector:
-    def test_zero_norm_rows_identity(self, rng, dtype):
-        x = np.asarray(random_matrix(rng, 4, 6, dtype))
-        x[2] = 0.0
-        v, tau, beta = _batched_reflector(x.copy())
-        assert tau[2] == 0.0 and beta[2] == 0.0
-        assert np.all(v[2, 1:] == 0.0) and v[2, 0] == 1.0
-
-    def test_matches_scalar_reflector(self, rng, dtype):
-        from repro.kernels.householder import reflector
-
-        x = np.asarray(random_matrix(rng, 5, 7, dtype))
-        v, tau, beta = _batched_reflector(x.copy())
-        for i in range(5):
-            vi, ti, bi = reflector(x[i])
-            assert np.allclose(v[i], vi, atol=ATOL)
-            assert np.isclose(tau[i], ti, atol=ATOL)
-            assert np.isclose(beta[i], bi, atol=ATOL)
-
-
 class TestGeqrtBatched:
     @pytest.mark.parametrize("ib", IBS)
     def test_matches_reference(self, rng, dtype, ib):
@@ -73,7 +51,7 @@ class TestGeqrtBatched:
         ref = [np.array(a[i]) for i in range(5)]
         bt = geqrt_batched(a, ib)
         for i in range(5):
-            t = geqrt(ref[i], ib)
+            t = reference.geqrt(ref[i], ib)
             assert np.allclose(a[i], ref[i], atol=ATOL)
             tf = task_tfactor(bt, i, NB)
             for bb, rb in zip(tf.blocks, t.blocks):
@@ -88,7 +66,7 @@ class TestGeqrtBatched:
         bt = geqrt_batched(a, 4)
         for i, t0 in enumerate(tiles):
             ref = np.array(t0)
-            t = geqrt(ref, 4)
+            t = reference.geqrt(ref, 4)
             assert np.allclose(a[i, :h, :w], ref, atol=ATOL)
             # padded rows stay exactly zero
             assert np.all(a[i, h:, :] == 0.0)
@@ -125,7 +103,7 @@ class TestStackedBatched:
         bt = tsqrt_batched(r, b, ib)
         tfs = []
         for i in range(nbatch):
-            t = tsqrt(r_ref[i], b_ref[i], ib)
+            t = reference.tsqrt(r_ref[i], b_ref[i], ib)
             tfs.append(t)
             assert np.allclose(r[i], r_ref[i], atol=ATOL)
             assert np.allclose(b[i], b_ref[i], atol=ATOL)
@@ -153,7 +131,7 @@ class TestStackedBatched:
         bt = ttqrt_batched(r, b, ib)
         tfs = []
         for i in range(nbatch):
-            t = ttqrt(r_ref[i], b_ref[i], ib)
+            t = reference.ttqrt(r_ref[i], b_ref[i], ib)
             tfs.append(t)
             assert np.allclose(r[i], r_ref[i], atol=ATOL)
             assert np.allclose(b[i], b_ref[i], atol=ATOL)
@@ -190,7 +168,7 @@ class TestStackedBatched:
         t = tsqrt_batched(r, b, 4)
         for i in range(nbatch):
             ref_r, ref_b = np.array(rt[i]), np.array(bt_[i])
-            t_ref = tsqrt(ref_r, ref_b, 4)
+            t_ref = reference.tsqrt(ref_r, ref_b, 4)
             assert np.allclose(r[i, :w, :w], ref_r, atol=ATOL)
             assert np.allclose(b[i, :, :w], ref_b, atol=ATOL)
             assert np.all(b[i, :, w:] == 0.0)

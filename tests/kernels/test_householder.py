@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.householder import (
-    apply_block_reflector,
-    apply_reflector,
-    larft,
-    reflector,
-)
+from repro.kernels.householder import apply_reflector, larft, reflector
 from tests.conftest import random_matrix
+from tests.kernels.reference import apply_block_reflector
 
 
 def _apply_dense(v, tau, x):

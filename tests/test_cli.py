@@ -382,7 +382,8 @@ class TestParser:
 class TestExecFlags:
     """The execution flags come from ExecOptions's fields: one set for
     every subcommand that executes, with the fields' choices and help,
-    and the fields' defaults except for these overrides."""
+    and the fields' defaults except for these overrides; each help
+    ends with the command's own default."""
 
     OVERRIDES = {"factor": {}, "profile": {"workers": 4}}
 
@@ -406,7 +407,20 @@ class TestExecFlags:
                 assert act.default == overrides.get(f.name, f.default), (
                     command, f.name)
                 assert act.choices == f.metadata.get("choices")
-                assert act.help == f.metadata["help"]
+                shown = (f.metadata["unset"] if act.default is None
+                         else act.default)
+                assert act.help == f"{f.metadata['help']}; default: {shown}"
+
+    def test_profile_help_shows_its_workers_default(self, capsys):
+        """profile runs 4 workers unless told otherwise, and its help
+        says so: omitting the flag does not run sequentially there."""
+        with pytest.raises(SystemExit):
+            main(["profile", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--workers WORKERS worker threads (task mode; 1 runs "
+                "sequentially) or worker processes (process mode); batched "
+                "mode ignores it; default: 4") in text
+        assert "omit for sequential" not in text
 
     def test_simulation_workers_is_a_processor_count(self):
         for command in ("trace", "analyze"):
