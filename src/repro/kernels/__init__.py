@@ -28,7 +28,7 @@ from .costs import (
     qr_flops,
     total_weight,
 )
-from .geqrt import TFactor, geqr2, geqrt, unmqr
+from .geqrt import TFactor, geqrt, unmqr
 from .tsqrt import tsmqr, tsqrt
 from .ttqrt import ttmqr, ttqrt
 
@@ -38,7 +38,6 @@ __all__ = [
     "KERNEL_WEIGHTS",
     "UNIT_FLOPS",
     "TFactor",
-    "geqr2",
     "geqrt",
     "unmqr",
     "tsqrt",

@@ -14,8 +14,9 @@ to stack the operand tiles of one group of such tasks into a
   generation, the rank-1 panel updates, the ``larft`` accumulation and
   the blocked trailing update) one NumPy call across the batch;
 * the update kernels (UNMQR/TSMQR/TTMQR) become a handful of
-  ``np.matmul`` calls on ``(batch, nb, nb)`` stacks — BLAS-3 over the
-  whole group instead of one small GEMM per task.
+  ``np.matmul`` calls on stacks of any leading batch shape — one NumPy
+  call per step across the whole group instead of one per task, with
+  V and ``T`` broadcast over the tiles that share them.
 
 These are the only implementation of the reference kernels.
 :func:`geqrt`, :func:`tsqrt` and :func:`ttqrt` *are* the public
@@ -334,17 +335,18 @@ def unmqr_batched(
     adjoint: bool = True,
     side: str = "L",
 ) -> None:
-    """Apply the orthogonal factors of a GEQRT'd stack to ``c`` in place.
+    """Apply the orthogonal factors of GEQRT'd tiles to ``c`` in place.
 
-    ``v`` is a ``(batch, mb, nb)`` stack of factored tiles (Householder
+    ``v`` is a ``(..., mb, nb)`` stack of factored tiles (Householder
     vectors below the diagonal), ``t`` the matching :class:`TFactor`
-    (3-D blocks, or 2-D blocks shared by every slice).  ``c`` is a
-    ``(batch, mb, n)`` stack for ``side="L"`` (``op(Q) @ c``) or
-    ``(batch, n, mb)`` for ``side="R"`` (``c @ op(Q)``); ``op(Q)`` is
-    ``Q^H`` when ``adjoint`` (the factorization direction).  A ``v``
-    stack of one broadcasts over ``c``.
+    (``(..., jb, jb)`` blocks).  ``c`` is a ``(..., mb, n)`` stack for
+    ``side="L"`` (``op(Q) @ c``) or ``(..., n, mb)`` for ``side="R"``
+    (``c @ op(Q)``); ``op(Q)`` is ``Q^H`` when ``adjoint`` (the
+    factorization direction).  The leading axes of ``v``, the blocks
+    and ``c`` broadcast: one V tile and 2-D blocks serve a whole
+    stack, and ``(u, 1, ...)`` runs serve a ``(u, L, ...)`` stack.
     """
-    _, m, n = v.shape
+    m, n = v.shape[-2:]
     panels = _panels(min(m, n), t.ib)
     if len(panels) != len(t.blocks):
         raise ValueError(
@@ -355,16 +357,16 @@ def unmqr_batched(
         # select, not multiply: keeps V's dtype (single precision stays
         # single) and zeroes exactly like np.tril
         vmat = np.where(_tril_mask(m - j0, jb, -1),
-                        v[:, j0:, j0 : j0 + jb], 0)
-        vmat[:, d, d] = 1.0
+                        v[..., j0:, j0 : j0 + jb], 0)
+        vmat[..., d, d] = 1.0
         tblk = t.blocks[idx]
         tb = _ct(tblk) if adjoint else tblk
         if side == "L":
-            w = np.matmul(_ct(vmat), c[:, j0:, :])
-            c[:, j0:, :] -= np.matmul(vmat, np.matmul(tb, w))
+            w = np.matmul(_ct(vmat), c[..., j0:, :])
+            c[..., j0:, :] -= np.matmul(vmat, np.matmul(tb, w))
         else:
-            w = np.matmul(c[:, :, j0:], vmat)
-            c[:, :, j0:] -= np.matmul(np.matmul(w, tb), _ct(vmat))
+            w = np.matmul(c[..., j0:], vmat)
+            c[..., j0:] -= np.matmul(np.matmul(w, tb), _ct(vmat))
 
 
 def apply_stacked_batched(
@@ -379,19 +381,20 @@ def apply_stacked_batched(
 ) -> None:
     """Apply a batch of stacked transformations to two tile stacks.
 
-    ``v`` is the ``(batch, mb, n)`` stack of Householder vectors (the
+    ``v`` is the ``(..., mb, n)`` stack of Householder vectors (the
     ``b`` output of :func:`factor_stacked`), ``t`` the matching
-    :class:`TFactor` (3-D blocks, or 2-D blocks shared by every slice)
-    and ``support`` the rule it was factored with.  ``side="L"``
-    computes ``op(Q) @ [c_top; c_bot]`` on row blocks (``c_top`` has at
-    least ``n`` rows, ``c_bot`` has ``mb``); ``side="R"`` computes
-    ``[c_top, c_bot] @ op(Q)`` on column blocks (``c_top`` at least
-    ``n`` columns wide, ``c_bot`` ``mb``).  With ``mask=True`` (the TT
-    kernels) entries of ``v`` below each column's support are zeroed
-    before use — they hold the GEQRT vectors sharing the tile (the
-    V=NODEP relaxation of [12]).
+    :class:`TFactor` (``(..., jb, jb)`` blocks) and ``support`` the
+    rule it was factored with.  ``side="L"`` computes ``op(Q) @ [c_top;
+    c_bot]`` on row blocks (``c_top`` has at least ``n`` rows,
+    ``c_bot`` has ``mb``); ``side="R"`` computes ``[c_top, c_bot] @
+    op(Q)`` on column blocks (``c_top`` at least ``n`` columns wide,
+    ``c_bot`` ``mb``).  The leading axes broadcast as in
+    :func:`unmqr_batched`.  With ``mask=True`` (the TT kernels)
+    entries of ``v`` below each column's support are zeroed before use
+    — they hold the GEQRT vectors sharing the tile (the V=NODEP
+    relaxation of [12]).
     """
-    _, mb, n = v.shape
+    mb, n = v.shape[-2:]
     panels = _panels(n, t.ib)
     if len(panels) != len(t.blocks):
         raise ValueError(
@@ -400,24 +403,24 @@ def apply_stacked_batched(
     for idx in _order(len(panels), adjoint, side):
         j0, jb, _ = panels[idx]
         smax = support(j0 + jb - 1, mb)
-        vblk = v[:, :smax, j0 : j0 + jb]
+        vblk = v[..., :smax, j0 : j0 + jb]
         if mask:
             vblk = np.where(_support_mask(support, j0, jb, smax, mb),
                             vblk, 0.0)
         tblk = t.blocks[idx]
         tb = _ct(tblk) if adjoint else tblk
         if side == "L":
-            w = c_top[:, j0 : j0 + jb, :] + np.matmul(_ct(vblk),
-                                                      c_bot[:, :smax, :])
+            w = c_top[..., j0 : j0 + jb, :] + np.matmul(_ct(vblk),
+                                                        c_bot[..., :smax, :])
             w = np.matmul(tb, w)
-            c_top[:, j0 : j0 + jb, :] -= w
-            c_bot[:, :smax, :] -= np.matmul(vblk, w)
+            c_top[..., j0 : j0 + jb, :] -= w
+            c_bot[..., :smax, :] -= np.matmul(vblk, w)
         else:
-            w = c_top[:, :, j0 : j0 + jb] + np.matmul(c_bot[:, :, :smax],
-                                                      vblk)
+            w = c_top[..., j0 : j0 + jb] + np.matmul(c_bot[..., :smax],
+                                                     vblk)
             w = np.matmul(w, tb)
-            c_top[:, :, j0 : j0 + jb] -= w
-            c_bot[:, :, :smax] -= np.matmul(w, _ct(vblk))
+            c_top[..., j0 : j0 + jb] -= w
+            c_bot[..., :smax] -= np.matmul(w, _ct(vblk))
 
 
 def tsmqr_batched(v, t, c_top, c_bot, adjoint: bool = True,

@@ -21,33 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .batched import geqrt, unmqr_batched
-from .householder import TFactor, panel_starts, reflector
+from .householder import TFactor, panel_starts
 
-__all__ = ["TFactor", "geqr2", "geqrt", "panel_starts", "unmqr"]
-
-
-def geqr2(a: np.ndarray, taus: np.ndarray | None = None) -> np.ndarray:
-    """Unblocked Householder QR of ``a`` in place (LAPACK ``?geqr2``).
-
-    On exit ``a`` holds ``R`` in its upper triangle and the
-    (unit-diagonal-implicit) Householder vectors below it.  Returns the
-    array of ``tau`` scalars (length ``min(m, n)``).
-    """
-    m, n = a.shape
-    k = min(m, n)
-    if taus is None:
-        taus = np.zeros(k)
-    for j in range(k):
-        v, tau, beta = reflector(a[j:, j])
-        taus[j] = tau
-        a[j, j] = beta
-        a[j + 1 :, j] = v[1:]
-        if tau != 0.0 and j + 1 < n:
-            # Apply H (Hermitian) to the trailing columns.
-            c = a[j:, j + 1 :]
-            w = v.conj() @ c
-            c -= tau * np.outer(v, w)
-    return taus
+__all__ = ["TFactor", "geqrt", "panel_starts", "unmqr"]
 
 
 def unmqr(

@@ -2,8 +2,8 @@
 
 This module provides the elementary building blocks of the tile
 kernels in :mod:`repro.kernels`: generation of a single Householder
-reflector (:func:`reflector`, which :func:`~repro.kernels.geqrt.geqr2`
-uses; the factor kernels generate theirs over a batch axis with the
+reflector (:func:`reflector`, on which the per-tile test oracle
+builds; the factor kernels generate theirs over a batch axis with the
 same conventions), accumulation of a block of reflectors into a
 compact-WY ``T`` factor (LAPACK ``larft``, over any leading batch
 shape, which every factor kernel calls), and the :class:`TFactor`
@@ -43,7 +43,6 @@ __all__ = [
     "TFactor",
     "panel_starts",
     "reflector",
-    "apply_reflector",
     "larft",
 ]
 
@@ -128,14 +127,6 @@ def reflector(x: np.ndarray) -> tuple[np.ndarray, float, complex]:
     uhu = 2.0 * (norm_x * norm_x + abs(alpha) * norm_x)
     tau = float(2.0 * abs(u0) ** 2 / uhu)
     return v, tau, beta
-
-
-def apply_reflector(v: np.ndarray, tau: float, c: np.ndarray) -> None:
-    """Apply ``H = I - tau v v^H`` to ``c`` in place (``c`` is m-by-n)."""
-    if tau == 0.0:
-        return
-    w = v.conj() @ c  # shape (n,)
-    c -= tau * np.outer(v, w)
 
 
 def larft(v: np.ndarray, taus: np.ndarray) -> np.ndarray:

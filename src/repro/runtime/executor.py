@@ -524,9 +524,14 @@ def _run_threads(plan, ctx: ExecutionContext, workers: int, batch,
     Each worker, under the one scheduler lock, retires the group it
     just ran (releasing successors in the core) and pops its next
     group, or waits on the lock's condition while the frontier is
-    empty.  A pop leaves at least one ready task per other worker, so
-    one group cannot drain the frontier the rest of the pool would
-    run.  Groups execute outside the lock on a
+    empty.  With ``W = workers``, a pop takes at most ``1 + max(0,
+    len(core) - (W - 1))`` of the ``len(core)`` ready tasks, so it
+    leaves ``W - 2`` of them to the other workers (all but one when
+    fewer are ready), not one per other worker: with two workers a pop
+    can take its kernel's whole ready set, up to the batch size.  The
+    limit ``max(1, len(core) - (W - 1))``, which would leave one per
+    other worker, made default two-worker runs of both perfbench
+    workloads 7-9% slower (8 interleaved pairs each).  Groups execute outside the lock on a
     :class:`~repro.tiles.pool.TilePool` through the
     :class:`~repro.runtime.group_executor.GroupExecutor`, with the
     context's per-tile backend for the factor kernels, and are

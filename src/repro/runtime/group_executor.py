@@ -20,13 +20,17 @@ depend on the transport, the group's size or its other members:
   calls ungrouped dispatch makes.  The reference kernels compute each
   slice alone, so either way a factor's bytes do not depend on the
   group;
-* **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by source
-  (V/T) tile — :func:`v_runs` — and execute each run as one broadcast
-  stacked apply (:func:`apply_group_pool`): the V tile and its 2-D
-  ``T`` blocks are processed once per run instead of once per task.
-  A group of one makes the same call on one-slot views of the stack.
-  The stacked applies compute each slice alone, so grouping never
-  changes an apply's bytes either.
+* **apply kernels** (UNMQR/TSMQR/TTMQR) sort the group by V-run
+  length and source (V/T) tile — :func:`apply_chunks` — and execute
+  each chunk of equal-length runs as one stacked apply
+  (:func:`apply_group_pool`) on a ``(runs, length, nb, nb)`` stack of
+  the gathered C tiles, with each run's V tile and ``T`` blocks
+  broadcast over its length, so they are processed once per run
+  instead of once per task.  A chunk stops at
+  :data:`APPLY_CHUNK_BYTES` of C tiles.  A group of one makes the
+  same call on one-slot views of the stack.  The stacked applies
+  compute each slice alone, so grouping and chunking never change an
+  apply's bytes either.
 
 The T store has one layout, LAPACK's compact ``(nfactor, ib, nb)``:
 panel ``p``'s ``(jb, jb)`` block sits at columns ``p * ib`` on, which
@@ -37,6 +41,8 @@ into :attr:`ExecutionContext.tfactors
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +55,8 @@ from ..kernels.lapack import LapackT
 from ..kernels.stacked import ts_support, tt_support
 from .groups import FACTOR_CODES, KIND
 
-__all__ = ["GroupExecutor", "apply_group_pool", "record_tfactors",
-           "v_runs"]
+__all__ = ["APPLY_CHUNK_BYTES", "GroupExecutor", "apply_chunks",
+           "apply_group_pool", "record_tfactors"]
 
 _GEQRT, _UNMQR, _TTMQR = (KERNEL_CODES.index(k) for k in (
     Kernel.GEQRT, Kernel.UNMQR, Kernel.TTMQR))
@@ -77,8 +83,7 @@ class GroupExecutor:
         :class:`TFactor`).
     """
 
-    __slots__ = ("stack", "tstore", "q", "ib", "bk", "panels",
-                 "_tf_cache")
+    __slots__ = ("stack", "tstore", "q", "ib", "bk", "panels")
 
     def __init__(self, stack: np.ndarray, tstore: np.ndarray, q: int,
                  ib: int, backend="reference"):
@@ -87,11 +92,6 @@ class GroupExecutor:
         self.bk = get_backend(backend)
         # padded slots always factor a full nb-column panel sequence
         self.panels = panel_starts(stack.shape[1], ib)
-        #: fslot -> TFactor of 2-D *views* into the T store.  A T
-        #: slot is written exactly once (by its factor task, which the
-        #: DAG orders before every apply that reads it), so the cached
-        #: views stay valid for the rest of the run.
-        self._tf_cache: dict = {}
 
     @classmethod
     def on_pool(cls, pool, nfactor: int, ib: int,
@@ -109,16 +109,6 @@ class GroupExecutor:
         return (max(1, nfactor), ib, nb)
 
     # ------------------------------------------------------------------
-    def panel_tfactor(self, fslot: int) -> TFactor:
-        """The T factor of slot ``fslot`` as 2-D panel blocks, which the
-        stacked applies broadcast over a run (memoized views)."""
-        tf = self._tf_cache.get(fslot)
-        if tf is None:
-            t = self.tstore[fslot]
-            tf = self._tf_cache[fslot] = TFactor(
-                [t[:jb, j0:j0 + jb] for j0, jb in self.panels], self.ib)
-        return tf
-
     def _store_t(self, fslot, t) -> None:
         """File a factor kernel's ``T`` in slot ``fslot`` (or, with 3-D
         blocks, in the slots of the array ``fslot``)."""
@@ -141,12 +131,11 @@ class GroupExecutor:
         cols = np.asarray(cols, dtype=np.int64)
         if code not in FACTOR_CODES:
             js = np.asarray(js, dtype=np.int64)
-            srcs = np.asarray(srcs, dtype=np.int64)
             top = (None if code == _UNMQR
                    else np.asarray(pivs, dtype=np.int64) * q + js)
-            apply_group_pool(self.stack, code, rows * q + cols, top,
-                             rows * q + js,
-                             lambda b: self.panel_tfactor(int(srcs[b])))
+            apply_group_pool(self.stack, self.tstore, self.panels, code,
+                             rows * q + cols, top, rows * q + js,
+                             np.asarray(srcs, dtype=np.int64))
             return
         bslots = rows * q + cols
         rslots = None if code == _GEQRT else (
@@ -212,73 +201,103 @@ def record_tfactors(ctx, da, tstore: np.ndarray) -> None:
             tf[(row, col, kind)] = LapackT(
                 t[:ibk, :k], ibk, min(h, w) if kind == "tt" else 0)
         else:
-            tf[(row, col, kind)] = TFactor(
-                [t[:jb, j0:j0 + jb] for j0, jb in panel_starts(k, ib)], ib)
+            tf[(row, col, kind)] = _tfactor(t, panel_starts(k, ib), ib)
+
+
+def _tfactor(t: np.ndarray, panels, ib: int) -> TFactor:
+    """The :class:`TFactor` of T-store entries ``t`` (``(..., ib, nb)``,
+    LAPACK's compact layout) as views of its ``panels`` blocks."""
+    return TFactor([t[..., :jb, j0:j0 + jb] for j0, jb in panels], ib)
 
 
 # ----------------------------------------------------------------------
-# stacked apply over V-runs
+# stacked apply over chunks of V-runs
 # ----------------------------------------------------------------------
 
-def v_runs(vslots: np.ndarray):
-    """Sort an apply group by source-tile slot and yield the runs.
+#: working set of one stacked-apply call: a chunk takes V-runs until
+#: the C tiles they update reach this many bytes.  Inline factor,
+#: medians of 21 rounds over the budgets, 2-vCPU host with a 2 MiB L2
+#: per core, one BLAS thread: on tall-ts-nb32 every budget from
+#: 256 KiB up took 97-101 ms (233 to 136 calls) and 128 KiB 106 ms
+#: (400 calls); on square-nb64 budgets of 128 KiB to 1 MiB took
+#: 215-222 ms, 4 MiB 233 ms and no limit 243 ms, as chunks of nb=64
+#: tiles outgrow the cache.  512 KiB lies inside both good ranges.
+APPLY_CHUNK_BYTES = 512 * 1024
 
-    Returns ``(order, bounds)``: ``order`` permutes the group's tasks
-    so that tasks sharing one V tile are contiguous, and
-    ``bounds[i]:bounds[i+1]`` delimits run ``i``.  Each run's applies
-    then execute as one broadcast batched operation — the V tile and
-    its T blocks are processed once instead of once per task.
+
+def apply_chunks(vslots: np.ndarray, task_bytes: int):
+    """Sort an apply group into chunks of equal-length V-runs.
+
+    A V-run is the group's tasks that share one V tile.  Returns
+    ``(order, chunks)``: ``order`` sorts the tasks by (run length, V
+    slot), so every run is contiguous and runs of one length are
+    adjacent; each ``(start, stop, length)`` of ``chunks`` spans whole
+    runs of ``length`` tasks in ``order``, as many as keep their C
+    operands (``task_bytes`` per task) within
+    :data:`APPLY_CHUNK_BYTES`, and at least one.
     """
-    order = np.argsort(vslots, kind="stable")
-    sv = vslots[order]
-    edge = np.empty(sv.size + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(sv[1:], sv[:-1], out=edge[1:-1])
-    return order, np.flatnonzero(edge)
+    # one stable sort on the key (run length, slot): a task's run
+    # length is its slot's count
+    count = np.bincount(vslots)
+    lens = count[vslots]
+    order = np.argsort(lens * len(count) + vslots, kind="stable")
+    chunks, a = [], 0
+    for length, ntasks in enumerate(np.bincount(lens).tolist()):
+        if ntasks:
+            step = length * max(1, APPLY_CHUNK_BYTES // (length * task_bytes))
+            stop = a + ntasks
+            chunks += [(s, min(s + step, stop), length)
+                       for s in range(a, stop, step)]
+            a = stop
+    return order, chunks
 
 
-def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
+def apply_group_pool(stack: np.ndarray, tstore: np.ndarray, panels,
+                     code: int, vslots: np.ndarray,
                      top_slots: np.ndarray | None, bot_slots: np.ndarray,
-                     tfactor_of) -> None:
+                     tslots: np.ndarray) -> None:
     """Execute one apply group in place against a ``(S, nb, nb)`` pool.
 
-    ``vslots`` names each task's V tile, ``bot_slots`` its updated tile
+    ``tstore`` is the T store, whose entries hold the ``(start,
+    width)`` blocks of ``panels``.  ``vslots`` names each task's V
+    tile, ``tslots`` its T-store slot, ``bot_slots`` its updated tile
     (``c_bot``), ``top_slots`` the pivot-row tile for the TS/TT
-    kernels (``None`` for UNMQR).  ``tfactor_of(i)`` returns the
-    :class:`TFactor` of task ``i`` (pre-sort index) with 2-D blocks,
-    broadcast over the task's run.  Gather and scatter are single
-    fancy-indexing copies; every run is one broadcast stacked apply.  A
-    group of one makes the same call on one-slot views of the pool.
+    kernels (``None`` for UNMQR).  The C tiles are gathered once in
+    :func:`apply_chunks` order and scattered back once.  A chunk of
+    ``u > 1`` runs of ``L`` tasks is one stacked apply on a ``(u, L,
+    nb, nb)`` view of them, with the runs' V tiles and T blocks
+    gathered as ``(u, 1, ...)`` stacks and broadcast over the ``L``
+    axis; a chunk of one run reads its V tile and T as one-slot views.
+    A group of one runs on one-slot views of the pool, with no gather
+    or scatter.
     """
-    if len(vslots) == 1:
-        v, bot = int(vslots[0]), int(bot_slots[0])
-        if code == _UNMQR:
-            unmqr_batched(stack[v:v + 1], tfactor_of(0), stack[bot:bot + 1])
-        else:
-            top = int(top_slots[0])
-            apply_stacked_batched(stack[v:v + 1], tfactor_of(0),
-                                  stack[top:top + 1], stack[bot:bot + 1],
-                                  tt_support if code == _TTMQR
-                                  else ts_support, mask=code == _TTMQR)
-        return
-    order, bounds = v_runs(vslots)
+    ib = tstore.shape[1]
     if code == _UNMQR:
-        cslots = bot_slots[order]
-        c = stack[cslots]
-        for u0, u1 in zip(bounds[:-1], bounds[1:]):
-            b = int(order[u0])
-            unmqr_batched(stack[vslots[b]][None], tfactor_of(b), c[u0:u1])
-        stack[cslots] = c
-        return
-    support = tt_support if code == _TTMQR else ts_support
-    ct = top_slots[order]
-    cb = bot_slots[order]
-    c_top = stack[ct]
-    c_bot = stack[cb]
-    for u0, u1 in zip(bounds[:-1], bounds[1:]):
-        b = int(order[u0])
-        apply_stacked_batched(stack[vslots[b]][None], tfactor_of(b),
-                              c_top[u0:u1], c_bot[u0:u1], support,
-                              mask=code == _TTMQR)
-    stack[ct] = c_top
-    stack[cb] = c_bot
+        kernel, cslots = unmqr_batched, [bot_slots]
+    else:
+        kernel = partial(apply_stacked_batched,
+                         support=tt_support if code == _TTMQR else ts_support,
+                         mask=code == _TTMQR)
+        cslots = [top_slots, bot_slots]
+    if len(vslots) == 1:
+        # one-slot views of the pool: no gather or scatter
+        sv, st, chunks = vslots, tslots, [(0, 1, 1)]
+        cs = [stack[s[0]:s[0] + 1] for s in cslots]
+        cslots = []
+    else:
+        order, chunks = apply_chunks(vslots, len(cslots) * stack[0].nbytes)
+        sv, st = vslots[order], tslots[order]
+        cslots = [s[order] for s in cslots]
+        cs = [stack[s] for s in cslots]
+    for a, b, length in chunks:
+        if b - a == length:
+            # one run: its V tile and T as one-slot views
+            v, ts = sv[a], st[a]
+            kernel(stack[v:v + 1], _tfactor(tstore[ts:ts + 1], panels, ib),
+                   *(c[a:b] for c in cs))
+        else:
+            kernel(stack[sv[a:b:length]][:, None],
+                   _tfactor(tstore[st[a:b:length]][:, None], panels, ib),
+                   *(c[a:b].reshape(-1, length, *c.shape[1:]) for c in cs))
+    for s, c in zip(cslots, cs):
+        stack[s] = c

@@ -220,8 +220,9 @@ class GroupFrontier:
     task comes first, and the rest of its V/T bucket rides along
     before any other source is touched.  That source affinity is what
     makes the stacked apply amortize — every bucket drained whole is
-    one ``v_runs`` run, one broadcast T fetch, one stacked matmul
-    chain.  Every popped group is valid by the readiness argument in
+    one V-run of :func:`~repro.runtime.group_executor.apply_chunks`,
+    whose V tile and T are fetched once and broadcast over the run
+    inside one chunk's stacked apply.  Every popped group is valid by the readiness argument in
     the module docstring: same kernel, mutually independent, disjoint
     outputs — no pairwise checks needed.
 

@@ -3,7 +3,9 @@
 ``repro.kernels.unmqr``/``tsmqr``/``ttmqr`` are the stacked applies of
 :mod:`repro.kernels.batched` on one-tile views.  Both the public names
 and the stacked applies (at batch 1 and 3, with 2-D ``T`` blocks
-broadcast over the stack or 3-D blocks per slice) must give the exact
+broadcast over the stack or 3-D blocks per slice, and on the
+``(runs, length, ...)`` stacks of the group executor's chunks, each
+run's V and ``T`` broadcast over its length) must give the exact
 bytes of the per-tile loops in :mod:`tests.kernels.reference`, for
 every dtype, square and ragged tiles, both sides and both directions.
 """
@@ -110,6 +112,32 @@ def test_matches_oracle(rng, kernel, side, shape, dtype):
                 stacked_fn(np.stack(vs), t3, *got, adjoint=adjoint,
                            side=side)
                 assert_oracle(ref_fn, vs, ts, cs, got, adjoint, side)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_runs_broadcast_over_4d_stacks(rng, kernel, side, shape, dtype):
+    """``u`` runs of ``L`` tiles: a ``(u, L, ...)`` C stack with V and
+    the 3-D T blocks as ``(u, 1, ...)`` stacks broadcast over ``L``."""
+    _, stacked_fn, ref_fn = KERNELS[kernel]
+    u, L = 3, 2
+    for adjoint in (True, False):
+        for width in WIDTHS:
+            vs, ts = factor_tiles(rng, kernel, SHAPES[shape], dtype, u)
+            cs = operands(rng, kernel, SHAPES[shape], side, width, dtype,
+                          u * L)
+            t4 = TFactor([np.stack(blks)[:, None]
+                          for blks in zip(*(t.blocks for t in ts))], IB)
+            got = [c.reshape(u, L, *c.shape[1:]).copy() for c in cs]
+            stacked_fn(np.stack(vs)[:, None], t4, *got, adjoint=adjoint,
+                       side=side)
+            # slice b of the flattened stacks belongs to run b // L
+            assert_oracle(ref_fn, [vs[b // L] for b in range(u * L)],
+                          [ts[b // L] for b in range(u * L)], cs,
+                          [g.reshape(u * L, *g.shape[2:]) for g in got],
+                          adjoint, side)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import geqr2, geqrt, unmqr
+from repro.kernels import geqrt, unmqr
 from repro.kernels.geqrt import panel_starts
 from tests.conftest import random_matrix
 
@@ -23,28 +23,6 @@ class TestPanelStarts:
     def test_invalid_ib(self):
         with pytest.raises(ValueError):
             panel_starts(5, 0)
-
-
-class TestGeqr2:
-    def test_r_matches_numpy_abs(self, rng, dtype):
-        a = random_matrix(rng, 8, 8, dtype)
-        work = a.copy()
-        geqr2(work)
-        r = np.triu(work)
-        _, r_np = np.linalg.qr(a)
-        assert np.allclose(np.abs(r), np.abs(r_np), atol=1e-12)
-
-    def test_tall(self, rng):
-        a = random_matrix(rng, 12, 5)
-        work = a.copy()
-        taus = geqr2(work)
-        assert taus.shape == (5,)
-
-    def test_wide(self, rng):
-        a = random_matrix(rng, 4, 9)
-        work = a.copy()
-        taus = geqr2(work)
-        assert taus.shape == (4,)
 
 
 @pytest.mark.parametrize("m,n,ib", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.householder import apply_reflector, larft, reflector
+from repro.kernels.householder import larft, reflector
 from tests.conftest import random_matrix
 from tests.kernels.reference import apply_block_reflector
 
@@ -86,23 +86,6 @@ class TestReflector:
         x = rng.standard_normal(m)
         _, tau, _ = reflector(x)
         assert tau == 0.0 or 1.0 - 1e-12 <= tau <= 2.0 + 1e-12
-
-
-class TestApplyReflector:
-    def test_matches_dense(self, rng):
-        x = rng.standard_normal(6)
-        v, tau, _ = reflector(x)
-        c = rng.standard_normal((6, 4))
-        expected = _apply_dense(v, tau, c.astype(complex)).real
-        got = c.copy()
-        apply_reflector(v, tau, got)
-        assert np.allclose(got, expected)
-
-    def test_identity_when_tau_zero(self, rng):
-        c = rng.standard_normal((5, 3))
-        c0 = c.copy()
-        apply_reflector(np.ones(5), 0.0, c)
-        assert np.array_equal(c, c0)
 
 
 class TestLarft:

@@ -19,6 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.problems import build_cholesky_dag, build_lu_dag
 from repro.runtime import ProcessPool
 from repro.runtime.groups import (
+    FACTOR_CODES,
     GroupFrontier,
     dispatch_arrays,
     resolve_batch,
@@ -218,6 +219,48 @@ class TestBitExactEquivalence:
         f1 = factor(a, batch="auto", **kw)
         assert np.array_equal(f0.r(), f1.r())
         assert np.array_equal(f0.q(), f1.q())
+
+
+# ----------------------------------------------------------------------
+# chunked applies
+# ----------------------------------------------------------------------
+
+def test_apply_groups_make_one_stacked_call_per_chunk(rng, monkeypatch):
+    """An apply group that mixes V-run lengths makes one stacked-apply
+    call per length (a chunk: the tile budget does not bind at this
+    size), not one per run, and returns the bytes of ``batch="off"``.
+    """
+    from collections import Counter
+
+    from repro.runtime import group_executor
+
+    calls = []
+    for name in ("unmqr_batched", "apply_stacked_batched"):
+        def spy(*args, _kernel=getattr(group_executor, name), **kw):
+            calls.append(1)
+            _kernel(*args, **kw)
+        monkeypatch.setattr(group_executor, name, spy)
+    pl = plan(16, 4, "greedy", "TS")
+    da = pl.dispatch_arrays()
+    runs = chunks = mixed = 0
+    for code, tids in pl.level_groups():
+        if code in FACTOR_CODES:
+            continue
+        # a V-run is the tasks of one source (V/T) slot
+        run_lengths = Counter(da.take(tids)[-1].tolist()).values()
+        lengths = set(run_lengths)
+        runs += len(run_lengths)
+        chunks += len(lengths)
+        mixed += len(lengths) > 1
+    assert mixed and chunks < runs
+    a = random_matrix(rng, 16 * NB, 4 * NB, np.float64)
+    kw = dict(nb=NB, ib=4, scheme="greedy", family="TS",
+              backend="reference")
+    f1 = factor(a, mode="batched", **kw)
+    assert len(calls) == chunks
+    f0 = factor(a, mode="task", workers=2, batch="off", **kw)
+    assert np.array_equal(f0.r(), f1.r())
+    assert np.array_equal(f0.q(), f1.q())
 
 
 # ----------------------------------------------------------------------
